@@ -27,12 +27,13 @@ from .detector import (
     DetectorConfig,
     WindowState,
     evaluate_tick,
+    prune_scores,
     push_sample,
     run_offline,
     threshold_check,
 )
 from .events import CANDIDATE_EVENTS, EventKind
-from .lof import lof_all, top_n_outliers
+from .lof import LofResult, lof_all, top_n_outliers
 from .report import (
     OutlierRow,
     alert_row,
@@ -153,24 +154,20 @@ def coalesce_alerts(alerts: Sequence[Alert], ticks: int) -> list[Alert]:
 # analyze
 # ---------------------------------------------------------------------------
 
-def _outlier_rows(aligned, names, config) -> list[OutlierRow]:
+def _outlier_rows(aligned, ranked: dict[str, list[LofResult]], config) -> list[OutlierRow]:
     rows = []
-    for name in names:
+    for name, top in ranked.items():
         col = aligned.values[name]
         present = np.nonzero(~np.isnan(col))[0]
-        if present.shape[0] < config.k + 1:
-            continue
-        values = col[present]
-        results = lof_all(values.tolist(), config.k)
-        for rank, idx in enumerate(top_n_outliers(results, config.top_n), start=1):
-            tick = int(present[idx])
+        for rank, result in enumerate(top, start=1):
+            tick = int(present[result.index])
             rows.append(
                 OutlierRow(
                     event=name,
                     tick=tick,
                     time=tick * config.tick_interval,
-                    value=float(values[idx]),
-                    lof=results[idx].lof,
+                    value=float(col[tick]),
+                    lof=result.lof,
                     rank=rank,
                 )
             )
@@ -194,7 +191,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     merged = merge_traces(traces)
     aligned = align(merged, config.tick_interval)
-    points, alerts, _ = run_offline(aligned, config)
+    ranked: dict[str, list[LofResult]] = {}
+    points, alerts, _ = run_offline(aligned, config, ranked)
     alerts = coalesce_alerts(alerts, settings["coalesce"])
 
     outdir = args.out or "."
@@ -205,7 +203,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     write_alerts_csv(os.path.join(outdir, "alerts.csv"), alerts)
     selected = [c.name for c in config.counters if c.name in aligned.values]
     write_outliers_csv(
-        os.path.join(outdir, "outliers.csv"), _outlier_rows(aligned, selected, config)
+        os.path.join(outdir, "outliers.csv"), _outlier_rows(aligned, ranked, config)
     )
 
     if args.plot:
@@ -242,6 +240,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
     states: dict[str, WindowState] = {}
     scores: dict[str, dict[int, float]] = {name: {} for name in wanted}
+    last_ts: dict[str, float] = {}
     next_eval: int | None = None
     max_tick = -1
     malformed = 0
@@ -251,6 +250,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     def emit_for(tick: int) -> None:
         nonlocal alert_count, last_emitted
         point = evaluate_tick(scores, tick, config)
+        prune_scores(scores, tick, config)
         if point is None:
             return
         alert = threshold_check(point, config)
@@ -268,6 +268,12 @@ def cmd_detect(args: argparse.Namespace) -> int:
             if isinstance(parsed, LineError):
                 malformed += 1
             continue
+        name = parsed.event.name
+        if name in last_ts and parsed.timestamp <= last_ts[name]:
+            # parse_stream's rule: a stale line is malformed
+            malformed += 1
+            continue
+        last_ts[name] = parsed.timestamp
         tick = tick_of(parsed.timestamp, config.tick_interval)
         max_tick = max(max_tick, tick)
         if next_eval is None:
@@ -275,14 +281,14 @@ def cmd_detect(args: argparse.Namespace) -> int:
         while next_eval < tick:
             emit_for(next_eval)
             next_eval += 1
-        if parsed.event.name in wanted and parsed.delta is not None:
-            state = states.get(parsed.event.name)
+        if name in wanted and parsed.delta is not None:
+            state = states.get(name)
             if state is None:
                 state = WindowState(event=parsed.event, window=config.window)
-                states[parsed.event.name] = state
+                states[name] = state
             result = push_sample(state, parsed, config)
             if result is not None:
-                scores[parsed.event.name][result[0]] = result[1]
+                scores[name][result[0]] = result[1]
 
     if next_eval is not None:
         while next_eval <= max_tick:

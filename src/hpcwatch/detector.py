@@ -22,7 +22,7 @@ from typing import Mapping
 import numpy as np
 
 from .events import CANDIDATE_EVENTS, EventKind
-from .lof import lof_scores, lof_all, top_n_outliers
+from .lof import LofResult, lof_scores, lof_all, top_n_outliers
 from .trace import AlignedTrace, Sample, tick_of
 
 
@@ -164,6 +164,21 @@ def evaluate_tick(
     )
 
 
+def prune_scores(
+    scores: Mapping[str, dict[int, float]], tick: int, config: DetectorConfig
+) -> None:
+    """Drop every score the evaluation of ``tick`` or an earlier one reads.
+
+    Ticks are evaluated in increasing order, so no later evaluation looks
+    at them again; a late score for such a tick is dropped too.  Called
+    after each evaluation, this bounds every map by the lag.
+    """
+    done = tick - lag(config)
+    for stream in scores.values():
+        for stale in [t for t in stream if t <= done]:
+            del stream[stale]
+
+
 def threshold_check(point: AttackFactorPoint, config: DetectorConfig) -> Alert | None:
     """Alert iff f strictly exceeds the threshold."""
     if not point.f > config.delta_threshold:
@@ -188,14 +203,18 @@ def select_counters(trace: AlignedTrace, config: DetectorConfig) -> list[EventKi
 # ---------------------------------------------------------------------------
 
 def run_offline(
-    trace: AlignedTrace, config: DetectorConfig
+    trace: AlignedTrace,
+    config: DetectorConfig,
+    ranked: dict[str, list[LofResult]] | None = None,
 ) -> tuple[list[AttackFactorPoint], list[Alert], dict[str, list[int]]]:
     """Replay an aligned trace tick by tick through the streaming path.
 
     Returns the attack-factor series, the alerts, and per counter the point
     indices of its top_n whole-series outliers (indices into the counter's
     non-missing value sequence, for offline marking).  Counters too short to
-    score batch-wise get an empty index list.
+    score batch-wise get an empty index list.  A caller that also needs the
+    outliers' scores passes a ``ranked`` dict, which receives per counter
+    their LofResults in rank order, so the series is ranked only once.
     """
     selected = select_counters(trace, config)
     if not selected:
@@ -218,6 +237,7 @@ def run_offline(
             if result is not None:
                 scores[counter.name][result[0]] = result[1]
         point = evaluate_tick(scores, tick, config)
+        prune_scores(scores, tick, config)
         if point is not None:
             points.append(point)
             alert = threshold_check(point, config)
@@ -228,9 +248,11 @@ def run_offline(
     for counter in selected:
         col = trace.values[counter.name]
         values = col[~np.isnan(col)]
+        top: list[LofResult] = []
         if values.shape[0] >= config.k + 1:
             results = lof_all(values.tolist(), config.k)
-            outliers[counter.name] = top_n_outliers(results, config.top_n)
-        else:
-            outliers[counter.name] = []
+            top = [results[i] for i in top_n_outliers(results, config.top_n)]
+        outliers[counter.name] = [r.index for r in top]
+        if ranked is not None:
+            ranked[counter.name] = top
     return points, alerts, outliers

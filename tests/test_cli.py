@@ -277,6 +277,52 @@ def test_detect_warns_on_malformed_lines(tmp_path, monkeypatch, capsys):
     assert "1 malformed" in capsys.readouterr().err
 
 
+def test_detect_drops_a_stale_line_as_analyze_does(tmp_path, monkeypatch, capsys):
+    main(synth_args(tmp_path))
+    lines = interleaved(tmp_path).splitlines()
+    # a second, 50x larger readout stamped like LLC-loads' latest one
+    where = 100
+    last = [line for line in lines[:where] if line.endswith(",LLC-loads")][-1]
+    ts, delta, event = last.split(",")
+    lines.insert(where, f"{ts},{int(delta) * 50},{event}")
+    stream = tmp_path / "stream.csv"
+    stream.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "report"
+    main(["analyze", str(stream), "--out", str(out)])
+    assert "1 malformed" in capsys.readouterr().err
+
+    detect_on(stream.read_text(), monkeypatch)
+    captured = capsys.readouterr()
+    assert "1 malformed" in captured.err
+    assert captured.out.splitlines() == (out / "alerts.csv").read_text().splitlines()[1:]
+
+
+def test_detect_score_maps_stay_bounded(tmp_path, monkeypatch, capsys):
+    from hpcwatch import cli
+    from hpcwatch.detector import DetectorConfig, lag
+
+    events = ("--events", "LLC-loads,bus-cycles")
+    main(["synth", "--seed", "5", "--duration", "500", "--attack-at", "250",
+          "--out", str(tmp_path / "trace"), *events])
+    out = tmp_path / "report"
+    main(["analyze", *trace_files(tmp_path), "--out", str(out), *events])
+    capsys.readouterr()
+
+    sizes: list[int] = []
+    evaluate_tick = cli.evaluate_tick
+
+    def spy(scores, tick, config):
+        sizes.append(max(len(stream) for stream in scores.values()))
+        return evaluate_tick(scores, tick, config)
+
+    monkeypatch.setattr(cli, "evaluate_tick", spy)
+    assert detect_on(interleaved(tmp_path), monkeypatch, *events) == EXIT_ALERTS
+    assert len(sizes) >= 5000
+    assert max(sizes) <= lag(DetectorConfig()) + 1
+    rows = capsys.readouterr().out.splitlines()
+    assert rows == (out / "alerts.csv").read_text().splitlines()[1:]
+
+
 # ---------------------------------------------------------------------------
 # Exit codes and failure paths
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from hpcwatch import detector as detector_module
 from hpcwatch.detector import (
     Alert,
     AttackFactorPoint,
@@ -348,6 +349,35 @@ def test_streaming_matches_offline_with_gaps():
     streamed = stream_run(trace, detector)
     assert streamed[0] == offline[0]
     assert streamed[1] == offline[1]
+
+
+def test_run_offline_score_maps_stay_bounded(monkeypatch):
+    # 5 000 ticks with gaps, so some scores surface after their tick has
+    # been evaluated; a map that kept them would grow with the trace
+    rng = np.random.default_rng(5000)
+    columns: dict[str, list[float | None]] = {}
+    for name, level in (("LLC-loads", 1123), ("bus-cycles", 23917)):
+        col = np.rint(rng.lognormal(math.log(level), 0.05, 5000))
+        col[2500:2502] *= 20
+        values: list[float | None] = col.tolist()
+        for i in rng.choice(5000, 250, replace=False):
+            values[i] = None
+        columns[name] = values
+    trace = make_trace(columns)
+    config = DetectorConfig()
+
+    sizes: list[int] = []
+
+    def spy(scores, tick, cfg):
+        sizes.append(max(len(stream) for stream in scores.values()))
+        return evaluate_tick(scores, tick, cfg)
+
+    monkeypatch.setattr(detector_module, "evaluate_tick", spy)
+    points, alerts, _ = run_offline(align(trace, 0.1), config)
+    assert len(sizes) >= 5000
+    assert max(sizes) <= lag(config) + 1
+    assert alerts
+    assert (points, alerts) == stream_run(trace, config)
 
 
 # ---------------------------------------------------------------------------

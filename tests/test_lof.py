@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,3 +218,91 @@ def test_reachability_lower_bound():
             rd = reachability_distance(pts, a, b, 3)
             assert rd >= kdists[b]
             assert rd >= 0
+
+
+# ---------------------------------------------------------------------------
+# Whole-series kernel: bit-identity with the oracle, scale
+# ---------------------------------------------------------------------------
+
+def _sum_left_to_right(terms):
+    total = 0
+    for term in terms:
+        total += term
+    return total
+
+
+@pytest.fixture
+def exact_oracle(monkeypatch):
+    """The oracle with its sums pinned to left-to-right order and
+    kth_distance memoised per point set.
+
+    Python 3.12's built-in sum() compensates rounding, so the oracle's own
+    order would depend on the interpreter; here it adds one term at a time
+    on every version.  kth_distance is pure, so the cache changes no value;
+    it turns the oracle's rescans into something a 300-point set can
+    afford.  Call the returned ``reset()`` before each new set.
+    """
+    memo: dict[tuple[int, int], float] = {}
+    raw = oracle.kth_distance
+
+    def kth_distance(points, i, k):
+        if (i, k) not in memo:
+            memo[(i, k)] = raw(points, i, k)
+        return memo[(i, k)]
+
+    monkeypatch.setattr(oracle, "sum", _sum_left_to_right, raising=False)
+    monkeypatch.setattr(oracle, "kth_distance", kth_distance)
+    return memo.clear
+
+
+def test_lof_all_equals_oracle_bit_for_bit(exact_oracle):
+    rng = np.random.default_rng(20261018)
+    shapes = {
+        "normal": lambda n: rng.normal(0.0, 50.0, n),
+        "lognormal": lambda n: rng.lognormal(4.0, 1.0, n),
+        "integer ties": lambda n: rng.integers(0, int(rng.integers(2, 15)), n).astype(float),
+        "all duplicates": lambda n: np.full(n, 42.0),
+        "far outlier": lambda n: np.append(rng.normal(0.0, 1.0, n - 1), 500.0),
+    }
+    for name, draw in shapes.items():
+        for n_max in (20, 65, 300):
+            k = int(rng.integers(1, 9))
+            pts = draw(int(rng.integers(k + 1, n_max + 1))).tolist()
+            exact_oracle()
+            expected = oracle.lof_all(pts, k)
+            assert [r.lof for r in lof_all(pts, k)] == expected, (name, len(pts), k)
+
+
+@pytest.mark.parametrize(
+    "pts, k, members",
+    [
+        ([-1e16, 0.25, 0.5, 0.75, 1.0, 2.0], 2, {1, 2, 3, 4}),
+        ([1e16, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5], 3, {1, 2, 3, 4, 5, 6}),
+    ],
+)
+def test_lof_all_rounding_ties(pts, k, members, exact_oracle):
+    # seen from +-1e16, several small values round to one distance, so the
+    # first point's neighborhood runs past its k+1 nearest distinct values
+    batch = lof_all(pts, k)
+    assert [r.lof for r in batch] == oracle.lof_all(pts, k)
+    assert [r.lrd for r in batch] == [lrd(pts, i, k) for i in range(len(pts))]
+    assert k_nearest(pts, 0, k).members == members
+
+
+def test_lof_all_ranks_an_hour_of_jitter_quickly_in_bounded_memory():
+    # 36 000 points is a 3600 s trace at 100 ms; the levels are a small
+    # counter (mostly copies) and a large one (mostly distinct values)
+    rng = np.random.default_rng(3600)
+    for level in (18, 61452):
+        values = np.rint(rng.lognormal(math.log(level), 0.03, 36_000)).tolist()
+        tracemalloc.start()
+        try:
+            started = time.perf_counter()
+            results = lof_all(values, 5)
+            elapsed = time.perf_counter() - started
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(results) == 36_000
+        assert elapsed < 2.0, (level, elapsed)
+        assert peak < 64 * 2**20, (level, peak)

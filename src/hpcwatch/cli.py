@@ -23,13 +23,16 @@ from typing import Sequence
 import numpy as np
 
 from .detector import (
+    CHUNK,
     Alert,
     DetectorConfig,
     WindowState,
+    append_value,
     evaluate_tick,
     prune_scores,
-    push_sample,
+    push_sample,  # unused here; bench/tracing.py hooks it by this name
     run_offline,
+    score_windows,
     threshold_check,
 )
 from .events import CANDIDATE_EVENTS, EventKind
@@ -240,6 +243,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
     states: dict[str, WindowState] = {}
     scores: dict[str, dict[int, float]] = {name: {} for name in wanted}
+    # windows pushed since the last evaluation: (event, evaluated tick, window)
+    pending: list[tuple[str, int, np.ndarray]] = []
     last_ts: dict[str, float] = {}
     next_eval: int | None = None
     max_tick = -1
@@ -247,8 +252,18 @@ def cmd_detect(args: argparse.Namespace) -> int:
     alert_count = 0
     last_emitted: int | None = None
 
+    def land_pending() -> None:
+        # scored together, in one lof_at call per window length; push
+        # order is kept, so a later push for the same tick still wins
+        landed = score_windows([window for _, _, window in pending], config)
+        for (name, eval_tick, _), score in zip(pending, landed):
+            scores[name][eval_tick] = score
+        pending.clear()
+
     def emit_for(tick: int) -> None:
         nonlocal alert_count, last_emitted
+        if pending:
+            land_pending()
         point = evaluate_tick(scores, tick, config)
         prune_scores(scores, tick, config)
         if point is None:
@@ -286,9 +301,11 @@ def cmd_detect(args: argparse.Namespace) -> int:
             if state is None:
                 state = WindowState(event=parsed.event, window=config.window)
                 states[name] = state
-            result = push_sample(state, parsed, config)
-            if result is not None:
-                scores[name][result[0]] = result[1]
+            pushed = append_value(state, tick, float(parsed.delta), config)
+            if pushed is not None:
+                pending.append((name, *pushed))
+                if len(pending) == CHUNK:
+                    land_pending()
 
     if next_eval is not None:
         while next_eval <= max_tick:

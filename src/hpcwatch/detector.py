@@ -1,11 +1,18 @@
 """Sliding-window streaming detection over per-counter delta streams.
 
-Each monitored counter keeps a bounded ring of its most recent deltas.  On
-every push the ring is rescored and the verdict is read a fixed lag behind
-the newest sample, so the evaluated point has temporal neighbors on both
-sides.  Per-counter scores landing on the same evaluated tick are averaged
-into a single attack factor f, and f above the configured threshold raises
-an alert.
+Each monitored counter keeps a bounded ring of its most recent deltas.
+Every push past warm-up judges one point, the one a fixed lag behind the
+newest sample, so the evaluated point has temporal neighbors on both
+sides; only that point's score is computed.  Per-counter scores landing on
+the same evaluated tick are averaged into a single attack factor f, and f
+above the configured threshold raises an alert.
+
+``push_value`` scores its window on the spot through ``lof_scores``; it is
+the reference the batched paths are tested against.  Those stack windows
+into ``lof_at`` instead: ``run_offline`` scores each counter's windows up
+front (``lagged_scores``) and lands each score when its push happens, and
+the live ``detect`` loop scores one tick's windows together
+(``score_windows``) before that tick is evaluated.
 
 The lag is floor(k/2) + 1 ticks: 3 ticks (300 ms at the default 100 ms
 cadence) for the default k=5.  Detection latency is therefore bounded below
@@ -14,16 +21,20 @@ by the lag; nothing can alert on the newest sample.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .events import CANDIDATE_EVENTS, EventKind
-from .lof import LofResult, lof_scores, lof_all, top_n_outliers
+from .lof import LofResult, lof_all, lof_at, lof_scores, top_n_outliers
 from .trace import AlignedTrace, Sample, tick_of
+
+# Most windows per lof_at call.  Stacking 64 50-point windows cuts the cost
+# per window about tenfold against one at a time; 256 cost the same and
+# 1024 more, as the stacked arrays outgrow the cache.
+CHUNK = 64
 
 
 def _default_counters() -> tuple[EventKind, ...]:
@@ -60,6 +71,8 @@ class DetectorConfig:
             raise ValueError(f"tick_interval must be > 0, got {self.tick_interval}")
         if not self.counters:
             raise ValueError("counters must be nonempty")
+        if self.top_n < 1:
+            raise ValueError(f"top_n must be >= 1, got {self.top_n}")
         if self.warmup < self.k + 1:
             raise ValueError(f"warmup must be >= k+1 ({self.k + 1}), got {self.warmup}")
 
@@ -107,6 +120,23 @@ class Alert:
 # Streaming primitives
 # ---------------------------------------------------------------------------
 
+def append_value(
+    state: WindowState, tick: int, value: float, config: DetectorConfig
+) -> tuple[int, np.ndarray] | None:
+    """Append one delta and, past warm-up, return the window to score.
+
+    Returns (evaluated tick, a copy of the ring's values) once
+    ``state.count`` reaches ``config.warmup``, nothing before that.  The
+    evaluated point is the window's lagged one, ``lag(config)`` places
+    before its end.
+    """
+    state.ring.append((tick, value))
+    state.count += 1
+    if state.count < config.warmup:
+        return None
+    return state.ring[-1 - lag(config)][0], state.values()
+
+
 def push_value(
     state: WindowState, tick: int, value: float, config: DetectorConfig
 ) -> tuple[int, float] | None:
@@ -115,14 +145,51 @@ def push_value(
     Returns (evaluated tick, its lof score) once ``state.count`` reaches
     ``config.warmup``, nothing before that.
     """
-    state.ring.append((tick, value))
-    state.count += 1
-    if state.count < config.warmup:
+    pushed = append_value(state, tick, value, config)
+    if pushed is None:
         return None
-    pos = len(state.ring) - 1 - lag(config)
-    scores = lof_scores(state.values(), config.k)
-    eval_tick = state.ring[pos][0]
-    return eval_tick, float(scores[pos])
+    eval_tick, window = pushed
+    return eval_tick, float(lof_scores(window, config.k)[-1 - lag(config)])
+
+
+def score_windows(windows: Sequence[np.ndarray], config: DetectorConfig) -> list[float]:
+    """The lagged point's score in each window, as ``push_value`` gives it.
+
+    Windows of one length are stacked into one ``lof_at`` call, so a
+    caller keeps its batches to about CHUNK windows.
+    """
+    scores = np.empty(len(windows))
+    by_length: dict[int, list[int]] = {}
+    for i, window in enumerate(windows):
+        by_length.setdefault(window.shape[0], []).append(i)
+    for length, where in by_length.items():
+        stacked = np.stack([windows[i] for i in where])
+        scores[where] = lof_at(stacked, config.k, length - 1 - lag(config))
+    return scores.tolist()
+
+
+def lagged_scores(values: np.ndarray, config: DetectorConfig) -> np.ndarray:
+    """The score ``push_value`` returns for each push of ``values`` into an
+    empty window, from the push that completes warm-up on.
+
+    Warm-up windows, shorter than ``config.window``, are scored one length
+    at a time; full windows are read through a sliding view, CHUNK at a
+    time.
+    """
+    n, lagged = values.shape[0], lag(config)
+    scores = [
+        lof_at(values[None, :count], config.k, count - 1 - lagged)
+        for count in range(config.warmup, min(n, config.window - 1) + 1)
+    ]
+    if n >= config.window:
+        # full[s] is the window after push s + window
+        full = np.lib.stride_tricks.sliding_window_view(values, config.window)
+        full = full[max(0, config.warmup - config.window):]
+        scores += [
+            lof_at(full[start:start + CHUNK], config.k, config.window - 1 - lagged)
+            for start in range(0, full.shape[0], CHUNK)
+        ]
+    return np.concatenate(scores) if scores else np.empty(0)
 
 
 def push_sample(
@@ -223,19 +290,29 @@ def run_offline(
             f"no configured counter present in trace (available: {available})"
         )
 
-    states = {c.name: WindowState(event=c, window=config.window) for c in selected}
+    # per counter and push tick: the tick the push evaluates (-1 for none)
+    # and its score, landed in the score maps when the push happens
+    lagged = lag(config)
+    eval_ticks: dict[str, np.ndarray] = {}
+    tick_scores: dict[str, np.ndarray] = {}
+    for counter in selected:
+        col = trace.values[counter.name]
+        present = np.flatnonzero(~np.isnan(col))
+        scored = present[config.warmup - 1:]
+        evals = np.full(trace.n_ticks, -1)
+        evals[scored] = present[config.warmup - 1 - lagged:present.shape[0] - lagged]
+        at = np.full(trace.n_ticks, np.nan)
+        at[scored] = lagged_scores(col[present], config)
+        eval_ticks[counter.name], tick_scores[counter.name] = evals, at
+
     scores: dict[str, dict[int, float]] = {c.name: {} for c in selected}
     points: list[AttackFactorPoint] = []
     alerts: list[Alert] = []
-
     for tick in range(trace.n_ticks):
-        for counter in selected:
-            value = trace.values[counter.name][tick]
-            if math.isnan(value):
-                continue
-            result = push_value(states[counter.name], tick, float(value), config)
-            if result is not None:
-                scores[counter.name][result[0]] = result[1]
+        for name, stream in scores.items():
+            eval_tick = int(eval_ticks[name][tick])
+            if eval_tick >= 0:
+                stream[eval_tick] = float(tick_scores[name][tick])
         point = evaluate_tick(scores, tick, config)
         prune_scores(scores, tick, config)
         if point is not None:

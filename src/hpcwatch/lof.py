@@ -20,19 +20,26 @@ Degenerate windows are given explicit conventions instead of NaNs:
   function total
 * a finite-density point with an infinitely dense neighbor scores +inf
 
-Two kernels compute the same numbers:
+Three kernels compute the same numbers:
 
 * ``_tables`` builds n x n distance and membership tables: O(n^2) time and
-  memory, and the fewest numpy calls.  It serves the hot 50-point windows
-  (``lof_scores``) and the pointwise API (``k_nearest``, ``lrd``, ``lof``,
+  memory per window.  It serves ``lof_scores``, the per-push reference
+  path, and the pointwise API (``k_nearest``, ``lrd``, ``lof``,
   ``reachability_distance``).
+* ``lof_at`` scores one point of each window in a (W, n) stack.  It sorts
+  each row once for every k-distance (O(n log n + n*k)), closes the tie
+  cases in form, and builds distance rows only for the point and its m
+  neighbors (O(n*m)).  It serves the detector's window scoring: stacks of
+  up to 64 windows in ``analyze``, one tick's windows in ``detect``.
 * ``_sorted_kernel`` sorts once and walks runs of the sorted values:
   O(n log n + n*k) time and O(n*k) memory.  It serves ``lof_all``, which
   ranks whole series (36 000 points for an hour at 100 ms).
 
-Both add every neighborhood sum's terms one at a time in ascending point
-index, the order the brute-force definition uses, so the two kernels agree
-bit for bit with each other and with that definition.
+All three add every neighborhood sum's terms one at a time in ascending
+point index, the order the brute-force definition uses, so they agree bit
+for bit with each other and with that definition.  (numpy's ``sum`` along
+a contiguous axis is pairwise from eight terms on; the kernels reduce over
+a leading axis or take the last running sum instead.)
 """
 
 from __future__ import annotations
@@ -320,6 +327,91 @@ def lof_scores(values: np.ndarray | Sequence[float], k: int) -> np.ndarray:
         raise ValueError(f"need at least {k + 1} points for k={k}, got {x.shape[0]}")
     _, _, _, lof_arr = _tables(x, k)
     return lof_arr
+
+
+def lof_at(windows: np.ndarray, k: int, pos: int) -> np.ndarray:
+    """Score of point ``pos`` in every row of a (W, n) array of windows,
+    bit-identical to ``lof_scores(row, k)[pos]`` row by row.
+
+    A point's score reads only its two-hop neighborhood.  Every k-distance
+    comes from one sort per row: the k nearest neighbors of a sorted
+    position are a run of it, so the k-distance is the smallest, over the
+    k+1 ways to split the run, of its farther end.  Two cases then close
+    exactly: a point with k-distance 0 has more than k copies, so it and
+    its neighbors have lrd +inf and it scores 1; a finite-density point
+    with a neighbor of k-distance 0 has an infinitely dense neighbor and
+    scores +inf.  The other rows get distance rows for the point and its
+    m neighbors only, O(n*m) instead of O(n^2), and every sum adds its
+    terms in ascending point index as ``_tables`` does.
+    """
+    x = np.asarray(windows, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError("lof_at expects a 2-D array of windows")
+    n_rows, n = x.shape
+    _check_k(n, k)
+    if not 0 <= pos < n:
+        raise IndexError(f"point index {pos} out of range for {n} points")
+    if not np.isfinite(x).all():
+        raise ValueError("non-finite point value")
+    row = np.arange(n_rows)[:, None]
+
+    # k-distances: padded[:, k:k + n] is each row sorted, with k infinities
+    # on each side; ends[:, j, i] is padded[:, i + j], the left end of the
+    # run that splits at j for sorted position i, and ends[:, j + k, i] its
+    # right end
+    padded = np.empty((n_rows, n + 2 * k))
+    padded[:, :k] = -np.inf
+    padded[:, k + n:] = np.inf
+    # copies of a value share its k-distance, so any order of ties will do
+    order = np.argsort(x, axis=1)
+    xs = padded[:, k:k + n]
+    xs[...] = x[row, order]
+    ends = np.ndarray(
+        (n_rows, 2 * k + 1, n), buffer=padded,
+        strides=(padded.strides[0], padded.itemsize, padded.itemsize),
+    )
+    runs = np.maximum(xs[:, None, :] - ends[:, :k + 1], ends[:, k:] - xs[:, None, :])
+    kdist = np.empty((n_rows, n))
+    kdist[row, order] = np.minimum.reduce(runs, axis=1)
+
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # the scored point's own neighborhood and lrd (each count is >= k,
+        # so a zero reachability sum divides to +inf)
+        d = np.abs(x - x[:, pos, None])
+        d[:, pos] = np.inf
+        member = d <= kdist[:, pos, None]
+        count = np.add.reduce(member, axis=1)
+        lrd = count / np.add.accumulate(np.where(member, np.maximum(d, kdist), 0.0), axis=1)[:, -1]
+
+        has_kdist = kdist[:, pos] > 0.0
+        closed_inf = has_kdist & (member & (kdist == 0.0)).any(axis=1) & np.isfinite(lrd)
+        scores = np.where(closed_inf, np.inf, 1.0)
+        general = np.flatnonzero(has_kdist & ~closed_inf)
+        if general.size == 0:
+            return scores
+
+        # each neighbor's lrd from its own distance row: neighbors in
+        # ascending index, padding slots past the count masked out
+        g_member, g_count = member[general], count[general]
+        gx, g_kdist = x[general], kdist[general]
+        width = int(np.maximum.reduce(g_count))
+        nbr = np.argsort(~g_member, axis=1, kind="stable")[:, :width]
+        g_row = row[:general.size]
+        valid = np.arange(width) < g_count[:, None]
+        nd = np.abs(gx[g_row, nbr][:, :, None] - gx[:, None, :])
+        nd[g_row, np.arange(width), nbr] = np.inf
+        nbr_member = nd <= g_kdist[g_row, nbr][:, :, None]
+        nbr_reach = np.where(nbr_member, np.maximum(nd, g_kdist[:, None, :]), 0.0)
+        nbr_reach_sum = np.add.accumulate(nbr_reach, axis=2)[:, :, -1]
+        nbr_lrd = np.add.reduce(nbr_member, axis=2) / nbr_reach_sum
+
+        g_lrd = lrd[general]
+        member_mean = np.add.accumulate(np.where(valid, nbr_lrd, 0.0), axis=1)[:, -1] / g_count
+        any_finite = (valid & np.isfinite(nbr_lrd)).any(axis=1)
+        scores[general] = np.where(
+            np.isfinite(g_lrd), member_mean / g_lrd, np.where(any_finite, _TINY, 1.0)
+        )
+    return scores
 
 
 def lof_all(points: PointSet | Sequence[float], k: int) -> list[LofResult]:

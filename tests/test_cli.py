@@ -1,8 +1,10 @@
 """Command-line behavior: settings resolution, subcommands, exit codes."""
 
 import io
+import math
 import os
 
+import numpy as np
 import pytest
 
 from hpcwatch.cli import (
@@ -323,6 +325,114 @@ def test_detect_score_maps_stay_bounded(tmp_path, monkeypatch, capsys):
     assert rows == (out / "alerts.csv").read_text().splitlines()[1:]
 
 
+def replay_detect(lines: list[str]) -> tuple[list[tuple[str, int]], int]:
+    """Alert rows, each with the count of lines read when it fired, and the
+    malformed count, from one push and one evaluation at a time."""
+    from hpcwatch.detector import (
+        DetectorConfig, WindowState, evaluate_tick, prune_scores, push_sample,
+        threshold_check,
+    )
+    from hpcwatch.report import alert_row
+    from hpcwatch.trace import LineError, Sample, parse_line, tick_of
+
+    config = DetectorConfig()
+    wanted = {c.name for c in config.counters}
+    states: dict[str, WindowState] = {}
+    scores: dict[str, dict[int, float]] = {name: {} for name in wanted}
+    last_ts: dict[str, float] = {}
+    rows: list[tuple[str, int]] = []
+    malformed = 0
+    next_eval = None
+    max_tick = -1
+    read = 0
+
+    def evaluate(tick: int) -> None:
+        point = evaluate_tick(scores, tick, config)
+        prune_scores(scores, tick, config)
+        alert = threshold_check(point, config) if point is not None else None
+        if alert is not None:
+            rows.append((",".join(alert_row(alert)), read))
+
+    for read, raw in enumerate(lines, start=1):
+        parsed = parse_line(raw, read)
+        if not isinstance(parsed, Sample):
+            malformed += isinstance(parsed, LineError)
+            continue
+        name = parsed.event.name
+        if name in last_ts and parsed.timestamp <= last_ts[name]:
+            malformed += 1
+            continue
+        last_ts[name] = parsed.timestamp
+        tick = tick_of(parsed.timestamp, config.tick_interval)
+        max_tick = max(max_tick, tick)
+        next_eval = tick if next_eval is None else next_eval
+        while next_eval < tick:
+            evaluate(next_eval)
+            next_eval += 1
+        if name in wanted:
+            state = states.setdefault(name, WindowState(event=parsed.event, window=config.window))
+            result = push_sample(state, parsed, config)
+            if result is not None:
+                scores[name][result[0]] = result[1]
+    while next_eval is not None and next_eval <= max_tick:
+        evaluate(next_eval)
+        next_eval += 1
+    return rows, malformed
+
+
+def test_detect_scores_each_tick_in_one_batch_as_pushes_would(monkeypatch, capsys):
+    # LLC-loads sends two lines in one tick every 37 ticks; LLC-load-misses
+    # starts 400 ticks late, so its warm-up windows share batches with full
+    # windows; every counter pauses for 30 ticks; bus-cycles repeats a
+    # timestamp every 101 ticks (a stale line); one burst at tick 1200
+    rng = np.random.default_rng(37)
+    levels = {"LLC-loads": 1123, "bus-cycles": 23917, "LLC-load-misses": 261}
+    lines = ["garbage"]
+    for tick in range(1, 1501):
+        if 800 <= tick < 830:
+            continue
+        for name, level in levels.items():
+            if name == "LLC-load-misses" and tick <= 400:
+                continue
+            burst = 20 if tick in (1200, 1201) else 1
+            value = round(rng.lognormal(math.log(level), 0.03) * burst)
+            stamps = [tick * 0.1]
+            if tick % 37 == 0 and name == "LLC-loads":
+                stamps = [tick * 0.1 - 0.02, tick * 0.1 + 0.02]
+            for ts in stamps:
+                lines.append(f"{ts:.2f},{value},{name}")
+            if tick % 101 == 0 and name == "bus-cycles":
+                lines.append(f"{stamps[-1]:.2f},{value * 50},{name}")
+    expected, expected_malformed = replay_detect(lines)
+    stale = [t for t in range(101, 1501, 101) if not 800 <= t < 830]
+    assert expected and expected_malformed == 1 + len(stale)
+
+    read = 0
+
+    def stream():
+        nonlocal read
+        for line in lines:
+            read += 1
+            yield line + "\n"
+
+    class Recorder(io.StringIO):
+        printed: list[tuple[str, int]] = []
+
+        def write(self, text: str) -> int:
+            if text.strip():
+                self.printed.append((text, read))
+            return len(text)
+
+    out = Recorder()
+    monkeypatch.setattr("sys.stdin", stream())
+    monkeypatch.setattr("sys.stdout", out)
+    assert main(["detect"]) == EXIT_ALERTS
+    # the same rows, each printed at the line that fired it, before the
+    # next line is read
+    assert out.printed == expected
+    assert f"{expected_malformed} malformed" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # Exit codes and failure paths
 # ---------------------------------------------------------------------------
@@ -334,6 +444,11 @@ def test_usage_error_exits_one():
     with pytest.raises(SystemExit) as exc:
         main(["analyze"])  # missing inputs
     assert exc.value.code == EXIT_ERROR
+
+
+def test_detect_rejects_top_zero(monkeypatch, capsys):
+    assert detect_on("", monkeypatch, "--top", "0") == EXIT_ERROR
+    assert "top_n must be >= 1" in capsys.readouterr().err
 
 
 def test_analyze_missing_file_exits_one(capsys):

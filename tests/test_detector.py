@@ -119,6 +119,7 @@ def test_config_warmup_follows_k():
         {"tick_interval": 0.0},
         {"counters": ()},
         {"k": 5, "warmup": 5},
+        {"top_n": 0},
     ],
 )
 def test_config_rejects_bad_parameters(kwargs):

@@ -17,6 +17,7 @@ from hpcwatch.lof import (
     k_nearest,
     lof,
     lof_all,
+    lof_at,
     lof_scores,
     lrd,
     reachability_distance,
@@ -306,3 +307,79 @@ def test_lof_all_ranks_an_hour_of_jitter_quickly_in_bounded_memory():
         assert len(results) == 36_000
         assert elapsed < 2.0, (level, elapsed)
         assert peak < 64 * 2**20, (level, peak)
+
+
+# ---------------------------------------------------------------------------
+# Stacked window kernel: one point per window, bit-identical to lof_scores
+# ---------------------------------------------------------------------------
+
+WINDOW_SHAPES = {
+    "lognormal": lambda rng, n: rng.lognormal(5.0, 0.7, n),
+    "integer ties near 18": lambda rng, n: np.rint(rng.lognormal(math.log(18), 0.03, n)),
+    "integers near 61k": lambda rng, n: np.rint(rng.lognormal(math.log(61452), 0.03, n)),
+    "rounding ties": lambda rng, n: rng.choice([0.1, 0.2, 0.3, 0.7], n),
+    "rounding ties at 1e16": lambda rng, n: rng.choice([1e16, 1e16 + 2, 0.0, 0.25, 1.0], n),
+    "all duplicates": lambda rng, n: np.full(n, 42.0),
+}
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 8])
+def test_lof_at_equals_lof_scores_and_oracle_bit_for_bit(k, exact_oracle):
+    # every window length the detector scores up to 50, plus the full
+    # windows of window=20 and window=120; each batch mixes every shape, so
+    # closed-form and general rows share one call
+    rng = np.random.default_rng(1000 + k)
+    lagged = k // 2 + 1
+    for n in [*range(k + 1, 51), 120]:
+        batch = np.stack([draw(rng, n) for draw in WINDOW_SHAPES.values() for _ in range(3)])
+        expected = [lof_scores(row, k) for row in batch]
+        for pos in {n - 1 - lagged, 0, n - 1}:
+            got = lof_at(batch, k, pos).tolist()
+            assert got == [float(e[pos]) for e in expected], (k, n, pos)
+        pos = n - 1 - lagged
+        for row in batch[::3]:
+            exact_oracle()
+            assert lof_at(row[None, :], k, pos)[0] == oracle.lof(row.tolist(), pos, k), (k, n)
+
+
+def test_lof_at_general_row_with_many_neighbors(exact_oracle):
+    # one row reaches the general branch with ten neighbors, ties at its
+    # k-distance included, each of a different density; the other rows
+    # close in form (a score of 1, and +inf for a dense neighbor).  The
+    # ten neighbor densities must be added one at a time: a pairwise sum
+    # over eight or more terms rounds differently
+    k = 8
+    near = [-1.0, -0.75, -0.5, -0.25, 0.25, 0.5, 0.75, 1.0, 1.0, -1.0]
+    rng = np.random.default_rng(8)
+    general = np.array([0.0, *near, *rng.uniform(3.0, 60.0, 19)])
+    duplicates = np.full(30, 5.0)
+    dense_neighbor = np.array([0.0, *([1.0] * 12), *rng.uniform(3.0, 60.0, 17)])
+    batch = np.stack([duplicates, general, dense_neighbor])
+
+    pts = general.tolist()
+    assert len(oracle.neighbors(pts, 0, k)) == 10
+    assert all(oracle.kth_distance(pts, j, k) > 0 for j in oracle.neighbors(pts, 0, k))
+    exact_oracle()
+    expected = [1.0, oracle.lof(pts, 0, k), math.inf]
+    assert lof_at(batch, k, 0).tolist() == expected
+    assert [float(lof_scores(row, k)[0]) for row in batch] == expected
+
+
+def test_lof_at_overflowing_density_is_not_a_closed_form():
+    # at subnormal distances the point's own lrd overflows to +inf, so a
+    # dense neighbor does not make its score +inf: it scores 1
+    tiny = np.array([[0.0, 5e-324, 5e-324, 5e-324, 1.0]])
+    assert lof_at(tiny, 2, 0).tolist() == [1.0]
+    with np.errstate(over="ignore"):
+        assert lof_scores(tiny[0], 2)[0] == 1.0
+
+
+def test_lof_at_rejects_bad_input():
+    with pytest.raises(ValueError):
+        lof_at(np.ones(10), 3, 0)  # one window, not a stack
+    with pytest.raises(ValueError):
+        lof_at(np.ones((2, 3)), 3, 0)  # fewer than k + 1 points
+    with pytest.raises(IndexError):
+        lof_at(np.ones((2, 10)), 3, 10)
+    with pytest.raises(ValueError):
+        lof_at(np.array([[1.0, 2.0, np.nan, 4.0, 5.0]]), 2, 0)

@@ -8,32 +8,38 @@ neighborhood", noticeably above 1 means "isolated".  This walks the small
 set {0, 1, 2, 10} where the arithmetic is easy to follow by hand.
 """
 
-from hpcwatch.lof import k_nearest, lof, lof_all, lrd, top_n_outliers
+from hpcwatch.lof import lof_all, lof_scores, top_n_outliers
 
 POINTS = [0.0, 1.0, 2.0, 10.0]
 K = 2
 
-# Neighborhoods first.  Point 10 is far from the cluster, so its 2-nearest
-# neighbors are the cluster's edge.
+# Neighborhoods first.  In one dimension the distance is |a - b|: a point's
+# k-distance is the k-th smallest of its distances, and its neighborhood is
+# every other point within it.  Point 10 is far from the cluster, so its
+# 2-nearest neighbors are the cluster's edge.
 for i, p in enumerate(POINTS):
-    hood = k_nearest(POINTS, i, K)
-    members = sorted(POINTS[j] for j in hood.members)
-    print(f"point {p:4}: k-distance {hood.k_distance:4}, neighbors {members}")
+    others = [q for j, q in enumerate(POINTS) if j != i]
+    k_distance = sorted(abs(p - q) for q in others)[K - 1]
+    members = sorted(q for q in others if abs(p - q) <= k_distance)
+    print(f"point {p:4}: k-distance {k_distance:4}, neighbors {members}")
 
 # Densities: the cluster points reach each other over short distances, the
 # stray point only over long ones.
+results = lof_all(POINTS, K)
 print()
-for i, p in enumerate(POINTS):
-    print(f"lrd({p:4}) = {lrd(POINTS, i, K):.6f}")
+for p, r in zip(POINTS, results):
+    print(f"lrd({p:4}) = {r.lrd:.6f}")
 
 # Scores.  The cluster scores near 1, the stray point near 5: its neighbors
-# are several times denser than it is.
+# are several times denser than it is.  lof_scores gives the same numbers
+# as an array.
 print()
-for i, p in enumerate(POINTS):
-    print(f"lof({p:4}) = {lof(POINTS, i, K):.6f}")
+for p, r in zip(POINTS, results):
+    print(f"lof({p:4}) = {r.lof:.6f}")
 
-assert abs(lof(POINTS, 3, K) - 4.958333) < 1e-5
-assert abs(lof(POINTS, 1, K) - 1.333333) < 1e-5
+assert lof_scores(POINTS, K).tolist() == [r.lof for r in results]
+assert abs(results[3].lof - 4.958333) < 1e-5
+assert abs(results[1].lof - 1.333333) < 1e-5
 
 # Duplicates are the degenerate extreme: a window of identical values has
 # no structure to be an outlier against, and everything scores exactly 1.

@@ -5,19 +5,11 @@ Streaming detection, one sample at a time
 The detector never needs the whole trace.  Each counter keeps a bounded
 window; every arriving sample is scored a fixed lag behind the newest one,
 and the per-counter scores for a tick average into the attack factor f.
-This drives that loop by hand on two counters, with a burst planted at
-tick 60.
+This feeds a `Detector` one readout at a time on two counters, with a
+burst planted at tick 60.
 """
 
-from hpcwatch.detector import (
-    DetectorConfig,
-    WindowState,
-    evaluate_tick,
-    lag,
-    push_value,
-    threshold_check,
-)
-from hpcwatch.events import EventKind
+from hpcwatch.detector import Detector, DetectorConfig, lag
 
 config = DetectorConfig()  # k=5, window 50, threshold 1.5, 100 ms ticks
 print(f"lag: {lag(config)} ticks, warm-up: {config.warmup} samples\n")
@@ -31,28 +23,31 @@ def readout(name: str, tick: int) -> float:
         return base * 30.0
     return base
 
-counters = ["LLC-loads", "bus-cycles"]
-states = {n: WindowState(event=EventKind(n), window=config.window) for n in counters}
-scores = {n: {} for n in counters}
+# The detector evaluates a tick once a later one arrives.  It appends every
+# attack-factor point to `points`; poll() hands over the alerts raised.
+points = []
+detector = Detector(config, points=points)
+
+
+def show(alerts) -> None:
+    raised = {alert.eval_tick: alert for alert in alerts}
+    for point in points:
+        alert = raised.get(point.eval_tick)
+        if alert is not None:
+            print(
+                f"tick {point.tick:3}: ALERT for tick {point.eval_tick} "
+                f"(t={alert.eval_time:.1f}s) f={point.f}"
+            )
+        elif point.tick % 20 == 0:
+            print(f"tick {point.tick:3}: f={point.f:.3f} over {point.contributing} counters")
+    points.clear()
+
 
 for tick in range(100):
-    for name in counters:
-        result = push_value(states[name], tick, readout(name, tick), config)
-        if result is not None:
-            scored_tick, score = result
-            scores[name][scored_tick] = score
-
-    point = evaluate_tick(scores, tick, config)
-    if point is None:
-        continue  # still warming up
-    alert = threshold_check(point, config)
-    if alert is not None:
-        print(
-            f"tick {tick:3}: ALERT for tick {point.eval_tick} "
-            f"(t={alert.eval_time:.1f}s) f={point.f}"
-        )
-    elif tick % 20 == 0:
-        print(f"tick {tick:3}: f={point.f:.3f} over {point.contributing} counters")
+    for name in ("LLC-loads", "bus-cycles"):
+        detector.push(name, tick, readout(name, tick))
+    show(detector.poll())
+show(detector.finish())  # end of input: the last tick is evaluated too
 
 # The alert names the evaluated tick, not the arrival tick: the burst at
 # tick 60 is reported while the stream is at tick 63, three ticks later.

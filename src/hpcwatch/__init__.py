@@ -3,12 +3,13 @@
 from .detector import (
     Alert,
     AttackFactorPoint,
+    Detector,
     DetectorConfig,
     WindowState,
     run_offline,
 )
 from .events import CANDIDATE_EVENTS, KNOWN_EVENTS, EventKind
-from .lof import LofResult, Neighborhood, PointSet, lof_all, top_n_outliers
+from .lof import LofResult, lof_all, top_n_outliers
 from .synth import EvalMetrics, GroundTruth, SynthConfig, evaluate, generate_trace
 from .trace import (
     AlignedTrace,
@@ -31,15 +32,14 @@ __all__ = [
     "AttackFactorPoint",
     "CANDIDATE_EVENTS",
     "CounterSeries",
+    "Detector",
     "DetectorConfig",
     "EvalMetrics",
     "EventKind",
     "GroundTruth",
     "KNOWN_EVENTS",
     "LofResult",
-    "Neighborhood",
     "ParseDiagnostics",
-    "PointSet",
     "Sample",
     "SynthConfig",
     "Trace",

@@ -23,17 +23,13 @@ from typing import Sequence
 import numpy as np
 
 from .detector import (
-    CHUNK,
     Alert,
+    Detector,
     DetectorConfig,
-    WindowState,
-    append_value,
-    evaluate_tick,
-    prune_scores,
+    evaluate_tick,  # unused here; bench/tracing.py hooks it by this name
     push_sample,  # unused here; bench/tracing.py hooks it by this name
     run_offline,
-    score_windows,
-    threshold_check,
+    threshold_check,  # unused here; bench/tracing.py hooks it by this name
 )
 from .events import CANDIDATE_EVENTS, EventKind
 from .lof import LofResult, lof_all, top_n_outliers
@@ -140,19 +136,6 @@ def _detector_config(settings: dict) -> DetectorConfig:
     )
 
 
-def coalesce_alerts(alerts: Sequence[Alert], ticks: int) -> list[Alert]:
-    """Keep the first alert of each run; drop followers within `ticks`."""
-    if ticks <= 0:
-        return list(alerts)
-    kept: list[Alert] = []
-    last = None
-    for a in alerts:
-        if last is None or a.eval_tick - last > ticks:
-            kept.append(a)
-            last = a.eval_tick
-    return kept
-
-
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------
@@ -195,8 +178,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     merged = merge_traces(traces)
     aligned = align(merged, config.tick_interval)
     ranked: dict[str, list[LofResult]] = {}
-    points, alerts, _ = run_offline(aligned, config, ranked)
-    alerts = coalesce_alerts(alerts, settings["coalesce"])
+    points, alerts, _ = run_offline(aligned, config, ranked, settings["coalesce"])
 
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
@@ -238,44 +220,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_detect(args: argparse.Namespace) -> int:
     settings = _resolve_settings(args)
     config = _detector_config(settings)
-    coalesce = settings["coalesce"]
-    wanted = {c.name: c for c in config.counters}
-
-    states: dict[str, WindowState] = {}
-    scores: dict[str, dict[int, float]] = {name: {} for name in wanted}
-    # windows pushed since the last evaluation: (event, evaluated tick, window)
-    pending: list[tuple[str, int, np.ndarray]] = []
+    detector = Detector(config, settings["coalesce"])
     last_ts: dict[str, float] = {}
-    next_eval: int | None = None
-    max_tick = -1
     malformed = 0
     alert_count = 0
-    last_emitted: int | None = None
 
-    def land_pending() -> None:
-        # scored together, in one lof_at call per window length; push
-        # order is kept, so a later push for the same tick still wins
-        landed = score_windows([window for _, _, window in pending], config)
-        for (name, eval_tick, _), score in zip(pending, landed):
-            scores[name][eval_tick] = score
-        pending.clear()
-
-    def emit_for(tick: int) -> None:
-        nonlocal alert_count, last_emitted
-        if pending:
-            land_pending()
-        point = evaluate_tick(scores, tick, config)
-        prune_scores(scores, tick, config)
-        if point is None:
-            return
-        alert = threshold_check(point, config)
-        if alert is None:
-            return
-        if coalesce > 0 and last_emitted is not None and alert.eval_tick - last_emitted <= coalesce:
-            return
-        last_emitted = alert.eval_tick
-        alert_count += 1
-        print(",".join(alert_row(alert)), flush=True)
+    def emit(alerts: Sequence[Alert]) -> None:
+        nonlocal alert_count
+        for alert in alerts:
+            alert_count += 1
+            print(",".join(alert_row(alert)), flush=True)
 
     for line_no, raw in enumerate(args.stream, start=1):
         parsed = parse_line(raw.rstrip("\r\n"), line_no)
@@ -289,28 +243,9 @@ def cmd_detect(args: argparse.Namespace) -> int:
             malformed += 1
             continue
         last_ts[name] = parsed.timestamp
-        tick = tick_of(parsed.timestamp, config.tick_interval)
-        max_tick = max(max_tick, tick)
-        if next_eval is None:
-            next_eval = tick
-        while next_eval < tick:
-            emit_for(next_eval)
-            next_eval += 1
-        if name in wanted and parsed.delta is not None:
-            state = states.get(name)
-            if state is None:
-                state = WindowState(event=parsed.event, window=config.window)
-                states[name] = state
-            pushed = append_value(state, tick, float(parsed.delta), config)
-            if pushed is not None:
-                pending.append((name, *pushed))
-                if len(pending) == CHUNK:
-                    land_pending()
-
-    if next_eval is not None:
-        while next_eval <= max_tick:
-            emit_for(next_eval)
-            next_eval += 1
+        detector.push(name, tick_of(parsed.timestamp, config.tick_interval), parsed.delta)
+        emit(detector.poll())
+    emit(detector.finish())
 
     if malformed:
         print(f"warning: {malformed} malformed lines skipped", file=sys.stderr)

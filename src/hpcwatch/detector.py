@@ -7,12 +7,16 @@ sides; only that point's score is computed.  Per-counter scores landing on
 the same evaluated tick are averaged into a single attack factor f, and f
 above the configured threshold raises an alert.
 
-``push_value`` scores its window on the spot through ``lof_scores``; it is
-the reference the batched paths are tested against.  Those stack windows
-into ``lof_at`` instead: ``run_offline`` scores each counter's windows up
-front (``lagged_scores``) and lands each score when its push happens, and
-the live ``detect`` loop scores one tick's windows together
-(``score_windows``) before that tick is evaluated.
+One ``Detector`` runs that tick loop for both drivers: it keeps the rings,
+the score maps and the clock, and evaluates, prunes, thresholds and
+coalesces each tick once the clock has passed it.  The live ``detect``
+loop pushes every parsed line into it; windows pushed while the clock
+stands on one tick are stacked into one ``lof_at`` call
+(``score_windows``) before that tick is evaluated.  ``run_offline`` scores
+each counter's windows up front (``lagged_scores``) and lands each score
+in the ``Detector`` at the tick its push happens.  ``push_value`` scores
+one window on the spot through ``lof_scores``; it is the reference the
+batched paths are tested against.
 
 The lag is floor(k/2) + 1 ticks: 3 ticks (300 ms at the default 100 ms
 cadence) for the default k=5.  Detection latency is therefore bounded below
@@ -266,6 +270,115 @@ def select_counters(trace: AlignedTrace, config: DetectorConfig) -> list[EventKi
 
 
 # ---------------------------------------------------------------------------
+# The tick loop
+# ---------------------------------------------------------------------------
+
+class Detector:
+    """The tick loop behind both drivers.
+
+    ``push`` takes one parsed line: its event name, its tick and its delta.
+    A line stamped past the newest tick seen moves the clock there first,
+    and every tick the clock passes is evaluated: the windows queued so far
+    are scored together, the scores for that tick are averaged into f, the
+    score maps are pruned, and f above the threshold raises an alert unless
+    it follows the last alert raised within ``coalesce`` ticks.  Only then
+    is the line's own window queued, so it counts from the clock's tick on,
+    whatever its own tick.  A line whose event is not configured or whose
+    delta was not counted only moves the clock.
+
+    ``poll`` hands over the alerts raised since the last call, ``finish``
+    also evaluates the newest tick at end of input.  ``points``, if given,
+    receives every attack-factor point in tick order.
+    """
+
+    def __init__(
+        self,
+        config: DetectorConfig,
+        coalesce: int = 0,
+        points: list[AttackFactorPoint] | None = None,
+    ) -> None:
+        if coalesce < 0:
+            raise ValueError(f"coalesce must be >= 0, got {coalesce}")
+        self.config = config
+        self.coalesce = coalesce
+        self._points = points
+        self._states = {c.name: WindowState(event=c, window=config.window) for c in config.counters}
+        self._scores: dict[str, dict[int, float]] = {c.name: {} for c in config.counters}
+        # windows pushed since the clock last moved: (event, evaluated tick, window)
+        self._pending: list[tuple[str, int, np.ndarray]] = []
+        self._clock: int | None = None  # the newest tick seen, the next to evaluate
+        self._last_alert: int | None = None  # evaluated tick of the last alert raised
+        self._alerts: list[Alert] = []
+
+    def push(self, name: str, tick: int, delta: float | None) -> None:
+        """One parsed line; a ``None`` delta is a ``<not counted>`` readout."""
+        if self._clock is None or tick > self._clock:
+            self.advance(tick)
+        state = self._states.get(name)
+        if state is None or delta is None:
+            return
+        pushed = append_value(state, tick, float(delta), self.config)
+        if pushed is not None:
+            self._pending.append((name, *pushed))
+            if len(self._pending) == CHUNK:
+                self._land_pending()
+
+    def land(self, name: str, eval_tick: int, score: float) -> None:
+        """A score for a window of ``name`` pushed at the clock's tick and
+        scored elsewhere, as ``push_value`` returns it."""
+        self._scores[name][eval_tick] = score
+
+    def advance(self, tick: int) -> None:
+        """Move the clock to ``tick``, evaluating every tick before it."""
+        if self._clock is None:
+            self._clock = tick
+            return
+        if tick <= self._clock:
+            return
+        if self._pending:
+            self._land_pending()
+        for passed in range(self._clock, tick):
+            self._evaluate(passed)
+        self._clock = tick
+
+    def poll(self) -> Sequence[Alert]:
+        """The alerts raised since the last call, in tick order."""
+        if not self._alerts:
+            return ()
+        alerts, self._alerts = self._alerts, []
+        return alerts
+
+    def finish(self) -> Sequence[Alert]:
+        """End of input: evaluate the newest tick too, then ``poll``."""
+        if self._clock is not None:
+            self.advance(self._clock + 1)
+        return self.poll()
+
+    def _land_pending(self) -> None:
+        # one lof_at call per window length; push order is kept, so a later
+        # push for the same tick still wins
+        landed = score_windows([window for _, _, window in self._pending], self.config)
+        for (name, eval_tick, _), score in zip(self._pending, landed):
+            self._scores[name][eval_tick] = score
+        self._pending.clear()
+
+    def _evaluate(self, tick: int) -> None:
+        point = evaluate_tick(self._scores, tick, self.config)
+        prune_scores(self._scores, tick, self.config)
+        if point is None:
+            return
+        if self._points is not None:
+            self._points.append(point)
+        alert = threshold_check(point, self.config)
+        if alert is None:
+            return
+        if self._last_alert is not None and alert.eval_tick - self._last_alert <= self.coalesce:
+            return
+        self._last_alert = alert.eval_tick
+        self._alerts.append(alert)
+
+
+# ---------------------------------------------------------------------------
 # Offline driver
 # ---------------------------------------------------------------------------
 
@@ -273,8 +386,9 @@ def run_offline(
     trace: AlignedTrace,
     config: DetectorConfig,
     ranked: dict[str, list[LofResult]] | None = None,
+    coalesce: int = 0,
 ) -> tuple[list[AttackFactorPoint], list[Alert], dict[str, list[int]]]:
-    """Replay an aligned trace tick by tick through the streaming path.
+    """Replay an aligned trace tick by tick through a ``Detector``.
 
     Returns the attack-factor series, the alerts, and per counter the point
     indices of its top_n whole-series outliers (indices into the counter's
@@ -282,6 +396,7 @@ def run_offline(
     score batch-wise get an empty index list.  A caller that also needs the
     outliers' scores passes a ``ranked`` dict, which receives per counter
     their LofResults in rank order, so the series is ranked only once.
+    ``coalesce`` is the ``Detector``'s.
     """
     selected = select_counters(trace, config)
     if not selected:
@@ -305,21 +420,15 @@ def run_offline(
         at[scored] = lagged_scores(col[present], config)
         eval_ticks[counter.name], tick_scores[counter.name] = evals, at
 
-    scores: dict[str, dict[int, float]] = {c.name: {} for c in selected}
     points: list[AttackFactorPoint] = []
-    alerts: list[Alert] = []
+    detector = Detector(config, coalesce, points)
     for tick in range(trace.n_ticks):
-        for name, stream in scores.items():
-            eval_tick = int(eval_ticks[name][tick])
+        detector.advance(tick)
+        for name, evals in eval_ticks.items():
+            eval_tick = int(evals[tick])
             if eval_tick >= 0:
-                stream[eval_tick] = float(tick_scores[name][tick])
-        point = evaluate_tick(scores, tick, config)
-        prune_scores(scores, tick, config)
-        if point is not None:
-            points.append(point)
-            alert = threshold_check(point, config)
-            if alert is not None:
-                alerts.append(alert)
+                detector.land(name, eval_tick, float(tick_scores[name][tick]))
+    alerts = list(detector.finish())
 
     outliers: dict[str, list[int]] = {}
     for counter in selected:
@@ -327,7 +436,7 @@ def run_offline(
         values = col[~np.isnan(col)]
         top: list[LofResult] = []
         if values.shape[0] >= config.k + 1:
-            results = lof_all(values.tolist(), config.k)
+            results = lof_all(values, config.k)
             top = [results[i] for i in top_n_outliers(results, config.top_n)]
         outliers[counter.name] = [r.index for r in top]
         if ranked is not None:

@@ -24,8 +24,7 @@ Three kernels compute the same numbers:
 
 * ``_tables`` builds n x n distance and membership tables: O(n^2) time and
   memory per window.  It serves ``lof_scores``, the per-push reference
-  path, and the pointwise API (``k_nearest``, ``lrd``, ``lof``,
-  ``reachability_distance``).
+  path.
 * ``lof_at`` scores one point of each window in a (W, n) stack.  It sorts
   each row once for every k-distance (O(n log n + n*k)), closes the tie
   cases in form, and builds distance rows only for the point and its m
@@ -46,42 +45,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 _TINY = math.nextafter(0.0, 1.0)
-
-
-@dataclass(frozen=True)
-class PointSet:
-    """An ordered set of finite values; the index is the point identity."""
-
-    values: tuple[float, ...]
-
-    def __init__(self, values: Iterable[float]) -> None:
-        vals = tuple(float(v) for v in values)
-        for v in vals:
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite point value {v!r}")
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, i: int) -> float:
-        return self.values[i]
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class Neighborhood:
-    center: int
-    k: int
-    k_distance: float
-    members: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -91,17 +59,6 @@ class LofResult:
     lof: float
 
 
-def _as_points(points: PointSet | Sequence[float]) -> PointSet:
-    return points if isinstance(points, PointSet) else PointSet(points)
-
-
-def distance(a: float, b: float) -> float:
-    """Absolute difference; the metric for 1-D sets."""
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("distance requires finite values")
-    return abs(a - b)
-
-
 # ---------------------------------------------------------------------------
 # Shared tables
 # ---------------------------------------------------------------------------
@@ -109,6 +66,18 @@ def distance(a: float, b: float) -> float:
 def _check_k(n: int, k: int) -> None:
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in 1..{n - 1} for {n} points, got {k}")
+
+
+def _points(values: np.ndarray | Sequence[float], k: int) -> np.ndarray:
+    """``values`` as a 1-D float array of at least k+1 finite points."""
+    x = np.asarray(values, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError("expected a 1-D array of points")
+    if not np.isfinite(x).all():
+        raise ValueError("non-finite point value")
+    if x.shape[0] < k + 1:
+        raise ValueError(f"need at least {k + 1} points for k={k}, got {x.shape[0]}")
+    return x
 
 
 def _tables(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -265,67 +234,12 @@ def _sorted_kernel(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Pointwise operations (delegating to the shared tables)
-# ---------------------------------------------------------------------------
-
-def k_nearest(points: PointSet | Sequence[float], i: int, k: int) -> Neighborhood:
-    """Neighborhood of point i: the k-th smallest distance and every point
-    within it, ties included."""
-    ps = _as_points(points)
-    x = ps.as_array()
-    if not 0 <= i < len(ps):
-        raise IndexError(f"point index {i} out of range")
-    kdist, mask, _, _ = _tables(x, k)
-    return Neighborhood(
-        center=i,
-        k=k,
-        k_distance=float(kdist[i]),
-        members=frozenset(int(j) for j in np.nonzero(mask[i])[0]),
-    )
-
-
-def reachability_distance(points: PointSet | Sequence[float], a: int, b: int, k: int) -> float:
-    """max(k_distance(b), distance(a, b)): how far b is from a, floored by
-    b's own neighborhood radius."""
-    if a == b:
-        raise ValueError("reachability distance is undefined for a point and itself")
-    ps = _as_points(points)
-    x = ps.as_array()
-    for idx in (a, b):
-        if not 0 <= idx < len(ps):
-            raise IndexError(f"point index {idx} out of range")
-    kdist, _, _, _ = _tables(x, k)
-    return float(max(kdist[b], abs(x[a] - x[b])))
-
-
-def lrd(points: PointSet | Sequence[float], i: int, k: int) -> float:
-    """Local reachability density: inverse mean reachability distance to the
-    neighborhood, +inf when all neighbors are duplicates of the point."""
-    ps = _as_points(points)
-    _, _, lrd_arr, _ = _tables(ps.as_array(), k)
-    return float(lrd_arr[i])
-
-
-def lof(points: PointSet | Sequence[float], i: int, k: int) -> float:
-    ps = _as_points(points)
-    _, _, _, lof_arr = _tables(ps.as_array(), k)
-    return float(lof_arr[i])
-
-
-# ---------------------------------------------------------------------------
 # Batch operations
 # ---------------------------------------------------------------------------
 
 def lof_scores(values: np.ndarray | Sequence[float], k: int) -> np.ndarray:
-    """Score array for every point; the allocation-free path for hot loops."""
-    x = np.asarray(values, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("lof_scores expects a 1-D array")
-    if not np.isfinite(x).all():
-        raise ValueError("non-finite point value")
-    if x.shape[0] < k + 1:
-        raise ValueError(f"need at least {k + 1} points for k={k}, got {x.shape[0]}")
-    _, _, _, lof_arr = _tables(x, k)
+    """Score array for every point, from the n x n tables."""
+    _, _, _, lof_arr = _tables(_points(values, k), k)
     return lof_arr
 
 
@@ -414,12 +328,9 @@ def lof_at(windows: np.ndarray, k: int, pos: int) -> np.ndarray:
     return scores
 
 
-def lof_all(points: PointSet | Sequence[float], k: int) -> list[LofResult]:
-    """One LofResult per point, index-aligned, identical to pointwise lof."""
-    ps = _as_points(points)
-    if len(ps) < k + 1:
-        raise ValueError(f"need at least {k + 1} points for k={k}, got {len(ps)}")
-    lrd_arr, lof_arr = _sorted_kernel(ps.as_array(), k)
+def lof_all(points: np.ndarray | Sequence[float], k: int) -> list[LofResult]:
+    """One LofResult per point, index-aligned, bit-identical to ``lof_scores``."""
+    lrd_arr, lof_arr = _sorted_kernel(_points(points, k), k)
     return [
         LofResult(index=i, lrd=d, lof=f)
         for i, (d, f) in enumerate(zip(lrd_arr.tolist(), lof_arr.tolist()))

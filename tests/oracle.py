@@ -22,6 +22,8 @@ def neighbors(points: list[float], i: int, k: int) -> list[int]:
 
 
 def reach_dist(points: list[float], i: int, j: int, k: int) -> float:
+    if i == j:
+        raise ValueError("reachability distance is undefined for a point and itself")
     return max(kth_distance(points, j, k), abs(points[i] - points[j]))
 
 

@@ -15,22 +15,12 @@ from hpcwatch.cli import (
     _normalize_profiler_csv,
     _resolve_settings,
     build_parser,
-    coalesce_alerts,
     load_config_file,
     main,
 )
-from hpcwatch.detector import Alert
+from hpcwatch.detector import Detector, DetectorConfig
+from hpcwatch.events import EventKind
 from hpcwatch.report import read_alerts_csv, read_attack_factor_csv, read_outliers_csv
-
-
-def make_alert(eval_tick: int) -> Alert:
-    return Alert(
-        eval_time=eval_tick * 0.1,
-        eval_tick=eval_tick,
-        f=2.0,
-        threshold=1.5,
-        per_counter_lof={"LLC-loads": 2.0},
-    )
 
 
 def synth_args(tmp_path, *extra: str) -> list[str]:
@@ -110,10 +100,17 @@ def test_events_setting_splits_and_strips():
 
 
 def test_coalesce_keeps_first_of_each_run():
-    alerts = [make_alert(t) for t in (100, 101, 103, 120, 121)]
-    kept = coalesce_alerts(alerts, ticks=5)
-    assert [a.eval_tick for a in kept] == [100, 120]
-    assert coalesce_alerts(alerts, ticks=0) == list(alerts)
+    def raised(coalesce: int) -> list[int]:
+        # a score of 2.0 lands for each listed tick, so each one alerts
+        detector = Detector(DetectorConfig(counters=(EventKind("LLC-loads"),)), coalesce)
+        for tick in range(130):
+            detector.advance(tick)
+            if tick in (100, 101, 103, 120, 121):
+                detector.land("LLC-loads", tick, 2.0)
+        return [a.eval_tick for a in detector.finish()]
+
+    assert raised(5) == [100, 120]
+    assert raised(0) == [100, 101, 103, 120, 121]
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +297,8 @@ def test_detect_drops_a_stale_line_as_analyze_does(tmp_path, monkeypatch, capsys
 
 
 def test_detect_score_maps_stay_bounded(tmp_path, monkeypatch, capsys):
-    from hpcwatch import cli
-    from hpcwatch.detector import DetectorConfig, lag
+    from hpcwatch import detector
+    from hpcwatch.detector import lag
 
     events = ("--events", "LLC-loads,bus-cycles")
     main(["synth", "--seed", "5", "--duration", "500", "--attack-at", "250",
@@ -311,13 +308,13 @@ def test_detect_score_maps_stay_bounded(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
     sizes: list[int] = []
-    evaluate_tick = cli.evaluate_tick
+    evaluate_tick = detector.evaluate_tick
 
     def spy(scores, tick, config):
         sizes.append(max(len(stream) for stream in scores.values()))
         return evaluate_tick(scores, tick, config)
 
-    monkeypatch.setattr(cli, "evaluate_tick", spy)
+    monkeypatch.setattr(detector, "evaluate_tick", spy)
     assert detect_on(interleaved(tmp_path), monkeypatch, *events) == EXIT_ALERTS
     assert len(sizes) >= 5000
     assert max(sizes) <= lag(DetectorConfig()) + 1
@@ -380,7 +377,8 @@ def replay_detect(lines: list[str]) -> tuple[list[tuple[str, int]], int]:
     return rows, malformed
 
 
-def test_detect_scores_each_tick_in_one_batch_as_pushes_would(monkeypatch, capsys):
+def paced_stream() -> tuple[list[str], int]:
+    """Lines, and how many of them are malformed."""
     # LLC-loads sends two lines in one tick every 37 ticks; LLC-load-misses
     # starts 400 ticks late, so its warm-up windows share batches with full
     # windows; every counter pauses for 30 ticks; bus-cycles repeats a
@@ -403,9 +401,42 @@ def test_detect_scores_each_tick_in_one_batch_as_pushes_would(monkeypatch, capsy
                 lines.append(f"{ts:.2f},{value},{name}")
             if tick % 101 == 0 and name == "bus-cycles":
                 lines.append(f"{stamps[-1]:.2f},{value * 50},{name}")
-    expected, expected_malformed = replay_detect(lines)
     stale = [t for t in range(101, 1501, 101) if not 800 <= t < 830]
-    assert expected and expected_malformed == 1 + len(stale)
+    return lines, 1 + len(stale)
+
+
+def clock_only_stream() -> tuple[list[str], int]:
+    """Lines, and how many of them are malformed."""
+    # each tick's lines come in a shuffled order; cpu-cycles, which no
+    # setting names, is read every tick, and every 7th tick its line is
+    # stamped so late that it rounds to the next tick, ahead of the lines
+    # that follow it; LLC-loads reports <not counted> every 13 ticks; one
+    # burst at tick 900
+    rng = np.random.default_rng(13)
+    levels = {"LLC-loads": 1123, "bus-cycles": 23917, "LLC-load-misses": 261,
+              "cpu-cycles": 5_000_000}
+    names = list(levels)
+    lines = ["garbage"]
+    for tick in range(1, 1201):
+        for i in rng.permutation(len(names)):
+            name = names[i]
+            burst = 20 if tick in (900, 901) and name != "cpu-cycles" else 1
+            value = str(round(rng.lognormal(math.log(levels[name]), 0.03) * burst))
+            ts = tick * 0.1
+            if name == "cpu-cycles" and tick % 7 == 0:
+                ts += 0.07
+            if name == "LLC-loads" and tick % 13 == 0:
+                value = "<not counted>"
+            lines.append(f"{ts:.2f},{value},{name}")
+    return lines, 1
+
+
+@pytest.mark.parametrize("make_stream", [paced_stream, clock_only_stream],
+                         ids=["paced", "clock-only-lines"])
+def test_detect_scores_each_tick_in_one_batch_as_pushes_would(make_stream, monkeypatch, capsys):
+    lines, malformed = make_stream()
+    expected, expected_malformed = replay_detect(lines)
+    assert expected and expected_malformed == malformed
 
     read = 0
 
@@ -449,6 +480,18 @@ def test_usage_error_exits_one():
 def test_detect_rejects_top_zero(monkeypatch, capsys):
     assert detect_on("", monkeypatch, "--top", "0") == EXIT_ERROR
     assert "top_n must be >= 1" in capsys.readouterr().err
+
+
+def test_negative_coalesce_exits_one(tmp_path, monkeypatch, capsys):
+    main(["synth", "--seed", "4", "--duration", "5", "--out", str(tmp_path / "trace")])
+    out = tmp_path / "report"
+    assert main(["analyze", *trace_files(tmp_path), "--out", str(out), "--coalesce", "-5"]) == EXIT_ERROR
+    assert not out.exists()
+    assert detect_on("", monkeypatch, "--coalesce", "-2") == EXIT_ERROR
+    cfg = tmp_path / "cfg"
+    cfg.write_text("coalesce=-1\n")
+    assert detect_on("", monkeypatch, "--config", str(cfg)) == EXIT_ERROR
+    assert capsys.readouterr().err.count("coalesce must be >= 0") == 3
 
 
 def test_analyze_missing_file_exits_one(capsys):

@@ -10,106 +10,140 @@ import numpy as np
 import pytest
 
 import oracle
-from hpcwatch.lof import (
-    LofResult,
-    PointSet,
-    distance,
-    k_nearest,
-    lof,
-    lof_all,
-    lof_at,
-    lof_scores,
-    lrd,
-    reachability_distance,
-    top_n_outliers,
-)
+from hpcwatch.lof import LofResult, lof_all, lof_at, lof_scores, top_n_outliers
 
 FIXTURE = [0.0, 1.0, 2.0, 10.0]
 
 
+def _sum_left_to_right(terms):
+    total = 0
+    for term in terms:
+        total += term
+    return total
+
+
+@pytest.fixture
+def exact_oracle(monkeypatch):
+    """The oracle with its sums pinned to left-to-right order and
+    kth_distance memoised per point set.
+
+    Python 3.12's built-in sum() compensates rounding, so the oracle's own
+    order would depend on the interpreter; here it adds one term at a time
+    on every version.  kth_distance is pure, so the cache changes no value;
+    it turns the oracle's rescans into something a 300-point set can
+    afford.  Call the returned ``reset()`` before each new set.
+    """
+    memo: dict[tuple[int, int], float] = {}
+    raw = oracle.kth_distance
+
+    def kth_distance(points, i, k):
+        if (i, k) not in memo:
+            memo[(i, k)] = raw(points, i, k)
+        return memo[(i, k)]
+
+    monkeypatch.setattr(oracle, "sum", _sum_left_to_right, raising=False)
+    monkeypatch.setattr(oracle, "kth_distance", kth_distance)
+    return memo.clear
+
+
+def assert_lof_all_is_oracle(pts, k, reset):
+    """lof_all's density and score of every point equal the oracle's bit
+    for bit; ``reset`` is the exact_oracle fixture's."""
+    reset()
+    results = lof_all(pts, k)
+    assert [r.lrd for r in results] == [oracle.lrd(pts, i, k) for i in range(len(pts))]
+    assert [r.lof for r in results] == oracle.lof_all(pts, k)
+
+
 def test_distance():
-    assert distance(3, 3) == 0
-    assert distance(0, 10) == 10
-    assert distance(1621, 5149) == 3528
-    assert distance(5149, 1621) == 3528
+    # the metric is |a - b|: a two-point set's density is 1 / distance
+    assert lof_all([3.0, 3.0], 1)[0].lrd == math.inf
+    assert lof_all([0.0, 10.0], 1)[0].lrd == 1 / 10
+    assert lof_all([1621, 5149], 1)[0].lrd == 1 / 3528
+    assert lof_all([5149, 1621], 1)[0].lrd == 1 / 3528
     with pytest.raises(ValueError):
-        distance(float("nan"), 1.0)
+        lof_all([float("nan"), 1.0], 1)
 
 
 def test_point_set_rejects_non_finite():
-    with pytest.raises(ValueError):
-        PointSet([1.0, float("inf")])
+    with pytest.raises(ValueError, match="non-finite"):
+        lof_all([1.0, float("inf")], 1)
+    with pytest.raises(ValueError, match="non-finite"):
+        lof_scores([1.0, float("inf")], 1)
 
 
-def test_k_nearest_fixture():
-    nb = k_nearest(FIXTURE, 3, 2)
-    assert nb.k_distance == 9
-    assert nb.members == {1, 2}
+def test_k_nearest_fixture(exact_oracle):
+    assert oracle.kth_distance(FIXTURE, 3, 2) == 9
+    assert set(oracle.neighbors(FIXTURE, 3, 2)) == {1, 2}
+    assert_lof_all_is_oracle(FIXTURE, 2, exact_oracle)
 
 
-def test_k_nearest_duplicates_tie():
-    nb = k_nearest([0.0, 0.0, 0.0], 0, 2)
-    assert nb.k_distance == 0
-    assert nb.members == {1, 2}
+def test_k_nearest_duplicates_tie(exact_oracle):
+    assert oracle.kth_distance([0.0, 0.0, 0.0], 0, 2) == 0
+    assert set(oracle.neighbors([0.0, 0.0, 0.0], 0, 2)) == {1, 2}
+    assert_lof_all_is_oracle([0.0, 0.0, 0.0], 2, exact_oracle)
 
 
-def test_k_nearest_even_spacing():
-    nb = k_nearest([0.0, 1.0, 2.0, 3.0], 1, 2)
-    assert nb.k_distance == 1
-    assert nb.members == {0, 2}
+def test_k_nearest_even_spacing(exact_oracle):
+    assert oracle.kth_distance([0.0, 1.0, 2.0, 3.0], 1, 2) == 1
+    assert set(oracle.neighbors([0.0, 1.0, 2.0, 3.0], 1, 2)) == {0, 2}
+    assert_lof_all_is_oracle([0.0, 1.0, 2.0, 3.0], 2, exact_oracle)
 
 
-def test_k_nearest_ties_can_exceed_k():
+def test_k_nearest_ties_can_exceed_k(exact_oracle):
     # point 1 has points 0 and 2 both at distance 1; k=1 keeps both
-    nb = k_nearest([0.0, 1.0, 2.0], 1, 1)
-    assert nb.k_distance == 1
-    assert nb.members == {0, 2}
+    assert oracle.kth_distance([0.0, 1.0, 2.0], 1, 1) == 1
+    assert set(oracle.neighbors([0.0, 1.0, 2.0], 1, 1)) == {0, 2}
+    assert_lof_all_is_oracle([0.0, 1.0, 2.0], 1, exact_oracle)
 
 
 def test_k_nearest_k_out_of_range():
-    with pytest.raises(ValueError):
-        k_nearest(FIXTURE, 0, 4)
-    with pytest.raises(ValueError):
-        k_nearest(FIXTURE, 0, 0)
+    for k in (4, 0):
+        with pytest.raises(ValueError):
+            lof_all(FIXTURE, k)
+        with pytest.raises(ValueError):
+            lof_scores(FIXTURE, k)
 
 
-def test_reachability_distance_fixture():
-    assert reachability_distance(FIXTURE, 0, 1, 2) == 1
-    assert reachability_distance(FIXTURE, 3, 1, 2) == 9
+def test_reachability_distance_fixture(exact_oracle):
+    assert oracle.reach_dist(FIXTURE, 0, 1, 2) == 1
+    assert oracle.reach_dist(FIXTURE, 3, 1, 2) == 9
     # far outside the neighborhood the true distance dominates
-    assert reachability_distance(FIXTURE, 3, 0, 2) == 10
+    assert oracle.reach_dist(FIXTURE, 3, 0, 2) == 10
     with pytest.raises(ValueError):
-        reachability_distance(FIXTURE, 2, 2, 2)
+        oracle.reach_dist(FIXTURE, 2, 2, 2)
+    assert_lof_all_is_oracle(FIXTURE, 2, exact_oracle)
 
 
 def test_lrd_fixture():
-    assert lrd(FIXTURE, 0, 2) == pytest.approx(2 / 3, rel=1e-12)
-    assert lrd(FIXTURE, 3, 2) == pytest.approx(2 / 17, rel=1e-12)
-    assert lrd([5.0, 5.0, 5.0, 5.0], 1, 2) == math.inf
+    results = lof_all(FIXTURE, 2)
+    assert results[0].lrd == pytest.approx(2 / 3, rel=1e-12)
+    assert results[3].lrd == pytest.approx(2 / 17, rel=1e-12)
+    assert lof_all([5.0, 5.0, 5.0, 5.0], 2)[1].lrd == math.inf
 
 
 def test_lof_fixture():
-    assert lof(FIXTURE, 3, 2) == pytest.approx(4.9583333333, abs=1e-6)
-    assert lof(FIXTURE, 1, 2) == pytest.approx(1.3333333333, abs=1e-6)
+    scores = lof_scores(FIXTURE, 2)
+    assert scores[3] == pytest.approx(4.9583333333, abs=1e-6)
+    assert scores[1] == pytest.approx(1.3333333333, abs=1e-6)
 
 
 def test_lof_duplicate_convention():
-    assert lof([5.0, 5.0, 5.0, 5.0], 2, 2) == 1.0
+    assert lof_scores([5.0, 5.0, 5.0, 5.0], 2)[2] == 1.0
     results = lof_all([7.0] * 9, 4)
     assert all(r.lof == 1.0 for r in results)
     assert all(r.lrd == math.inf for r in results)
 
 
-def test_lof_all_matches_pointwise_exactly():
+def test_lof_all_matches_pointwise_exactly(exact_oracle):
     rng = np.random.default_rng(5)
     for _ in range(10):
         pts = rng.lognormal(3, 1, 30).tolist()
         k = int(rng.integers(2, 9))
         batch = lof_all(pts, k)
-        for i, r in enumerate(batch):
-            assert r.index == i
-            assert r.lof == lof(pts, i, k)
-            assert r.lrd == lrd(pts, i, k)
+        assert [r.index for r in batch] == list(range(len(pts)))
+        assert [r.lof for r in batch] == lof_scores(pts, k).tolist()
+        assert_lof_all_is_oracle(pts, k, exact_oracle)
 
 
 def test_lof_all_too_few_points():
@@ -208,53 +242,23 @@ def test_all_scores_positive():
             assert r.lrd > 0
 
 
-def test_reachability_lower_bound():
+def test_reachability_lower_bound(exact_oracle):
     rng = np.random.default_rng(13)
     pts = rng.normal(0, 1, 12).tolist()
-    kdists = {i: k_nearest(pts, i, 3).k_distance for i in range(len(pts))}
+    kdists = {i: oracle.kth_distance(pts, i, 3) for i in range(len(pts))}
     for a in range(len(pts)):
         for b in range(len(pts)):
             if a == b:
                 continue
-            rd = reachability_distance(pts, a, b, 3)
+            rd = oracle.reach_dist(pts, a, b, 3)
             assert rd >= kdists[b]
             assert rd >= 0
+    assert_lof_all_is_oracle(pts, 3, exact_oracle)
 
 
 # ---------------------------------------------------------------------------
 # Whole-series kernel: bit-identity with the oracle, scale
 # ---------------------------------------------------------------------------
-
-def _sum_left_to_right(terms):
-    total = 0
-    for term in terms:
-        total += term
-    return total
-
-
-@pytest.fixture
-def exact_oracle(monkeypatch):
-    """The oracle with its sums pinned to left-to-right order and
-    kth_distance memoised per point set.
-
-    Python 3.12's built-in sum() compensates rounding, so the oracle's own
-    order would depend on the interpreter; here it adds one term at a time
-    on every version.  kth_distance is pure, so the cache changes no value;
-    it turns the oracle's rescans into something a 300-point set can
-    afford.  Call the returned ``reset()`` before each new set.
-    """
-    memo: dict[tuple[int, int], float] = {}
-    raw = oracle.kth_distance
-
-    def kth_distance(points, i, k):
-        if (i, k) not in memo:
-            memo[(i, k)] = raw(points, i, k)
-        return memo[(i, k)]
-
-    monkeypatch.setattr(oracle, "sum", _sum_left_to_right, raising=False)
-    monkeypatch.setattr(oracle, "kth_distance", kth_distance)
-    return memo.clear
-
 
 def test_lof_all_equals_oracle_bit_for_bit(exact_oracle):
     rng = np.random.default_rng(20261018)
@@ -284,10 +288,8 @@ def test_lof_all_equals_oracle_bit_for_bit(exact_oracle):
 def test_lof_all_rounding_ties(pts, k, members, exact_oracle):
     # seen from +-1e16, several small values round to one distance, so the
     # first point's neighborhood runs past its k+1 nearest distinct values
-    batch = lof_all(pts, k)
-    assert [r.lof for r in batch] == oracle.lof_all(pts, k)
-    assert [r.lrd for r in batch] == [lrd(pts, i, k) for i in range(len(pts))]
-    assert k_nearest(pts, 0, k).members == members
+    assert_lof_all_is_oracle(pts, k, exact_oracle)
+    assert set(oracle.neighbors(pts, 0, k)) == members
 
 
 def test_lof_all_ranks_an_hour_of_jitter_quickly_in_bounded_memory():

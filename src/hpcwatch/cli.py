@@ -32,7 +32,7 @@ from .detector import (
     threshold_check,  # unused here; bench/tracing.py hooks it by this name
 )
 from .events import CANDIDATE_EVENTS, EventKind
-from .lof import LofResult, lof_all, top_n_outliers
+from .lof import lof_all  # unused here; bench/tracing.py hooks it by this name
 from .report import (
     OutlierRow,
     alert_row,
@@ -51,15 +51,16 @@ from .synth import (
     write_ground_truth,
 )
 from .trace import (
+    LineError,
+    ParseDiagnostics,
     Trace,
     align,
     merge_traces,
     parse_file,
-    parse_line,
+    parse_line,  # unused here; bench/tracing.py hooks it by this name
+    read_samples,
     tick_of,
     write_trace,
-    LineError,
-    SkippedLine,
 )
 
 EXIT_OK = 0
@@ -140,26 +141,6 @@ def _detector_config(settings: dict) -> DetectorConfig:
 # analyze
 # ---------------------------------------------------------------------------
 
-def _outlier_rows(aligned, ranked: dict[str, list[LofResult]], config) -> list[OutlierRow]:
-    rows = []
-    for name, top in ranked.items():
-        col = aligned.values[name]
-        present = np.nonzero(~np.isnan(col))[0]
-        for rank, result in enumerate(top, start=1):
-            tick = int(present[result.index])
-            rows.append(
-                OutlierRow(
-                    event=name,
-                    tick=tick,
-                    time=tick * config.tick_interval,
-                    value=float(col[tick]),
-                    lof=result.lof,
-                    rank=rank,
-                )
-            )
-    return rows
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     settings = _resolve_settings(args)
     config = _detector_config(settings)
@@ -175,10 +156,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if total_samples == 0:
         raise ValueError("no samples in input files")
 
-    merged = merge_traces(traces)
-    aligned = align(merged, config.tick_interval)
-    ranked: dict[str, list[LofResult]] = {}
-    points, alerts, _ = run_offline(aligned, config, ranked, settings["coalesce"])
+    aligned = align(merge_traces(traces), config.tick_interval)
+    points, alerts, ranked = run_offline(aligned, config, settings["coalesce"])
 
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
@@ -186,29 +165,35 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         os.path.join(outdir, "attack_factor.csv"), points, config.tick_interval
     )
     write_alerts_csv(os.path.join(outdir, "alerts.csv"), alerts)
-    selected = [c.name for c in config.counters if c.name in aligned.values]
-    write_outliers_csv(
-        os.path.join(outdir, "outliers.csv"), _outlier_rows(aligned, ranked, config)
-    )
 
-    if args.plot:
-        for name in selected:
-            series = merged.series[name]
-            values = series.values()
-            if len(values) < config.k + 1:
-                continue
-            results = lof_all(values, config.k)
-            emit_plot(
-                series,
-                [r.lof for r in results],
-                top_n_outliers(results, config.top_n),
-                args.mark,
-                os.path.join(outdir, f"{name}.svg"),
+    # one ranking per counter: its rows in outliers.csv and the circles of
+    # its chart are the same results, on the same aligned column
+    rows: list[OutlierRow] = []
+    for name, top in ranked.items():
+        col = aligned.values[name]
+        present = np.flatnonzero(~np.isnan(col))
+        times = (present * config.tick_interval).tolist()
+        values = col[present].tolist()
+        for rank, result in enumerate(top, start=1):
+            rows.append(
+                OutlierRow(
+                    event=name,
+                    tick=int(present[result.index]),
+                    time=times[result.index],
+                    value=values[result.index],
+                    lof=result.lof,
+                    rank=rank,
+                )
             )
+        if args.plot and top:
+            emit_plot(
+                name, times, values, top, os.path.join(outdir, f"{name}.svg"), args.mark
+            )
+    write_outliers_csv(os.path.join(outdir, "outliers.csv"), rows)
 
     if malformed:
         print(f"warning: {malformed} malformed input lines skipped", file=sys.stderr)
-    print(f"ticks={aligned.n_ticks} counters={len(selected)} alerts={len(alerts)}")
+    print(f"ticks={aligned.n_ticks} counters={len(ranked)} alerts={len(alerts)}")
     print(f"reports written to {outdir}")
     return EXIT_ALERTS if alerts else EXIT_OK
 
@@ -221,9 +206,9 @@ def cmd_detect(args: argparse.Namespace) -> int:
     settings = _resolve_settings(args)
     config = _detector_config(settings)
     detector = Detector(config, settings["coalesce"])
-    last_ts: dict[str, float] = {}
-    malformed = 0
+    diags = ParseDiagnostics()
     alert_count = 0
+    malformed = 0
 
     def emit(alerts: Sequence[Alert]) -> None:
         nonlocal alert_count
@@ -231,19 +216,13 @@ def cmd_detect(args: argparse.Namespace) -> int:
             alert_count += 1
             print(",".join(alert_row(alert)), flush=True)
 
-    for line_no, raw in enumerate(args.stream, start=1):
-        parsed = parse_line(raw.rstrip("\r\n"), line_no)
-        if isinstance(parsed, (SkippedLine, LineError)):
-            if isinstance(parsed, LineError):
-                malformed += 1
-            continue
-        name = parsed.event.name
-        if name in last_ts and parsed.timestamp <= last_ts[name]:
-            # parse_stream's rule: a stale line is malformed
+    # errors are counted, not kept: a live stream may be malformed for days
+    for item in read_samples(args.stream, diags):
+        if isinstance(item, LineError):
             malformed += 1
             continue
-        last_ts[name] = parsed.timestamp
-        detector.push(name, tick_of(parsed.timestamp, config.tick_interval), parsed.delta)
+        tick = tick_of(item.timestamp, config.tick_interval)
+        detector.push(item.event.name, tick, item.delta)
         emit(detector.poll())
     emit(detector.finish())
 

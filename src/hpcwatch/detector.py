@@ -10,13 +10,15 @@ above the configured threshold raises an alert.
 One ``Detector`` runs that tick loop for both drivers: it keeps the rings,
 the score maps and the clock, and evaluates, prunes, thresholds and
 coalesces each tick once the clock has passed it.  The live ``detect``
-loop pushes every parsed line into it; windows pushed while the clock
-stands on one tick are stacked into one ``lof_at`` call
-(``score_windows``) before that tick is evaluated.  ``run_offline`` scores
-each counter's windows up front (``lagged_scores``) and lands each score
-in the ``Detector`` at the tick its push happens.  ``push_value`` scores
-one window on the spot through ``lof_scores``; it is the reference the
-batched paths are tested against.
+loop pushes every parsed sample into it; only a counted delta of a
+configured counter moves the clock, the samples ``align`` places on the
+grid.  Windows pushed while the clock stands on one tick are stacked into
+one ``lof_at`` call (``score_windows``) before that tick is evaluated.
+``run_offline`` scores each counter's windows up front (``lagged_scores``)
+and lands each score in the ``Detector`` at the tick its push happens; it
+also ranks each counter's whole aligned column once, for ``outliers.csv``
+and the charts.  ``push_value`` scores one window on the spot through
+``lof_scores``; it is the reference the batched paths are tested against.
 
 The lag is floor(k/2) + 1 ticks: 3 ticks (300 ms at the default 100 ms
 cadence) for the default k=5.  Detection latency is therefore bounded below
@@ -277,14 +279,15 @@ class Detector:
     """The tick loop behind both drivers.
 
     ``push`` takes one parsed line: its event name, its tick and its delta.
-    A line stamped past the newest tick seen moves the clock there first,
-    and every tick the clock passes is evaluated: the windows queued so far
-    are scored together, the scores for that tick are averaged into f, the
-    score maps are pruned, and f above the threshold raises an alert unless
-    it follows the last alert raised within ``coalesce`` ticks.  Only then
-    is the line's own window queued, so it counts from the clock's tick on,
-    whatever its own tick.  A line whose event is not configured or whose
-    delta was not counted only moves the clock.
+    A line whose event is not configured or whose delta was not counted is
+    ignored, as ``align`` gives it no tick: it neither queues a window nor
+    moves the clock.  Any other line stamped past the newest tick seen
+    moves the clock there first, and every tick the clock passes is
+    evaluated: the windows queued so far are scored together, the scores
+    for that tick are averaged into f, the score maps are pruned, and f
+    above the threshold raises an alert unless it follows the last alert
+    raised within ``coalesce`` ticks.  Only then is the line's own window
+    queued, so it counts from the clock's tick on, whatever its own tick.
 
     ``poll`` hands over the alerts raised since the last call, ``finish``
     also evaluates the newest tick at end of input.  ``points``, if given,
@@ -306,17 +309,17 @@ class Detector:
         self._scores: dict[str, dict[int, float]] = {c.name: {} for c in config.counters}
         # windows pushed since the clock last moved: (event, evaluated tick, window)
         self._pending: list[tuple[str, int, np.ndarray]] = []
-        self._clock: int | None = None  # the newest tick seen, the next to evaluate
+        self._clock: int | None = None  # newest tick of a counted line, next to evaluate
         self._last_alert: int | None = None  # evaluated tick of the last alert raised
         self._alerts: list[Alert] = []
 
     def push(self, name: str, tick: int, delta: float | None) -> None:
         """One parsed line; a ``None`` delta is a ``<not counted>`` readout."""
-        if self._clock is None or tick > self._clock:
-            self.advance(tick)
         state = self._states.get(name)
         if state is None or delta is None:
             return
+        if self._clock is None or tick > self._clock:
+            self.advance(tick)
         pushed = append_value(state, tick, float(delta), self.config)
         if pushed is not None:
             self._pending.append((name, *pushed))
@@ -385,18 +388,14 @@ class Detector:
 def run_offline(
     trace: AlignedTrace,
     config: DetectorConfig,
-    ranked: dict[str, list[LofResult]] | None = None,
     coalesce: int = 0,
-) -> tuple[list[AttackFactorPoint], list[Alert], dict[str, list[int]]]:
+) -> tuple[list[AttackFactorPoint], list[Alert], dict[str, list[LofResult]]]:
     """Replay an aligned trace tick by tick through a ``Detector``.
 
-    Returns the attack-factor series, the alerts, and per counter the point
-    indices of its top_n whole-series outliers (indices into the counter's
-    non-missing value sequence, for offline marking).  Counters too short to
-    score batch-wise get an empty index list.  A caller that also needs the
-    outliers' scores passes a ``ranked`` dict, which receives per counter
-    their LofResults in rank order, so the series is ranked only once.
-    ``coalesce`` is the ``Detector``'s.
+    Returns the attack-factor series, the alerts, and per counter its top_n
+    whole-series outliers as LofResults in rank order; their indices point
+    into the counter's non-missing values, in tick order.  Counters too
+    short to rank get an empty list.  ``coalesce`` is the ``Detector``'s.
     """
     selected = select_counters(trace, config)
     if not selected:
@@ -430,7 +429,7 @@ def run_offline(
                 detector.land(name, eval_tick, float(tick_scores[name][tick]))
     alerts = list(detector.finish())
 
-    outliers: dict[str, list[int]] = {}
+    ranked: dict[str, list[LofResult]] = {}
     for counter in selected:
         col = trace.values[counter.name]
         values = col[~np.isnan(col)]
@@ -438,7 +437,5 @@ def run_offline(
         if values.shape[0] >= config.k + 1:
             results = lof_all(values, config.k)
             top = [results[i] for i in top_n_outliers(results, config.top_n)]
-        outliers[counter.name] = [r.index for r in top]
-        if ranked is not None:
-            ranked[counter.name] = top
-    return points, alerts, outliers
+        ranked[counter.name] = top
+    return points, alerts, ranked

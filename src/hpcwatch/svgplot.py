@@ -1,18 +1,20 @@
 """Single-file SVG charts for counter series, no plotting framework.
 
-One chart per counter: the delta series as a polyline over seconds, the
-top-ranked outliers as filled circles, and optionally one vertical marker
-line at a caller-supplied moment.  Circles are used for nothing else, so a
-chart with top_n outliers contains exactly top_n circle elements; the
-marker is the only element with class "event-mark".  Identical inputs give
-identical bytes.
+One chart per counter: its values as a polyline over seconds, the
+top-ranked outliers as filled circles titled with their scores, and
+optionally one vertical marker line at a caller-supplied moment.  ``analyze``
+draws each counter's aligned column, one point per tick that holds a value,
+and circles the same ranked results that ``outliers.csv`` lists.  Circles
+are used for nothing else, so a chart with top_n outliers contains exactly
+top_n circle elements; the marker is the only element with class
+"event-mark".  Identical inputs give identical bytes.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .trace import CounterSeries
+from .lof import LofResult
 
 WIDTH = 880
 HEIGHT = 360
@@ -32,26 +34,22 @@ def _coord(v: float) -> str:
 
 
 def render_plot(
-    series: CounterSeries,
-    lofs: Sequence[float],
-    top_indices: Sequence[int],
+    name: str,
+    times: Sequence[float],
+    values: Sequence[float],
+    top: Sequence[LofResult],
     mark_time: float | None = None,
 ) -> str:
     """The SVG document as a string; emit_plot writes it to disk.
 
-    ``lofs`` aligns with the series' non-missing samples in time order and
-    ``top_indices`` index into that same sequence.
+    ``times`` (seconds) and ``values`` are the points in order, and each
+    result in ``top`` circles the point its ``index`` names.
     """
-    samples = [s for s in series.samples if s.delta is not None]
-    if not samples:
-        raise ValueError(f"series {series.event} has no usable samples")
-    if len(lofs) != len(samples):
-        raise ValueError(
-            f"{len(lofs)} scores for {len(samples)} samples of {series.event}"
-        )
+    if len(times) == 0:
+        raise ValueError(f"series {name} has no usable samples")
+    if len(times) != len(values):
+        raise ValueError(f"{len(times)} times for {len(values)} values of {name}")
 
-    times = [s.timestamp for s in samples]
-    values = [float(s.delta) for s in samples]
     t_lo, t_hi = min(times), max(times)
     v_lo, v_hi = min(values), max(values)
     if mark_time is not None:
@@ -75,7 +73,7 @@ def render_plot(
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
         f'<text x="{MARGIN_LEFT}" y="18" font-family="sans-serif" font-size="13" '
-        f'fill="{AXIS_COLOR}">{series.event.name}</text>',
+        f'fill="{AXIS_COLOR}">{name}</text>',
     ]
 
     # axes
@@ -114,10 +112,11 @@ def render_plot(
             f'stroke-width="1.5" stroke-dasharray="5,3"/>'
         )
 
-    for idx in top_indices:
+    for result in top:
         parts.append(
-            f'<circle cx="{_coord(x(times[idx]))}" cy="{_coord(y(values[idx]))}" r="4" '
-            f'fill="{OUTLIER_COLOR}"><title>lof={lofs[idx]:.9g}</title></circle>'
+            f'<circle cx="{_coord(x(times[result.index]))}" '
+            f'cy="{_coord(y(values[result.index]))}" r="4" '
+            f'fill="{OUTLIER_COLOR}"><title>lof={result.lof:.9g}</title></circle>'
         )
 
     parts.append("</svg>")
@@ -125,12 +124,13 @@ def render_plot(
 
 
 def emit_plot(
-    series: CounterSeries,
-    lofs: Sequence[float],
-    top_indices: Sequence[int],
-    mark_time: float | None,
+    name: str,
+    times: Sequence[float],
+    values: Sequence[float],
+    top: Sequence[LofResult],
     out: str,
+    mark_time: float | None = None,
 ) -> None:
-    svg = render_plot(series, lofs, top_indices, mark_time)
+    svg = render_plot(name, times, values, top, mark_time)
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(svg)

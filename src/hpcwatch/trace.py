@@ -19,7 +19,11 @@ is recorded with its line number and reason, and the diagnostics identity
 
     lines_read == samples_parsed + comments_skipped + malformed + blank_lines
 
-holds for arbitrary input.
+holds for ``parse_stream`` on arbitrary input.  ``read_samples`` is its line
+reader: it yields each usable sample and each malformed line's error as the
+line arrives.  ``parse_stream`` collects its output into a trace and keeps
+the errors; the live ``detect`` loop pushes the samples and only counts the
+errors, so its memory stays flat however many lines are malformed.
 """
 
 from __future__ import annotations
@@ -79,10 +83,6 @@ class CounterSeries:
         gaps = np.diff([s.timestamp for s in self.samples])
         return float(np.median(gaps))
 
-    def values(self) -> list[int]:
-        """Non-missing deltas in time order."""
-        return [s.delta for s in self.samples if s.delta is not None]
-
 
 @dataclass
 class Trace:
@@ -93,9 +93,6 @@ class Trace:
 
     def events(self) -> list[EventKind]:
         return [s.event for s in self.series.values()]
-
-    def __contains__(self, event_name: str) -> bool:
-        return event_name in self.series
 
 
 @dataclass
@@ -196,6 +193,41 @@ def parse_line(
     return Sample(timestamp=timestamp, delta=delta, event=event)
 
 
+def read_samples(
+    reader: Iterable[str] | IO[str],
+    diags: ParseDiagnostics,
+    event_hint: EventKind | None = None,
+) -> Iterator[Sample | LineError]:
+    """Yield each usable sample, or the error of a malformed line, as read.
+
+    Comments, blank lines and usable samples are counted in ``diags``;
+    malformed lines are left to the caller, which may keep or count the
+    errors.  A line whose timestamp does not increase on its event's last
+    usable one is malformed too, so each event's samples strictly increase
+    in time.
+    """
+    last_ts: dict[str, float] = {}
+    for line_no, raw in enumerate(reader, start=1):
+        diags.lines_read += 1
+        parsed = parse_line(raw.rstrip("\r\n"), line_no, event_hint)
+        if parsed is SkippedLine.COMMENT:
+            diags.comments_skipped += 1
+        elif parsed is SkippedLine.BLANK:
+            diags.blank_lines += 1
+        elif isinstance(parsed, LineError):
+            yield parsed
+        elif parsed.event.name in last_ts and parsed.timestamp <= last_ts[parsed.event.name]:
+            # series timestamps must strictly increase; a stale line is
+            # unusable but must not abort the stream
+            yield LineError(line_no, f"non-increasing timestamp for {parsed.event.name}")
+        else:
+            diags.samples_parsed += 1
+            last_ts[parsed.event.name] = parsed.timestamp
+            if parsed.delta is None:
+                diags.not_counted += 1
+            yield parsed
+
+
 def parse_stream(
     reader: Iterable[str] | IO[str],
     event_hint: EventKind | None = None,
@@ -208,29 +240,11 @@ def parse_stream(
     """
     diags = ParseDiagnostics()
     by_event: dict[str, list[Sample]] = {}
-    last_ts: dict[str, float] = {}
-
-    for line_no, raw in enumerate(reader, start=1):
-        diags.lines_read += 1
-        parsed = parse_line(raw.rstrip("\r\n"), line_no, event_hint)
-        if parsed is SkippedLine.COMMENT:
-            diags.comments_skipped += 1
-        elif parsed is SkippedLine.BLANK:
-            diags.blank_lines += 1
-        elif isinstance(parsed, LineError):
-            diags.malformed.append((parsed.line_no, parsed.reason))
-        elif parsed.event.name in last_ts and parsed.timestamp <= last_ts[parsed.event.name]:
-            # series timestamps must strictly increase; a stale line is
-            # unusable but must not abort the stream
-            diags.malformed.append(
-                (line_no, f"non-increasing timestamp for {parsed.event.name}")
-            )
+    for item in read_samples(reader, diags, event_hint):
+        if isinstance(item, LineError):
+            diags.malformed.append((item.line_no, item.reason))
         else:
-            diags.samples_parsed += 1
-            last_ts[parsed.event.name] = parsed.timestamp
-            if parsed.delta is None:
-                diags.not_counted += 1
-            by_event.setdefault(parsed.event.name, []).append(parsed)
+            by_event.setdefault(item.event.name, []).append(item)
 
     trace = Trace(origin=[origin])
     for name, samples in by_event.items():

@@ -29,8 +29,6 @@ from hpcwatch.svgplot import render_plot
 from hpcwatch.synth import AttackSpec, SynthConfig, evaluate, generate_trace
 from hpcwatch.trace import (
     AlignedTrace,
-    CounterSeries,
-    Sample,
     align,
     iter_serialized,
     parse_stream,
@@ -297,25 +295,18 @@ def test_synth_analyze_byte_determinism(tmp_path):
 def test_plot_contract_circles_and_marker():
     """top_n=5 draws exactly 5 outlier circles; mark_time draws exactly one
     vertical marker element."""
-    event = EventKind("LLC-loads")
     values = [50, 51, 52, 50, 53, 400, 52, 51, 390, 50, 52, 51, 49, 50, 52]
-    series = CounterSeries(
-        event=event,
-        samples=[
-            Sample(timestamp=(i + 1) * 0.1, delta=v, event=event)
-            for i, v in enumerate(values)
-        ],
-    )
+    times = [(i + 1) * 0.1 for i in range(len(values))]
     results = lof_all([float(v) for v in values], 5)
     from hpcwatch.lof import top_n_outliers
 
-    top = top_n_outliers(results, 5)
+    top = [results[i] for i in top_n_outliers(results, 5)]
     assert len(top) == 5
 
-    unmarked = render_plot(series, [r.lof for r in results], top)
+    unmarked = render_plot("LLC-loads", times, values, top)
     assert unmarked.count("<circle") == 5
     assert unmarked.count('class="event-mark"') == 0
 
-    marked = render_plot(series, [r.lof for r in results], top, mark_time=0.6)
+    marked = render_plot("LLC-loads", times, values, top, mark_time=0.6)
     assert marked.count("<circle") == 5
     assert marked.count('class="event-mark"') == 1

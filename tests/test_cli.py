@@ -199,6 +199,60 @@ def test_analyze_plot_emits_marked_charts(tmp_path):
         assert svg.count("event-mark") == 1
 
 
+def shared_tick_trace() -> list[str]:
+    """dTLB-loads lines over 600 ticks: every 37th tick is read out twice,
+    as two halves stamped 0.02 s either side of it, and tick 300 reports
+    <not counted>."""
+    rng = np.random.default_rng(600)
+    lines = []
+    for tick in range(1, 601):
+        value = round(rng.lognormal(math.log(4000), 0.03))
+        if tick == 300:
+            lines.append(f"{tick * 0.1:.2f},<not counted>,dTLB-loads")
+        elif tick % 37 == 0:
+            half = value // 2
+            lines.append(f"{tick * 0.1 - 0.02:.2f},{half},dTLB-loads")
+            lines.append(f"{tick * 0.1 + 0.02:.2f},{value - half},dTLB-loads")
+        else:
+            lines.append(f"{tick * 0.1:.2f},{value},dTLB-loads")
+    return lines
+
+
+def test_analyze_plot_circles_the_outliers_csv_rows(tmp_path):
+    import xml.etree.ElementTree as ET
+
+    path = tmp_path / "dtlb.csv"
+    path.write_text("\n".join(shared_tick_trace()) + "\n")
+    out = tmp_path / "report"
+    main(["analyze", str(path), "--out", str(out), "--plot", "--events", "dTLB-loads"])
+
+    ns = "{http://www.w3.org/2000/svg}"
+    svg = ET.parse(out / "dTLB-loads.svg").getroot()
+    points = [tuple(p.split(",")) for p in svg.find(ns + "polyline").get("points").split()]
+    present = [tick for tick in range(1, 601) if tick != 300]
+    assert len(points) == len(present)
+    circles = [
+        (c.get("cx"), c.get("cy"), c.find(ns + "title").text) for c in svg.iter(ns + "circle")
+    ]
+    rows = sorted(read_outliers_csv(str(out / "outliers.csv")), key=lambda r: r.rank)
+    assert len(rows) == 5
+    assert circles == [(*points[present.index(r.tick)], f"lof={r.lof:.9g}") for r in rows]
+
+
+def test_analyze_plot_ranks_each_counter_once(tmp_path, monkeypatch):
+    from hpcwatch import cli, detector
+
+    main(synth_args(tmp_path))
+    calls = []
+    for module in (cli, detector):
+        def counted(values, k, lof_all=module.lof_all, name=module.__name__):
+            calls.append(name)
+            return lof_all(values, k)
+        monkeypatch.setattr(module, "lof_all", counted)
+    main(["analyze", *trace_files(tmp_path), "--out", str(tmp_path / "report"), "--plot"])
+    assert len(calls) == len(trace_files(tmp_path)), calls  # one file per counter
+
+
 def test_analyze_events_flag_restricts_counters(tmp_path, capsys):
     main(synth_args(tmp_path))
     out = tmp_path / "report"
@@ -274,6 +328,31 @@ def test_detect_warns_on_malformed_lines(tmp_path, monkeypatch, capsys):
     rc = detect_on("garbage\n" + interleaved(tmp_path), monkeypatch)
     assert rc == EXIT_OK
     assert "1 malformed" in capsys.readouterr().err
+
+
+def test_detect_counts_malformed_lines_without_keeping_them(monkeypatch, capsys):
+    """A profiler prints ``<not supported>`` for an unsupported event once
+    per interval, for as long as the capture runs: detect counts those
+    lines and keeps none of them."""
+    import tracemalloc
+
+    n = 40_000
+
+    def stream():
+        for i in range(n):
+            yield f"{i * 0.1 + 0.05:.3f},<not supported>,cpu-cycles\n"
+
+    monkeypatch.setattr("sys.stdin", stream())
+    tracemalloc.start()
+    try:
+        rc = main(["detect"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == EXIT_OK
+    assert f"{n} malformed" in capsys.readouterr().err
+    # keeping each line's number and reason would take about 7 MB
+    assert peak < 1_000_000
 
 
 def test_detect_drops_a_stale_line_as_analyze_does(tmp_path, monkeypatch, capsys):
@@ -360,17 +439,18 @@ def replay_detect(lines: list[str]) -> tuple[list[tuple[str, int]], int]:
             malformed += 1
             continue
         last_ts[name] = parsed.timestamp
+        if name not in wanted or parsed.delta is None:
+            continue  # align gives it no tick, so it does not move the clock
         tick = tick_of(parsed.timestamp, config.tick_interval)
         max_tick = max(max_tick, tick)
         next_eval = tick if next_eval is None else next_eval
         while next_eval < tick:
             evaluate(next_eval)
             next_eval += 1
-        if name in wanted:
-            state = states.setdefault(name, WindowState(event=parsed.event, window=config.window))
-            result = push_sample(state, parsed, config)
-            if result is not None:
-                scores[name][result[0]] = result[1]
+        state = states.setdefault(name, WindowState(event=parsed.event, window=config.window))
+        result = push_sample(state, parsed, config)
+        if result is not None:
+            scores[name][result[0]] = result[1]
     while next_eval is not None and next_eval <= max_tick:
         evaluate(next_eval)
         next_eval += 1
@@ -431,12 +511,24 @@ def clock_only_stream() -> tuple[list[str], int]:
     return lines, 1
 
 
-@pytest.mark.parametrize("make_stream", [paced_stream, clock_only_stream],
+# analyze sums paced_stream's two LLC-loads lines in one tick, where detect
+# pushes each, so only clock_only_stream's rows match analyze's
+@pytest.mark.parametrize("make_stream, matches_analyze",
+                         [(paced_stream, False), (clock_only_stream, True)],
                          ids=["paced", "clock-only-lines"])
-def test_detect_scores_each_tick_in_one_batch_as_pushes_would(make_stream, monkeypatch, capsys):
+def test_detect_scores_each_tick_in_one_batch_as_pushes_would(
+    make_stream, matches_analyze, tmp_path, monkeypatch, capsys
+):
     lines, malformed = make_stream()
     expected, expected_malformed = replay_detect(lines)
     assert expected and expected_malformed == malformed
+    if matches_analyze:
+        path = tmp_path / "stream.csv"
+        path.write_text("\n".join(lines) + "\n")
+        main(["analyze", str(path), "--out", str(tmp_path)])
+        capsys.readouterr()
+        rows = (tmp_path / "alerts.csv").read_text().splitlines()[1:]
+        assert [row for row, _ in expected] == rows
 
     read = 0
 

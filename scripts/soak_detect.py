@@ -8,8 +8,10 @@ log-normal jitter, one line per counter per 100 ms tick) into one
 lines written so far, the quarter's lines/s and the child's resident set
 size (VmRSS from /proc/<pid>/status, so Linux only).  Exits 1 if the RSS at
 the last quarter exceeds the first quarter's by more than 10%, or if
-`detect` fails; a bounded detector holds its windows, score maps and
-per-tick batch at a fixed size however long the stream runs.
+`detect` fails.  `detect` reads the pipe one block of at most 8 KiB at a
+time and scores each block's windows in stacks of at most 64, so a bounded
+detector holds its windows, score maps, window stack and partial line at a
+fixed size however long the stream runs.
 """
 
 from __future__ import annotations

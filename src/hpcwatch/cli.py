@@ -4,6 +4,10 @@ Subcommands: analyze (offline report over trace files), detect (streaming
 alerts from stdin), synth (seeded trace generation), eval (score alerts
 against ground truth), capture (wrap an external interval profiler).
 
+detect reads stdin one read at a time: the lines of each read are pushed
+into the ``Detector``, which is polled once, and the rows it returns are
+printed and flushed together before the next read.
+
 Exit codes: 0 clean, 3 one or more alerts raised, 1 usage or data error,
 2 capture environment error.  Code 3 keeps "detection" distinguishable from
 "failure" for scripting.
@@ -15,10 +19,12 @@ file (--config flag or HPCWATCH_CONFIG env var), then explicit flags.
 from __future__ import annotations
 
 import argparse
+import codecs
+import io
 import os
 import subprocess
 import sys
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -202,6 +208,33 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 # detect
 # ---------------------------------------------------------------------------
 
+def _read_blocks(stream) -> Iterator[list[str]]:
+    """The lines of ``stream``, one list per read.
+
+    A text stream over a binary buffer is read as its text layer reads it,
+    at most ``io.DEFAULT_BUFFER_SIZE`` bytes per ``read1``, but the lines
+    each read completes come out together, without their line feeds.  They
+    are decoded with the stream's own encoding and errors and split only at
+    line feeds; a line that spans two reads is joined, and a last line with
+    no line feed still counts.  Any other line source gives one list per
+    line.
+    """
+    raw = getattr(stream, "buffer", None)
+    if not hasattr(raw, "read1"):
+        for line in stream:
+            yield [line]
+        return
+    decoder = codecs.getincrementaldecoder(stream.encoding)(stream.errors)
+    tail = ""
+    while data := raw.read1(io.DEFAULT_BUFFER_SIZE):
+        lines = (tail + decoder.decode(data)).split("\n")
+        tail = lines.pop()
+        yield lines
+    tail += decoder.decode(b"", final=True)
+    if tail:
+        yield [tail]
+
+
 def cmd_detect(args: argparse.Namespace) -> int:
     settings = _resolve_settings(args)
     config = _detector_config(settings)
@@ -212,18 +245,27 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
     def emit(alerts: Sequence[Alert]) -> None:
         nonlocal alert_count
+        if not alerts:
+            return
+        alert_count += len(alerts)
         for alert in alerts:
-            alert_count += 1
-            print(",".join(alert_row(alert)), flush=True)
+            print(",".join(alert_row(alert)))
+        sys.stdout.flush()
+
+    def lines() -> Iterator[str]:
+        # a block's rows print once all its lines are pushed, before the
+        # next read
+        for block in _read_blocks(args.stream):
+            yield from block
+            emit(detector.poll())
 
     # errors are counted, not kept: a live stream may be malformed for days
-    for item in read_samples(args.stream, diags):
+    for item in read_samples(lines(), diags):
         if isinstance(item, LineError):
             malformed += 1
             continue
         tick = tick_of(item.timestamp, config.tick_interval)
         detector.push(item.event.name, tick, item.delta)
-        emit(detector.poll())
     emit(detector.finish())
 
     if malformed:

@@ -12,13 +12,16 @@ the score maps and the clock, and evaluates, prunes, thresholds and
 coalesces each tick once the clock has passed it.  The live ``detect``
 loop pushes every parsed sample into it; only a counted delta of a
 configured counter moves the clock, the samples ``align`` places on the
-grid.  Windows pushed while the clock stands on one tick are stacked into
-one ``lof_at`` call (``score_windows``) before that tick is evaluated.
-``run_offline`` scores each counter's windows up front (``lagged_scores``)
-and lands each score in the ``Detector`` at the tick its push happens; it
-also ranks each counter's whole aligned column once, for ``outliers.csv``
-and the charts.  ``push_value`` scores one window on the spot through
-``lof_scores``; it is the reference the batched paths are tested against.
+grid.  A push only queues its window, tagged with the clock's tick; each
+``poll`` scores the queued full windows in one ``lof_at`` call, however
+many ticks they span, then lands the scores and evaluates the passed ticks
+in push order, so polling less often stacks more windows and changes no
+alert.  ``run_offline`` scores each counter's windows up front
+(``lagged_scores``) and lands each score in the ``Detector`` at the tick
+its push happens; it also ranks each counter's whole aligned column once,
+for ``outliers.csv`` and the charts.  ``push_value`` scores one window on
+the spot through ``lof_scores``; it is the reference the batched paths are
+tested against.
 
 The lag is floor(k/2) + 1 ticks: 3 ticks (300 ms at the default 100 ms
 cadence) for the default k=5.  Detection latency is therefore bounded below
@@ -126,52 +129,21 @@ class Alert:
 # Streaming primitives
 # ---------------------------------------------------------------------------
 
-def append_value(
-    state: WindowState, tick: int, value: float, config: DetectorConfig
-) -> tuple[int, np.ndarray] | None:
-    """Append one delta and, past warm-up, return the window to score.
-
-    Returns (evaluated tick, a copy of the ring's values) once
-    ``state.count`` reaches ``config.warmup``, nothing before that.  The
-    evaluated point is the window's lagged one, ``lag(config)`` places
-    before its end.
-    """
-    state.ring.append((tick, value))
-    state.count += 1
-    if state.count < config.warmup:
-        return None
-    return state.ring[-1 - lag(config)][0], state.values()
-
-
 def push_value(
     state: WindowState, tick: int, value: float, config: DetectorConfig
 ) -> tuple[int, float] | None:
     """Append one delta and, past warm-up, score the lagged ring position.
 
     Returns (evaluated tick, its lof score) once ``state.count`` reaches
-    ``config.warmup``, nothing before that.
+    ``config.warmup``, nothing before that.  The evaluated point is the
+    window's lagged one, ``lag(config)`` places before its end.
     """
-    pushed = append_value(state, tick, value, config)
-    if pushed is None:
+    state.ring.append((tick, value))
+    state.count += 1
+    if state.count < config.warmup:
         return None
-    eval_tick, window = pushed
-    return eval_tick, float(lof_scores(window, config.k)[-1 - lag(config)])
-
-
-def score_windows(windows: Sequence[np.ndarray], config: DetectorConfig) -> list[float]:
-    """The lagged point's score in each window, as ``push_value`` gives it.
-
-    Windows of one length are stacked into one ``lof_at`` call, so a
-    caller keeps its batches to about CHUNK windows.
-    """
-    scores = np.empty(len(windows))
-    by_length: dict[int, list[int]] = {}
-    for i, window in enumerate(windows):
-        by_length.setdefault(window.shape[0], []).append(i)
-    for length, where in by_length.items():
-        stacked = np.stack([windows[i] for i in where])
-        scores[where] = lof_at(stacked, config.k, length - 1 - lag(config))
-    return scores.tolist()
+    lagged = lag(config)
+    return state.ring[-1 - lagged][0], float(lof_scores(state.values(), config.k)[-1 - lagged])
 
 
 def lagged_scores(values: np.ndarray, config: DetectorConfig) -> np.ndarray:
@@ -275,6 +247,18 @@ def select_counters(trace: AlignedTrace, config: DetectorConfig) -> list[EventKi
 # The tick loop
 # ---------------------------------------------------------------------------
 
+class _Ring:
+    """One counter's most recent <= window deltas, each written twice in a
+    row of 2 * window, so the full window is always one contiguous slice."""
+
+    __slots__ = ("values", "ticks", "count")
+
+    def __init__(self, window: int, lagged: int) -> None:
+        self.values = np.empty(2 * window)
+        self.ticks: deque[int] = deque(maxlen=lagged + 1)  # ticks[0] is the lagged point's
+        self.count = 0
+
+
 class Detector:
     """The tick loop behind both drivers.
 
@@ -282,16 +266,20 @@ class Detector:
     A line whose event is not configured or whose delta was not counted is
     ignored, as ``align`` gives it no tick: it neither queues a window nor
     moves the clock.  Any other line stamped past the newest tick seen
-    moves the clock there first, and every tick the clock passes is
-    evaluated: the windows queued so far are scored together, the scores
-    for that tick are averaged into f, the score maps are pruned, and f
-    above the threshold raises an alert unless it follows the last alert
-    raised within ``coalesce`` ticks.  Only then is the line's own window
-    queued, so it counts from the clock's tick on, whatever its own tick.
+    moves the clock there, and then queues its window at the clock's tick,
+    whatever its own tick.  Every tick the clock has passed is evaluated
+    once, in order, after each window queued at it or before has landed:
+    the scores for that tick are averaged into f, the score maps are
+    pruned, and f above the threshold raises an alert unless it follows the
+    last alert raised within ``coalesce`` ticks.
 
-    ``poll`` hands over the alerts raised since the last call, ``finish``
-    also evaluates the newest tick at end of input.  ``points``, if given,
-    receives every attack-factor point in tick order.
+    Full windows are copied into a stack and scored together, CHUNK at a
+    time; warm-up windows, shorter, are scored when pushed.  ``poll``
+    scores what is queued, evaluates the passed ticks and hands over the
+    alerts raised since the last call; a push that fills the stack does
+    the same but keeps the alerts for ``poll``.  ``finish`` also evaluates
+    the newest tick at end of input.  ``points``, if given, receives every
+    attack-factor point in tick order.
     """
 
     def __init__(
@@ -305,47 +293,62 @@ class Detector:
         self.config = config
         self.coalesce = coalesce
         self._points = points
-        self._states = {c.name: WindowState(event=c, window=config.window) for c in config.counters}
+        self._lag = lag(config)
+        self._rings = {c.name: _Ring(config.window, self._lag) for c in config.counters}
         self._scores: dict[str, dict[int, float]] = {c.name: {} for c in config.counters}
-        # windows pushed since the clock last moved: (event, evaluated tick, window)
-        self._pending: list[tuple[str, int, np.ndarray]] = []
-        self._clock: int | None = None  # newest tick of a counted line, next to evaluate
+        # queued windows in push order: (event, evaluated tick, clock tick
+        # at the push, its score, or None for the next row of the stack)
+        self._queue: list[tuple[str, int, int, float | None]] = []
+        self._stack = np.empty((CHUNK, config.window))
+        self._stacked = 0
+        self._clock: int | None = None  # newest tick of a counted line
+        self._next_eval: int | None = None  # oldest tick not evaluated yet
         self._last_alert: int | None = None  # evaluated tick of the last alert raised
         self._alerts: list[Alert] = []
 
     def push(self, name: str, tick: int, delta: float | None) -> None:
         """One parsed line; a ``None`` delta is a ``<not counted>`` readout."""
-        state = self._states.get(name)
-        if state is None or delta is None:
+        ring = self._rings.get(name)
+        if ring is None or delta is None:
             return
-        if self._clock is None or tick > self._clock:
-            self.advance(tick)
-        pushed = append_value(state, tick, float(delta), self.config)
-        if pushed is not None:
-            self._pending.append((name, *pushed))
-            if len(self._pending) == CHUNK:
-                self._land_pending()
+        self._move_clock(tick)
+        window = self.config.window
+        slot = ring.count % window
+        ring.values[slot] = ring.values[slot + window] = float(delta)
+        ring.ticks.append(tick)
+        ring.count += 1
+        count = ring.count
+        if count < self.config.warmup:
+            return
+        eval_tick = ring.ticks[0]
+        if count < window:
+            self.land(name, eval_tick, float(
+                lof_at(ring.values[None, :count], self.config.k, count - 1 - self._lag)[0]
+            ))
+            return
+        self._stack[self._stacked] = ring.values[slot + 1:slot + 1 + window]
+        self._stacked += 1
+        self._queue.append((name, eval_tick, self._clock, None))
+        if self._stacked == CHUNK:
+            self._drain()
 
     def land(self, name: str, eval_tick: int, score: float) -> None:
-        """A score for a window of ``name`` pushed at the clock's tick and
-        scored elsewhere, as ``push_value`` returns it."""
-        self._scores[name][eval_tick] = score
+        """A score for a window of ``name`` pushed at the clock's tick, once
+        a push or ``advance`` has set the clock, and scored elsewhere, as
+        ``push_value`` returns it.  It lands with the windows queued there."""
+        self._queue.append((name, eval_tick, self._clock, score))
 
     def advance(self, tick: int) -> None:
         """Move the clock to ``tick``, evaluating every tick before it."""
-        if self._clock is None:
-            self._clock = tick
-            return
-        if tick <= self._clock:
-            return
-        if self._pending:
-            self._land_pending()
-        for passed in range(self._clock, tick):
-            self._evaluate(passed)
-        self._clock = tick
+        self._move_clock(tick)
+        self._drain()
 
     def poll(self) -> Sequence[Alert]:
-        """The alerts raised since the last call, in tick order."""
+        """Score and land what is queued, evaluate every tick the clock has
+        passed, and hand over the alerts raised since the last call, in
+        tick order."""
+        if self._clock is not None:
+            self._drain()
         if not self._alerts:
             return ()
         alerts, self._alerts = self._alerts, []
@@ -357,13 +360,31 @@ class Detector:
             self.advance(self._clock + 1)
         return self.poll()
 
-    def _land_pending(self) -> None:
-        # one lof_at call per window length; push order is kept, so a later
-        # push for the same tick still wins
-        landed = score_windows([window for _, _, window in self._pending], self.config)
-        for (name, eval_tick, _), score in zip(self._pending, landed):
-            self._scores[name][eval_tick] = score
-        self._pending.clear()
+    def _move_clock(self, tick: int) -> None:
+        if self._clock is None:
+            self._clock = self._next_eval = tick
+        elif tick > self._clock:
+            self._clock = tick
+
+    def _drain(self) -> None:
+        # a window queued at clock tick t lands after every tick before t
+        # is evaluated and before t is; later pushes for one tick still win
+        stacked = iter(())
+        if self._stacked:
+            stacked = iter(lof_at(
+                self._stack[:self._stacked], self.config.k, self.config.window - 1 - self._lag
+            ).tolist())
+            self._stacked = 0
+        for name, eval_tick, at, score in self._queue:
+            self._evaluate_until(at)
+            self._scores[name][eval_tick] = next(stacked) if score is None else score
+        self._queue.clear()
+        self._evaluate_until(self._clock)
+
+    def _evaluate_until(self, tick: int) -> None:
+        while self._next_eval < tick:
+            self._evaluate(self._next_eval)
+            self._next_eval += 1
 
     def _evaluate(self, tick: int) -> None:
         point = evaluate_tick(self._scores, tick, self.config)

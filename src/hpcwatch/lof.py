@@ -29,7 +29,7 @@ Three kernels compute the same numbers:
   each row once for every k-distance (O(n log n + n*k)), closes the tie
   cases in form, and builds distance rows only for the point and its m
   neighbors (O(n*m)).  It serves the detector's window scoring: stacks of
-  up to 64 windows in ``analyze``, one tick's windows in ``detect``.
+  up to 64 windows, in ``detect`` from every tick one read of stdin holds.
 * ``_sorted_kernel`` sorts once and walks runs of the sorted values:
   O(n log n + n*k) time and O(n*k) memory.  It serves ``lof_all``, which
   ranks whole series (36 000 points for an hour at 100 ms).

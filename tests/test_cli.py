@@ -3,6 +3,11 @@
 import io
 import math
 import os
+import select
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -554,6 +559,171 @@ def test_detect_scores_each_tick_in_one_batch_as_pushes_would(
     # next line is read
     assert out.printed == expected
     assert f"{expected_malformed} malformed" in capsys.readouterr().err
+
+
+def jittered_stream() -> tuple[list[str], int]:
+    """Lines, and how many of them are malformed."""
+    # the six default counters at their synth levels with 3% jitter, so a
+    # 64-window stack fills in the middle of a tick; one burst at tick 500
+    rng = np.random.default_rng(6)
+    levels = {"iTLB-load-misses": 18, "dTLB-loads": 61452, "bus-cycles": 23917,
+              "LLC-store-misses": 47, "LLC-loads": 1123, "LLC-load-misses": 261}
+    lines = []
+    for tick in range(1, 701):
+        burst = 20 if tick in (500, 501) else 1
+        for name, level in levels.items():
+            value = round(rng.lognormal(math.log(level), 0.03) * burst)
+            lines.append(f"{tick * 0.1:.1f},{value},{name}")
+    return lines, 0
+
+
+@pytest.mark.parametrize("make_stream", [paced_stream, clock_only_stream, jittered_stream],
+                         ids=["paced", "clock-only-lines", "jittered"])
+def test_poll_cadence_changes_no_alert_and_no_point(make_stream):
+    from hpcwatch.report import alert_row
+    from hpcwatch.trace import LineError, ParseDiagnostics, read_samples, tick_of
+
+    lines, _ = make_stream()
+    expected, _ = replay_detect(lines)
+    config = DetectorConfig()
+
+    def run(every: int | None) -> tuple[list[str], list]:
+        points: list = []
+        alerts: list = []
+        detector = Detector(config, points=points)
+
+        def polled():
+            for read, line in enumerate(lines, start=1):
+                yield line
+                if every is not None and read % every == 0:
+                    alerts.extend(detector.poll())
+
+        for item in read_samples(polled(), ParseDiagnostics()):
+            if not isinstance(item, LineError):
+                tick = tick_of(item.timestamp, config.tick_interval)
+                detector.push(item.event.name, tick, item.delta)
+        alerts.extend(detector.finish())
+        return [",".join(alert_row(alert)) for alert in alerts], points
+
+    rows, points = run(1)
+    assert rows == [row for row, _ in expected]
+    assert len(points) > 500
+    for every in (7, 64, 1000, None):
+        assert run(every) == (rows, points), every
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def detect_process(*flags: str, stdout=subprocess.PIPE) -> subprocess.Popen:
+    """``hpcwatch detect`` reading an OS pipe."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.Popen(
+        [sys.executable, "-m", "hpcwatch", "detect", *flags],
+        stdin=subprocess.PIPE, stdout=stdout, stderr=subprocess.PIPE, env=env,
+    )
+
+
+def first_row(proc: subprocess.Popen, timeout: float = 60.0) -> bytes:
+    """The first row ``proc`` prints, failing if none comes in ``timeout``."""
+    ready, _, _ = select.select([proc.stdout], [], [], timeout)
+    assert ready, "no row printed before more input was written"
+    return proc.stdout.readline()
+
+
+def stop(proc: subprocess.Popen) -> None:
+    """Kill ``proc`` if it still runs; leaving ``with`` closes its pipes
+    and waits for it."""
+    with proc:
+        if proc.poll() is None:
+            proc.kill()
+
+
+def test_detect_joins_lines_split_across_pipe_reads(tmp_path):
+    lines, malformed = paced_stream()
+    expected, _ = replay_detect(lines)
+    # CRLF endings, no final newline, and writes of uneven size that cut
+    # lines anywhere
+    data = "\r\n".join(lines).encode()
+    rng = np.random.default_rng(3)
+    with open(tmp_path / "out", "wb") as out:
+        proc = detect_process(stdout=out)
+        try:
+            at = 0
+            while at < len(data):
+                size = int(rng.integers(1, 700))
+                proc.stdin.write(data[at:at + size])
+                proc.stdin.flush()
+                at += size
+            proc.stdin.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=60) == EXIT_ALERTS
+        finally:
+            stop(proc)
+    assert (tmp_path / "out").read_text().splitlines() == [row for row, _ in expected]
+    assert f"{malformed} malformed" in err
+
+
+def test_detect_prints_an_alert_before_reading_on():
+    lines, _ = paced_stream()
+    expected, _ = replay_detect(lines)
+    row, fired_at = expected[0]
+    proc = detect_process()
+    try:
+        proc.stdin.write("".join(line + "\n" for line in lines[:fired_at]).encode())
+        proc.stdin.flush()
+        first = first_row(proc).decode()
+        proc.stdin.write("".join(line + "\n" for line in lines[fired_at:]).encode())
+        proc.stdin.close()
+        rest = proc.stdout.read().decode()
+        assert proc.wait(timeout=60) == EXIT_ALERTS
+    finally:
+        stop(proc)
+    assert first == row + "\n"
+    assert (first + rest).splitlines() == [row for row, _ in expected]
+
+
+def test_detect_decodes_a_character_split_across_pipe_reads(monkeypatch, capsys):
+    from hpcwatch.trace import tick_of
+
+    name = "Ünïcödé-loads"
+    rng = np.random.default_rng(8)
+    lines = [
+        f"{tick * 0.1:.1f},{round(rng.lognormal(math.log(1123), 0.03))},{name}"
+        for tick in range(1, 401)
+    ]
+    assert detect_on("".join(line + "\n" for line in lines), monkeypatch,
+                     "--events", name) == EXIT_ALERTS
+    whole = capsys.readouterr().out.splitlines()
+
+    # the line that fires the first alert
+    detector = Detector(DetectorConfig(counters=(EventKind(name),)))
+    for fired_at, line in enumerate(lines, start=1):
+        ts, delta, _ = line.split(",")
+        detector.push(name, tick_of(float(ts), 0.1), int(delta))
+        if detector.poll():
+            break
+    # once that row is out, detect waits on its next read; the next line
+    # arrives in two writes, cut inside the name's first character
+    cut = lines[fired_at].encode().index("Ü".encode()) + 1
+    data = "".join(line + "\n" for line in lines[fired_at:]).encode()
+    proc = detect_process("--events", name)
+    try:
+        proc.stdin.write("".join(line + "\n" for line in lines[:fired_at]).encode())
+        proc.stdin.flush()
+        first = first_row(proc).decode()
+        proc.stdin.write(data[:cut])
+        proc.stdin.flush()
+        time.sleep(0.5)
+        proc.stdin.write(data[cut:])
+        proc.stdin.close()
+        rest = proc.stdout.read().decode()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == EXIT_ALERTS
+    finally:
+        stop(proc)
+    assert (first + rest).splitlines() == whole
+    assert "malformed" not in err
 
 
 # ---------------------------------------------------------------------------

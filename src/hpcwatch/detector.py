@@ -41,8 +41,10 @@ from .lof import LofResult, lof_all, lof_at, lof_scores, top_n_outliers
 from .trace import AlignedTrace, Sample, tick_of
 
 # Most windows per lof_at call.  Stacking 64 50-point windows cuts the cost
-# per window about tenfold against one at a time; 256 cost the same and
-# 1024 more, as the stacked arrays outgrow the cache.
+# per window about tenfold against one at a time.  Past 128 the stacked
+# tables outgrow the cache: on a 2-core x86 host, interleaved benchmark
+# windows cost 5.9, 4.6, 3.9, 5.8 and 5.6 us each at 32, 64, 128, 256 and
+# 512 windows per call.
 CHUNK = 64
 
 
@@ -383,6 +385,11 @@ class Detector:
 
     def _evaluate_until(self, tick: int) -> None:
         while self._next_eval < tick:
+            if not any(self._scores.values()):
+                # a tick with no score gives no point and prunes nothing,
+                # so a gap in the stream is crossed in one step
+                self._next_eval = tick
+                return
             self._evaluate(self._next_eval)
             self._next_eval += 1
 

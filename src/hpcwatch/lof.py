@@ -27,9 +27,11 @@ Three kernels compute the same numbers:
   path.
 * ``lof_at`` scores one point of each window in a (W, n) stack.  It sorts
   each row once for every k-distance (O(n log n + n*k)), closes the tie
-  cases in form, and builds distance rows only for the point and its m
-  neighbors (O(n*m)).  It serves the detector's window scoring: stacks of
-  up to 64 windows, in ``detect`` from every tick one read of stdin holds.
+  cases in form, and builds one distance row for the point and one for
+  each of its m neighbors (O(n*m) per window, however wide the stack's
+  other neighborhoods are).  It serves the detector's window scoring:
+  stacks of up to 64 windows, in ``detect`` from every tick one read of
+  stdin holds.
 * ``_sorted_kernel`` sorts once and walks runs of the sorted values:
   O(n log n + n*k) time and O(n*k) memory.  It serves ``lof_all``, which
   ranks whole series (36 000 points for an hour at 100 ms).
@@ -120,6 +122,15 @@ def _tables(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
         ratio,
     )
     return kdist, member_t.T, lrd, lof_arr
+
+
+def _column_sums(table: np.ndarray) -> np.ndarray:
+    """Sum of each column of a C-contiguous 2-D table, adding its terms one
+    at a time from the top.  numpy adds a table row by row, but sums a
+    single column pairwise, so that one goes through a running sum."""
+    if table.shape[1] == 1:
+        return np.add.accumulate(table, axis=0)[-1]
+    return np.add.reduce(table, axis=0)
 
 
 def _ordered_sums(terms: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -254,9 +265,10 @@ def lof_at(windows: np.ndarray, k: int, pos: int) -> np.ndarray:
     exactly: a point with k-distance 0 has more than k copies, so it and
     its neighbors have lrd +inf and it scores 1; a finite-density point
     with a neighbor of k-distance 0 has an infinitely dense neighbor and
-    scores +inf.  The other rows get distance rows for the point and its
-    m neighbors only, O(n*m) instead of O(n^2), and every sum adds its
-    terms in ascending point index as ``_tables`` does.
+    scores +inf.  The other rows get one distance row for the point and
+    one for each of its m neighbors: O(n*m) per window, however many
+    neighbors the stack's other windows have, instead of O(n^2).  Every
+    sum adds its terms in ascending point index as ``_tables`` does.
     """
     x = np.asarray(windows, dtype=np.float64)
     if x.ndim != 2:
@@ -267,61 +279,69 @@ def lof_at(windows: np.ndarray, k: int, pos: int) -> np.ndarray:
         raise IndexError(f"point index {pos} out of range for {n} points")
     if not np.isfinite(x).all():
         raise ValueError("non-finite point value")
-    row = np.arange(n_rows)[:, None]
+    # from here tables are point-major, one column per window, as in
+    # ``_tables``: a sum over the leading axis adds its terms in ascending
+    # point index
+    row = np.arange(n_rows)
 
-    # k-distances: padded[:, k:k + n] is each row sorted, with k infinities
-    # on each side; ends[:, j, i] is padded[:, i + j], the left end of the
-    # run that splits at j for sorted position i, and ends[:, j + k, i] its
-    # right end
-    padded = np.empty((n_rows, n + 2 * k))
-    padded[:, :k] = -np.inf
-    padded[:, k + n:] = np.inf
+    # k-distances: padded[k:k + n] is each window sorted, with k infinities
+    # on each side; for sorted position i, the run that splits at j has its
+    # left end at padded[i + j] and its right end at padded[i + j + k]
+    padded = np.empty((n + 2 * k, n_rows))
+    padded[:k] = -np.inf
+    padded[k + n:] = np.inf
     # copies of a value share its k-distance, so any order of ties will do
     order = np.argsort(x, axis=1)
-    xs = padded[:, k:k + n]
-    xs[...] = x[row, order]
-    ends = np.ndarray(
-        (n_rows, 2 * k + 1, n), buffer=padded,
-        strides=(padded.strides[0], padded.itemsize, padded.itemsize),
-    )
-    runs = np.maximum(xs[:, None, :] - ends[:, :k + 1], ends[:, k:] - xs[:, None, :])
-    kdist = np.empty((n_rows, n))
-    kdist[row, order] = np.minimum.reduce(runs, axis=1)
+    xs = padded[k:k + n]
+    xs[...] = x[row[:, None], order].T
+    sorted_kdist = np.full((n, n_rows), np.inf)
+    left, right = np.empty((n, n_rows)), np.empty((n, n_rows))
+    for j in range(k + 1):
+        np.subtract(xs, padded[j:j + n], out=left)
+        np.subtract(padded[j + k:j + k + n], xs, out=right)
+        np.maximum(left, right, out=left)
+        np.minimum(sorted_kdist, left, out=sorted_kdist)
+    kdist = np.empty((n, n_rows))
+    kdist[order.T, row] = sorted_kdist
+    xt = np.ascontiguousarray(x.T)
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # the scored point's own neighborhood and lrd (each count is >= k,
         # so a zero reachability sum divides to +inf)
-        d = np.abs(x - x[:, pos, None])
-        d[:, pos] = np.inf
-        member = d <= kdist[:, pos, None]
-        count = np.add.reduce(member, axis=1)
-        lrd = count / np.add.accumulate(np.where(member, np.maximum(d, kdist), 0.0), axis=1)[:, -1]
+        d = np.abs(xt - xt[pos])
+        d[pos] = np.inf
+        member = d <= kdist[pos]
+        count = np.add.reduce(member, axis=0)
+        lrd = count / _column_sums(np.where(member, np.maximum(d, kdist), 0.0))
 
-        has_kdist = kdist[:, pos] > 0.0
-        closed_inf = has_kdist & (member & (kdist == 0.0)).any(axis=1) & np.isfinite(lrd)
+        has_kdist = kdist[pos] > 0.0
+        closed_inf = has_kdist & (member & (kdist == 0.0)).any(axis=0) & np.isfinite(lrd)
         scores = np.where(closed_inf, np.inf, 1.0)
         general = np.flatnonzero(has_kdist & ~closed_inf)
         if general.size == 0:
             return scores
 
-        # each neighbor's lrd from its own distance row: neighbors in
-        # ascending index, padding slots past the count masked out
-        g_member, g_count = member[general], count[general]
-        gx, g_kdist = x[general], kdist[general]
-        width = int(np.maximum.reduce(g_count))
-        nbr = np.argsort(~g_member, axis=1, kind="stable")[:, :width]
-        g_row = row[:general.size]
-        valid = np.arange(width) < g_count[:, None]
-        nd = np.abs(gx[g_row, nbr][:, :, None] - gx[:, None, :])
-        nd[g_row, np.arange(width), nbr] = np.inf
-        nbr_member = nd <= g_kdist[g_row, nbr][:, :, None]
-        nbr_reach = np.where(nbr_member, np.maximum(nd, g_kdist[:, None, :]), 0.0)
-        nbr_reach_sum = np.add.accumulate(nbr_reach, axis=2)[:, :, -1]
-        nbr_lrd = np.add.reduce(nbr_member, axis=2) / nbr_reach_sum
+        # one distance column per (window, neighbor) pair: window by
+        # window, each window's neighbors in ascending index
+        pair_window, nbr = np.nonzero(member[:, general].T)
+        src = general[pair_window]
+        pair = np.arange(src.size)
+        nd = np.abs(xt[nbr, src] - np.take(xt, src, axis=1))
+        nd[nbr, pair] = np.inf
+        nbr_member = nd <= kdist[nbr, src]
+        nbr_reach = np.where(nbr_member, np.maximum(nd, np.take(kdist, src, axis=1)), 0.0)
+        nbr_lrd = np.add.reduce(nbr_member, axis=0) / _column_sums(nbr_reach)
+
+        # each window's neighbor lrds in slots 0..count-1 of its column,
+        # the slots past its count left at 0.0
+        g_count = count[general]
+        first = np.cumsum(g_count) - g_count
+        table = np.zeros((int(np.maximum.reduce(g_count)), general.size))
+        table[pair - first[pair_window], pair_window] = nbr_lrd
+        member_mean = _column_sums(table) / g_count
+        any_finite = np.logical_or.reduceat(np.isfinite(nbr_lrd), first)
 
         g_lrd = lrd[general]
-        member_mean = np.add.accumulate(np.where(valid, nbr_lrd, 0.0), axis=1)[:, -1] / g_count
-        any_finite = (valid & np.isfinite(nbr_lrd)).any(axis=1)
         scores[general] = np.where(
             np.isfinite(g_lrd), member_mean / g_lrd, np.where(any_finite, _TINY, 1.0)
         )

@@ -1,7 +1,9 @@
 """Detector unit tests: window mechanics, aggregation, thresholding, and
 the offline driver, plus streaming/offline agreement."""
 
+import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hpcwatch import detector as detector_module
 from hpcwatch.detector import (
     Alert,
     AttackFactorPoint,
+    Detector,
     DetectorConfig,
     WindowState,
     evaluate_tick,
@@ -315,13 +318,19 @@ def test_run_offline_is_deterministic():
 # Streaming agreement
 # ---------------------------------------------------------------------------
 
-def test_streaming_matches_offline_on_noisy_traces():
+# k=5 with window=7 has a warm-up of 12 pushes, longer than the window
+@pytest.mark.parametrize(
+    "detector",
+    [DetectorConfig(), DetectorConfig(k=2, window=7), DetectorConfig(k=5, window=7),
+     DetectorConfig(k=8, window=30)],
+    ids=["default", "k2-window7", "k5-window7", "k8-window30"],
+)
+def test_streaming_matches_offline_on_noisy_traces(detector):
     # wide baselines make scores land all over the scale, alerts included
     noisy = {
         name: BaselineSpec(mu=math.log(level), sigma=0.5)
         for name, level in [("LLC-loads", 900), ("bus-cycles", 24000)]
     }
-    detector = DetectorConfig()
     for seed in range(10):
         attack = AttackSpec(at=8.0, magnitude=6.0, width=2) if seed % 2 else None
         config = SynthConfig(
@@ -352,6 +361,49 @@ def test_streaming_matches_offline_with_gaps():
     assert streamed[1] == offline[1]
 
 
+def test_detector_crosses_a_long_gap_in_one_step():
+    # two counters go silent for `gap` ticks, each side of the gap with a
+    # burst; a tick with no score gives no point, so the points and alerts
+    # of a 10**8-tick gap are those of a 10**4-tick one, shifted
+    rng = np.random.default_rng(10)
+    levels = {"LLC-loads": 1123, "bus-cycles": 23917}
+    deltas = {
+        name: np.rint(rng.lognormal(math.log(level), 0.03, 600)) for name, level in levels.items()
+    }
+    for col in deltas.values():
+        col[[150, 151, 450, 451]] *= 20
+    config = DetectorConfig()
+
+    def run(gap: int):
+        points: list[AttackFactorPoint] = []
+        detector = Detector(config, points=points)
+        for i in range(600):
+            tick = i + 1 + (gap if i >= 300 else 0)
+            for name, col in deltas.items():
+                detector.push(name, tick, float(col[i]))
+        return points, list(detector.finish())
+
+    started = time.perf_counter()
+    points, alerts = run(10**8)
+    assert time.perf_counter() - started < 5.0
+    near_points, near_alerts = run(10**4)
+    after, shift = 301 + 10**8, 10**8 - 10**4
+    assert {a.eval_tick < after for a in alerts} == {True, False}
+
+    def back(tick: int) -> int:
+        return tick - shift if tick >= after else tick
+
+    assert [
+        dataclasses.replace(p, tick=back(p.tick), eval_tick=back(p.eval_tick)) for p in points
+    ] == near_points
+    assert [
+        dataclasses.replace(
+            a, eval_tick=back(a.eval_tick), eval_time=back(a.eval_tick) * config.tick_interval
+        )
+        for a in alerts
+    ] == near_alerts
+
+
 def test_run_offline_score_maps_stay_bounded(monkeypatch):
     # 5 000 ticks with gaps, so some scores surface after their tick has
     # been evaluated; a map that kept them would grow with the trace
@@ -375,7 +427,9 @@ def test_run_offline_score_maps_stay_bounded(monkeypatch):
 
     monkeypatch.setattr(detector_module, "evaluate_tick", spy)
     points, alerts, _ = run_offline(align(trace, 0.1), config)
-    assert len(sizes) >= 5000
+    # every tick with a score is evaluated; one whose maps are all empty
+    # (warm-up, or both counters missing) is skipped
+    assert len(sizes) >= len(points) > 4800
     assert max(sizes) <= lag(config) + 1
     assert alerts
     assert (points, alerts) == stream_run(trace, config)

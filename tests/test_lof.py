@@ -325,6 +325,30 @@ WINDOW_SHAPES = {
 }
 
 
+# the six default counters' levels, in the order `detect` reads each tick's
+# lines
+DETECT_LEVELS = [261, 1123, 47, 23917, 61452, 18]
+
+
+def detect_stack(rng, k: int, wide_row: int) -> np.ndarray:
+    """64 windows of 50 as ``detect`` stacks them: the six default levels
+    with 3% jitter, tick-major.  Row ``wide_row`` instead holds a point,
+    at the lagged position, whose 3k neighbors all tie at its k-distance:
+    copies of four values whose distances from it round to 1e16.  The two
+    values below it hold only k copies between them, so their k-distances
+    reach out to farther values, and their densities vary."""
+    n, lagged = 50, k // 2 + 1
+    cols = [np.rint(rng.lognormal(math.log(level), 0.03, n + 10)) for level in DETECT_LEVELS]
+    stack = np.stack([col[t:t + n] for t in range(11) for col in cols][:64])
+    below = rng.integers(1, k)
+    tied = np.repeat([-1e16, -1e16 + 2, 1e16, 1e16 + 2], [below, k - below, k, k])
+    farther = np.concatenate([-1e16 - np.cumsum(rng.integers(2, 9, 5) * 2.0),
+                              3e16 + 4.0 * np.arange(n - 6 - tied.size)])
+    wide = rng.permutation(np.concatenate([tied, farther]))
+    stack[wide_row] = np.insert(wide, n - 1 - lagged, 1.0)
+    return stack
+
+
 @pytest.mark.parametrize("k", [2, 3, 5, 8])
 def test_lof_at_equals_lof_scores_and_oracle_bit_for_bit(k, exact_oracle):
     # every window length the detector scores up to 50, plus the full
@@ -342,6 +366,22 @@ def test_lof_at_equals_lof_scores_and_oracle_bit_for_bit(k, exact_oracle):
         for row in batch[::3]:
             exact_oracle()
             assert lof_at(row[None, :], k, pos)[0] == oracle.lof(row.tolist(), pos, k), (k, n)
+
+    # a detect stack: one window whose neighborhood is 3k wide beside
+    # windows with exactly k neighbors, so each window's neighbor densities
+    # must land in its own slots
+    stack = detect_stack(rng, k, wide_row=37)
+    pos = 49 - lagged
+    widths = {}
+    for i, row in enumerate(stack):
+        pts = row.tolist()
+        exact_oracle()
+        if oracle.kth_distance(pts, pos, k) > 0:
+            widths[i] = len(oracle.neighbors(pts, pos, k))
+    assert widths[37] >= 3 * k and list(widths.values()).count(k) > 10
+    assert lof_at(stack, k, pos).tolist() == [float(lof_scores(row, k)[pos]) for row in stack]
+    exact_oracle()
+    assert lof_at(stack[37:38], k, pos)[0] == oracle.lof(stack[37].tolist(), pos, k)
 
 
 def test_lof_at_general_row_with_many_neighbors(exact_oracle):

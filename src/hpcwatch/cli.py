@@ -6,7 +6,7 @@ against ground truth), capture (wrap an external interval profiler).
 
 detect reads stdin one read at a time: the lines of each read are pushed
 into the ``Detector``, which is polled once, and the rows it returns are
-printed and flushed together before the next read.
+written and flushed as one block before the next read.
 
 Exit codes: 0 clean, 3 one or more alerts raised, 1 usage or data error,
 2 capture environment error.  Code 3 keeps "detection" distinguishable from
@@ -244,12 +244,12 @@ def cmd_detect(args: argparse.Namespace) -> int:
     malformed = 0
 
     def emit(alerts: Sequence[Alert]) -> None:
+        # one write per read: an unbuffered stdout makes a syscall of each
         nonlocal alert_count
         if not alerts:
             return
         alert_count += len(alerts)
-        for alert in alerts:
-            print(",".join(alert_row(alert)))
+        sys.stdout.write("".join(",".join(alert_row(alert)) + "\n" for alert in alerts))
         sys.stdout.flush()
 
     def lines() -> Iterator[str]:
@@ -260,12 +260,12 @@ def cmd_detect(args: argparse.Namespace) -> int:
             emit(detector.poll())
 
     # errors are counted, not kept: a live stream may be malformed for days
+    interval = config.tick_interval
     for item in read_samples(lines(), diags):
-        if isinstance(item, LineError):
+        if type(item) is LineError:
             malformed += 1
-            continue
-        tick = tick_of(item.timestamp, config.tick_interval)
-        detector.push(item.event.name, tick, item.delta)
+        else:
+            detector.push(item.event.name, tick_of(item.timestamp, interval), item.delta)
     emit(detector.finish())
 
     if malformed:

@@ -313,7 +313,12 @@ class Detector:
         ring = self._rings.get(name)
         if ring is None or delta is None:
             return
-        self._move_clock(tick)
+        # _move_clock, inlined: this runs once per line
+        clock = self._clock
+        if clock is None:
+            self._clock = self._next_eval = tick
+        elif tick > clock:
+            self._clock = tick
         window = self.config.window
         slot = ring.count % window
         ring.values[slot] = ring.values[slot + window] = float(delta)

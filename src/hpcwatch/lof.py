@@ -133,11 +133,27 @@ def _column_sums(table: np.ndarray) -> np.ndarray:
     return np.add.reduce(table, axis=0)
 
 
+# Segments longer than this are summed one by one; shorter ones together,
+# one term slot at a time.
+_LONG_SEGMENT = 64
+
+
 def _ordered_sums(terms: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Sum of each nonempty segment ``terms[offsets[i]:offsets[i + 1]]``,
-    adding its terms one at a time from left to right."""
+    adding its terms one at a time from left to right.
+
+    A long segment (a point beside a big tie group) would make the slot
+    loop run once per term; it takes the last running sum of its own terms
+    instead, which adds them in the same order."""
     lengths = np.diff(offsets)
-    longest_first = np.argsort(-lengths, kind="stable")
+    out = np.empty(lengths.shape[0], dtype=terms.dtype)
+    long = lengths > _LONG_SEGMENT
+    for i in np.flatnonzero(long).tolist():
+        out[i] = np.add.accumulate(terms[offsets[i]:offsets[i + 1]])[-1]
+    short = np.flatnonzero(~long)
+    if short.size == 0:
+        return out
+    longest_first = short[np.argsort(-lengths[short], kind="stable")]
     starts = offsets[:-1][longest_first]
     neg_lengths = -lengths[longest_first]  # ascending
     acc = terms[starts].copy()
@@ -145,7 +161,6 @@ def _ordered_sums(terms: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         # the segments longer than slot lead the longest-first order
         active = int(np.searchsorted(neg_lengths, -slot, side="left"))
         acc[:active] += terms[starts[:active] + slot]
-    out = np.empty_like(acc)
     out[longest_first] = acc
     return out
 

@@ -24,14 +24,19 @@ reader: it yields each usable sample and each malformed line's error as the
 line arrives.  ``parse_stream`` collects its output into a trace and keeps
 the errors; the live ``detect`` loop pushes the samples and only counts the
 errors, so its memory stays flat however many lines are malformed.
+
+A parsed ``Sample`` is a named tuple, and every sample of one event shares
+one ``EventKind`` (from a bounded cache, so a stream of ever-new names
+cannot grow it): an hour of readouts holds a few hundred thousand of them.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -44,8 +49,7 @@ MISSING_DELTA_TOKEN = "<not counted>"
 # Data model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(NamedTuple):
     """One (timestamp, delta, event) readout.
 
     ``delta`` is ``None`` for an interval the profiler reported as not
@@ -72,7 +76,7 @@ class CounterSeries:
                     f"{a.timestamp} then {b.timestamp}"
                 )
         for s in self.samples:
-            if s.event != self.event:
+            if s.event is not self.event and s.event != self.event:
                 raise ValueError(f"sample event {s.event} in series {self.event}")
 
     @property
@@ -140,6 +144,11 @@ class LineError:
 # Parsing
 # ---------------------------------------------------------------------------
 
+# Each event name's kind, shared by every sample of that event.  Bounded,
+# so a stream that names ever-new events cannot grow it without end.
+_event_kind = functools.lru_cache(maxsize=1024)(EventKind)
+
+
 def parse_line(
     line: str,
     line_no: int,
@@ -151,46 +160,61 @@ def parse_line(
     blank lines, or a :class:`LineError` carrying ``line_no`` and a reason.
     Two-field lines (timestamp, delta) are accepted only when ``event_hint``
     supplies the event; extra trailing fields beyond the third are ignored.
-    """
-    stripped = line.strip()
-    if not stripped:
-        return SkippedLine.BLANK
-    if stripped.startswith("#"):
-        return SkippedLine.COMMENT
 
-    fields = [f.strip() for f in line.split(",")]
-    if len(fields) < 3 and not (len(fields) == 2 and event_hint is not None):
-        return LineError(line_no, f"expected 3 fields, got {len(fields)}")
+    Fields are read without their surrounding whitespace, and reasons quote
+    them so.  ``float()`` and ``int()`` skip that whitespace themselves,
+    except ``\x1c``-``\x1f``, which ``str.strip()`` counts as whitespace
+    too: a number field they reject is tried again stripped before it is an
+    error.
+    """
+    fields = line.split(",")
+    n_fields = len(fields)
+    if n_fields < 3 and not (n_fields == 2 and event_hint is not None):
+        head = fields[0].lstrip()
+        if not head and n_fields == 1:
+            return SkippedLine.BLANK
+        if head.startswith("#"):
+            return SkippedLine.COMMENT
+        return LineError(line_no, f"expected 3 fields, got {n_fields}")
 
     try:
         timestamp = float(fields[0])
     except ValueError:
-        return LineError(line_no, f"non-numeric timestamp {fields[0]!r}")
+        text = fields[0].strip()
+        if text.startswith("#"):
+            return SkippedLine.COMMENT
+        try:
+            timestamp = float(text)
+        except ValueError:
+            return LineError(line_no, f"non-numeric timestamp {text!r}")
     if not math.isfinite(timestamp):
-        return LineError(line_no, f"non-finite timestamp {fields[0]!r}")
+        return LineError(line_no, f"non-finite timestamp {fields[0].strip()!r}")
     if timestamp < 0:
-        return LineError(line_no, f"negative timestamp {fields[0]!r}")
+        return LineError(line_no, f"negative timestamp {fields[0].strip()!r}")
 
     delta: int | None
-    if fields[1] == MISSING_DELTA_TOKEN:
-        delta = None
-    else:
-        try:
-            delta = int(fields[1])
-        except ValueError:
-            return LineError(line_no, f"non-numeric delta {fields[1]!r}")
-        if delta < 0:
-            return LineError(line_no, f"negative delta {fields[1]!r}")
+    try:
+        delta = int(fields[1])
+    except ValueError:
+        text = fields[1].strip()
+        if text == MISSING_DELTA_TOKEN:
+            delta = None
+        else:
+            try:
+                delta = int(text)
+            except ValueError:
+                return LineError(line_no, f"non-numeric delta {text!r}")
+    if delta is not None and delta < 0:
+        return LineError(line_no, f"negative delta {fields[1].strip()!r}")
 
-    if len(fields) >= 3:
-        event = EventKind(fields[2])
-        if not event.name:
+    if n_fields >= 3:
+        name = fields[2].strip()
+        if not name:
             return LineError(line_no, "empty event name")
+        event = _event_kind(name)
     else:
-        assert event_hint is not None
         event = event_hint
-
-    return Sample(timestamp=timestamp, delta=delta, event=event)
+    return Sample(timestamp, delta, event)
 
 
 def read_samples(
@@ -209,23 +233,29 @@ def read_samples(
     last_ts: dict[str, float] = {}
     for line_no, raw in enumerate(reader, start=1):
         diags.lines_read += 1
+        # through the module global, not a local alias, so a wrapper put on
+        # parse_line sees every line
         parsed = parse_line(raw.rstrip("\r\n"), line_no, event_hint)
-        if parsed is SkippedLine.COMMENT:
-            diags.comments_skipped += 1
-        elif parsed is SkippedLine.BLANK:
-            diags.blank_lines += 1
-        elif isinstance(parsed, LineError):
-            yield parsed
-        elif parsed.event.name in last_ts and parsed.timestamp <= last_ts[parsed.event.name]:
-            # series timestamps must strictly increase; a stale line is
-            # unusable but must not abort the stream
-            yield LineError(line_no, f"non-increasing timestamp for {parsed.event.name}")
-        else:
+        kind = type(parsed)
+        if kind is Sample:
+            name = parsed.event.name
+            last = last_ts.get(name)
+            if last is not None and parsed.timestamp <= last:
+                # series timestamps must strictly increase; a stale line is
+                # unusable but must not abort the stream
+                yield LineError(line_no, f"non-increasing timestamp for {name}")
+                continue
             diags.samples_parsed += 1
-            last_ts[parsed.event.name] = parsed.timestamp
+            last_ts[name] = parsed.timestamp
             if parsed.delta is None:
                 diags.not_counted += 1
             yield parsed
+        elif kind is LineError:
+            yield parsed
+        elif parsed is SkippedLine.COMMENT:
+            diags.comments_skipped += 1
+        else:
+            diags.blank_lines += 1
 
 
 def parse_stream(
@@ -241,14 +271,14 @@ def parse_stream(
     diags = ParseDiagnostics()
     by_event: dict[str, list[Sample]] = {}
     for item in read_samples(reader, diags, event_hint):
-        if isinstance(item, LineError):
+        if type(item) is LineError:
             diags.malformed.append((item.line_no, item.reason))
         else:
             by_event.setdefault(item.event.name, []).append(item)
 
     trace = Trace(origin=[origin])
     for name, samples in by_event.items():
-        trace.series[name] = CounterSeries(event=EventKind(name), samples=samples)
+        trace.series[name] = CounterSeries(event=samples[0].event, samples=samples)
     return trace, diags
 
 

@@ -548,8 +548,9 @@ def test_detect_scores_each_tick_in_one_batch_as_pushes_would(
         printed: list[tuple[str, int]] = []
 
         def write(self, text: str) -> int:
-            if text.strip():
-                self.printed.append((text, read))
+            # a read's rows come in one write, each ending in a line feed
+            assert text.endswith("\n")
+            self.printed.extend((row, read) for row in text.splitlines())
             return len(text)
 
     out = Recorder()
@@ -560,6 +561,43 @@ def test_detect_scores_each_tick_in_one_batch_as_pushes_would(
     # next line is read
     assert out.printed == expected
     assert f"{expected_malformed} malformed" in capsys.readouterr().err
+
+
+def test_detect_writes_each_reads_rows_at_once(monkeypatch):
+    lines, _ = paced_stream()
+    expected, _ = replay_detect(lines)
+    data = "".join(line + "\n" for line in lines).encode()
+    # more than one 8 KiB read, so polls with and without rows alternate
+    assert len(data) > 8 * io.DEFAULT_BUFFER_SIZE
+
+    polls_with_rows = 0
+    poll = Detector.poll
+
+    def counted(self):
+        nonlocal polls_with_rows
+        alerts = poll(self)
+        polls_with_rows += bool(alerts)
+        return alerts
+
+    class Out(io.StringIO):
+        writes: list[str] = []
+        flushes = 0
+
+        def write(self, text: str) -> int:
+            self.writes.append(text)
+            return len(text)
+
+        def flush(self) -> None:
+            Out.flushes += 1
+
+    out = Out()
+    monkeypatch.setattr(Detector, "poll", counted)
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    monkeypatch.setattr("sys.stdout", out)
+    assert main(["detect"]) == EXIT_ALERTS
+    assert "".join(out.writes) == "".join(row + "\n" for row, _ in expected)
+    assert 1 < polls_with_rows < len(expected)
+    assert len(out.writes) == Out.flushes == polls_with_rows
 
 
 def jittered_stream() -> tuple[list[str], int]:

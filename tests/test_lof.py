@@ -292,6 +292,22 @@ def test_lof_all_rounding_ties(pts, k, members, exact_oracle):
     assert set(oracle.neighbors(pts, 0, k)) == members
 
 
+def test_lof_all_sums_a_long_tie_run_in_order():
+    # points beside a 1 000-copy tie group hold it all in their
+    # neighborhoods, far past the segments summed one term slot at a time;
+    # the points farther out have short segments, some holding those
+    # points' densities
+    rng = np.random.default_rng(1000)
+    pts = np.concatenate([
+        np.full(1000, 100.0),
+        rng.uniform(90.0, 110.0, 40),
+        np.rint(rng.lognormal(math.log(30), 0.5, 460)),
+    ])
+    pts = rng.permutation(pts).tolist()
+    for k in (3, 5):
+        assert [r.lof for r in lof_all(pts, k)] == lof_scores(pts, k).tolist()
+
+
 def test_lof_all_ranks_an_hour_of_jitter_quickly_in_bounded_memory():
     # 36 000 points is a 3600 s trace at 100 ms; the levels are a small
     # counter (mostly copies) and a large one (mostly distinct values)

@@ -10,10 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hpcwatch.trace as trace_module
+import parse_reference
 from hpcwatch.events import CANDIDATE_EVENTS, KNOWN_EVENTS, EventKind
 from hpcwatch.trace import (
+    MISSING_DELTA_TOKEN,
     CounterSeries,
     LineError,
+    ParseDiagnostics,
     Sample,
     SkippedLine,
     Trace,
@@ -22,6 +26,7 @@ from hpcwatch.trace import (
     merge_traces,
     parse_line,
     parse_stream,
+    read_samples,
     serialize_sample,
     tick_of,
 )
@@ -183,6 +188,63 @@ def test_diagnostics_accounting_identity(rows):
         + len(diags.malformed)
         + diags.blank_lines
     )
+
+
+# Whitespace that float() and int() skip, and \x1c-\x1f, which they reject
+# but str.strip() removes
+HOSTILE_SPACE = [" ", "\t", "\x0b", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0",
+                 "\u2003", "\u3000"]
+HOSTILE_TOKENS = [*"0123456789", ".", "e", "_", "+", "-", "inf", "nan", ",", "#",
+                  MISSING_DELTA_TOKEN, "\r", "LLC-loads", *HOSTILE_SPACE]
+_space = st.lists(st.sampled_from(HOSTILE_SPACE), max_size=3).map("".join)
+_core = st.one_of(
+    st.sampled_from(["0.1", "1e3", "+7", "-2", "12_5", "inf", "nan", "42",
+                     MISSING_DELTA_TOKEN, "LLC-loads", "#", ""]),
+    st.lists(st.sampled_from(HOSTILE_TOKENS), max_size=6).map("".join),
+)
+_field = st.tuples(_space, _core, _space).map("".join)
+hostile_lines = st.one_of(
+    st.lists(_field, min_size=1, max_size=5).map(",".join),
+    st.lists(st.sampled_from(HOSTILE_TOKENS), max_size=12).map("".join),
+)
+
+
+@given(st.lists(hostile_lines, max_size=12), st.sampled_from([None, EventKind("bus-cycles")]))
+@settings(max_examples=400, deadline=None)
+def test_parser_equals_the_reference_on_hostile_lines(lines, hint):
+    for line_no, line in enumerate(lines, start=1):
+        got = parse_line(line, line_no, hint)
+        want = parse_reference.parse_line(line, line_no, hint)
+        assert type(got) is type(want), line
+        assert got == want, line
+        if type(want) is Sample:
+            assert repr(got) == repr(want), line
+    got_diags, want_diags = ParseDiagnostics(), ParseDiagnostics()
+    got_items = list(read_samples(lines, got_diags, hint))
+    want_items = list(parse_reference.read_samples(lines, want_diags, hint))
+    assert got_items == want_items
+    assert got_diags == want_diags
+
+
+def test_samples_of_one_event_share_one_kind():
+    name = "LLC-loads"
+    samples = [parse_line(f"{i * 0.1:.1f},{i}, {name} ", i) for i in range(1, 10_001)]
+    assert all(type(s) is Sample for s in samples)
+    kind = samples[0].event
+    assert kind == EventKind(name)
+    assert all(s.event is kind for s in samples)
+    trace, _ = parse_stream(io.StringIO(f"0.1,1,{name}\n0.2,2,{name}\n"))
+    assert trace.series[name].event is trace.series[name].samples[0].event
+
+
+def test_event_kind_cache_stays_bounded():
+    bound = trace_module._event_kind.cache_info().maxsize
+    names = [f"event-{i}" for i in range(bound + 100)]
+    for line_no, name in enumerate(names + names[:10], start=1):
+        sample = parse_line(f"0.1,1,{name}", line_no)
+        assert sample.event == EventKind(name)
+        assert sample.event.known == EventKind(name).known
+    assert trace_module._event_kind.cache_info().currsize == bound
 
 
 def test_series_rejects_unsorted_timestamps():

@@ -4,12 +4,11 @@
 
 Draws the detect-jitter workload's deltas for --seed (the generator in
 bench/workloads.py: six counters at their default levels, 3% jitter, one
-burst), cuts every counter's full windows and scores each window's lagged
-point with `lof_at`, CHUNK windows per call, in two orders: interleaved
-tick-major, as `detect` stacks them, and grouped per counter, as `analyze`
-scores them.  Prints the median and the best of --repeat timed passes over
-all windows, in microseconds per window, for each order.  Exits 1 unless
-every score of both orders equals `lof_scores` at the lagged position, bit
+burst), cuts every counter's full windows, interleaves them tick-major, as
+both `detect` and `analyze` stack them, and scores each window's lagged
+point with `lof_at`, CHUNK windows per call.  Prints the median and the
+best of --repeat timed passes over all windows, in microseconds per window.
+Exits 1 unless every score equals `lof_scores` at the lagged position, bit
 for bit.
 """
 
@@ -32,19 +31,17 @@ from hpcwatch.lof import lof_at, lof_scores  # noqa: E402
 from workloads import WORKLOADS, generate_deltas  # noqa: E402
 
 
-def timed(groups: list[np.ndarray], k: int, pos: int, repeat: int) -> tuple[np.ndarray, list[float]]:
-    """Scores of every window of every group, each group cut into stacks
-    of CHUNK, and the µs per window of each pass."""
-    total = sum(group.shape[0] for group in groups)
+def timed(windows: np.ndarray, k: int, pos: int, repeat: int) -> tuple[np.ndarray, list[float]]:
+    """Scores of every window, cut into stacks of CHUNK, and the µs per
+    window of each pass."""
     passes = []
     for _ in range(repeat):
         started = time.perf_counter()
         scores = np.concatenate([
-            lof_at(group[start:start + CHUNK], k, pos)
-            for group in groups
-            for start in range(0, group.shape[0], CHUNK)
+            lof_at(windows[start:start + CHUNK], k, pos)
+            for start in range(0, windows.shape[0], CHUNK)
         ])
-        passes.append((time.perf_counter() - started) / total * 1e6)
+        passes.append((time.perf_counter() - started) / windows.shape[0] * 1e6)
     return scores, passes
 
 
@@ -66,25 +63,16 @@ def main(argv: list[str] | None = None) -> int:
         np.lib.stride_tricks.sliding_window_view(deltas[name].astype(np.float64), config.window)
         for name in names
     ]
-    orders = {
-        "interleaved": [np.stack(full, axis=1).reshape(-1, config.window)],
-        "per counter": [np.ascontiguousarray(windows) for windows in full],
-    }
-    expected = {
-        order: np.array([lof_scores(w, k)[pos] for group in groups for w in group])
-        for order, groups in orders.items()
-    }
+    windows = np.stack(full, axis=1).reshape(-1, config.window)
+    expected = np.array([lof_scores(w, k)[pos] for w in windows])
 
     print(f"seed {args.seed}: {len(names)} counters, {full[0].shape[0]} full windows each, "
           f"{CHUNK} per lof_at call, k={k}, window={config.window}")
-    ok = True
-    for order, groups in orders.items():
-        scores, passes = timed(groups, k, pos, args.repeat)
-        same = scores.tobytes() == expected[order].tobytes()
-        ok &= same
-        print(f"{order}: {scores.shape[0]} windows, median {statistics.median(passes):.2f} "
-              f"us/window, best {min(passes):.2f} of {args.repeat} passes; "
-              f"{'equals' if same else 'DIFFERS FROM'} lof_scores")
+    scores, passes = timed(windows, k, pos, args.repeat)
+    ok = scores.tobytes() == expected.tobytes()
+    print(f"interleaved: {scores.shape[0]} windows, median {statistics.median(passes):.2f} "
+          f"us/window, best {min(passes):.2f} of {args.repeat} passes; "
+          f"{'equals' if ok else 'DIFFERS FROM'} lof_scores")
     return 0 if ok else 1
 
 

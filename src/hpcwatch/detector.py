@@ -9,19 +9,17 @@ above the configured threshold raises an alert.
 
 One ``Detector`` runs that tick loop for both drivers: it keeps the rings,
 the score maps and the clock, and evaluates, prunes, thresholds and
-coalesces each tick once the clock has passed it.  The live ``detect``
-loop pushes every parsed sample into it; only a counted delta of a
-configured counter moves the clock, the samples ``align`` places on the
-grid.  A push only queues its window, tagged with the clock's tick; each
-``poll`` scores the queued full windows in one ``lof_at`` call, however
-many ticks they span, then lands the scores and evaluates the passed ticks
-in push order, so polling less often stacks more windows and changes no
-alert.  ``run_offline`` scores each counter's windows up front
-(``lagged_scores``) and lands each score in the ``Detector`` at the tick
-its push happens; it also ranks each counter's whole aligned column once,
-for ``outliers.csv`` and the charts.  ``push_value`` scores one window on
-the spot through ``lof_scores``; it is the reference the batched paths are
-tested against.
+coalesces each tick once the clock has passed it.  ``detect`` pushes every
+parsed sample into it, ``run_offline`` every aligned value in tick order;
+only a counted delta of a configured counter moves the clock, the samples
+``align`` places on the grid.  A push only queues its window, tagged with
+the clock's tick; each ``poll`` scores the queued full windows in one
+``lof_at`` call, however many ticks they span, then lands the scores and
+evaluates the passed ticks in push order, so polling less often stacks
+more windows and changes no alert.  ``run_offline`` also ranks each
+counter's whole aligned column once, for ``outliers.csv`` and the charts.
+``push_value`` scores one window on the spot through ``lof_scores``; it is
+the reference the ``Detector`` is tested against.
 
 The lag is floor(k/2) + 1 ticks: 3 ticks (300 ms at the default 100 ms
 cadence) for the default k=5.  Detection latency is therefore bounded below
@@ -148,30 +146,6 @@ def push_value(
     return state.ring[-1 - lagged][0], float(lof_scores(state.values(), config.k)[-1 - lagged])
 
 
-def lagged_scores(values: np.ndarray, config: DetectorConfig) -> np.ndarray:
-    """The score ``push_value`` returns for each push of ``values`` into an
-    empty window, from the push that completes warm-up on.
-
-    Warm-up windows, shorter than ``config.window``, are scored one length
-    at a time; full windows are read through a sliding view, CHUNK at a
-    time.
-    """
-    n, lagged = values.shape[0], lag(config)
-    scores = [
-        lof_at(values[None, :count], config.k, count - 1 - lagged)
-        for count in range(config.warmup, min(n, config.window - 1) + 1)
-    ]
-    if n >= config.window:
-        # full[s] is the window after push s + window
-        full = np.lib.stride_tricks.sliding_window_view(values, config.window)
-        full = full[max(0, config.warmup - config.window):]
-        scores += [
-            lof_at(full[start:start + CHUNK], config.k, config.window - 1 - lagged)
-            for start in range(0, full.shape[0], CHUNK)
-        ]
-    return np.concatenate(scores) if scores else np.empty(0)
-
-
 def push_sample(
     state: WindowState, sample: Sample, config: DetectorConfig
 ) -> tuple[int, float] | None:
@@ -264,7 +238,8 @@ class _Ring:
 class Detector:
     """The tick loop behind both drivers.
 
-    ``push`` takes one parsed line: its event name, its tick and its delta.
+    ``push`` takes one parsed line, or one aligned value: its event name,
+    its tick and its delta.
     A line whose event is not configured or whose delta was not counted is
     ignored, as ``align`` gives it no tick: it neither queues a window nor
     moves the clock.  Any other line stamped past the newest tick seen
@@ -313,7 +288,6 @@ class Detector:
         ring = self._rings.get(name)
         if ring is None or delta is None:
             return
-        # _move_clock, inlined: this runs once per line
         clock = self._clock
         if clock is None:
             self._clock = self._next_eval = tick
@@ -329,26 +303,14 @@ class Detector:
             return
         eval_tick = ring.ticks[0]
         if count < window:
-            self.land(name, eval_tick, float(
-                lof_at(ring.values[None, :count], self.config.k, count - 1 - self._lag)[0]
-            ))
+            score = lof_at(ring.values[None, :count], self.config.k, count - 1 - self._lag)
+            self._queue.append((name, eval_tick, self._clock, float(score[0])))
             return
         self._stack[self._stacked] = ring.values[slot + 1:slot + 1 + window]
         self._stacked += 1
         self._queue.append((name, eval_tick, self._clock, None))
         if self._stacked == CHUNK:
             self._drain()
-
-    def land(self, name: str, eval_tick: int, score: float) -> None:
-        """A score for a window of ``name`` pushed at the clock's tick, once
-        a push or ``advance`` has set the clock, and scored elsewhere, as
-        ``push_value`` returns it.  It lands with the windows queued there."""
-        self._queue.append((name, eval_tick, self._clock, score))
-
-    def advance(self, tick: int) -> None:
-        """Move the clock to ``tick``, evaluating every tick before it."""
-        self._move_clock(tick)
-        self._drain()
 
     def poll(self) -> Sequence[Alert]:
         """Score and land what is queued, evaluate every tick the clock has
@@ -364,14 +326,8 @@ class Detector:
     def finish(self) -> Sequence[Alert]:
         """End of input: evaluate the newest tick too, then ``poll``."""
         if self._clock is not None:
-            self.advance(self._clock + 1)
+            self._clock += 1
         return self.poll()
-
-    def _move_clock(self, tick: int) -> None:
-        if self._clock is None:
-            self._clock = self._next_eval = tick
-        elif tick > self._clock:
-            self._clock = tick
 
     def _drain(self) -> None:
         # a window queued at clock tick t lands after every tick before t
@@ -418,12 +374,32 @@ class Detector:
 # Offline driver
 # ---------------------------------------------------------------------------
 
+def _push_in_tick_order(detector: Detector, trace: AlignedTrace, names: list[str]) -> None:
+    """Push every counted value of the ``names`` columns, tick by tick and
+    in ``names`` order within a tick, converted to Python objects CHUNK at
+    a time.  Its own function, so its arrays are freed before
+    ``run_offline`` ranks the whole series."""
+    present = [np.flatnonzero(~np.isnan(trace.values[name])) for name in names]
+    ticks = np.concatenate(present)
+    values = np.concatenate([trace.values[name][at] for name, at in zip(names, present)])
+    which = np.repeat(np.arange(len(names)), [at.shape[0] for at in present])
+    order = np.argsort(ticks, kind="stable")
+    push = detector.push
+    for start in range(0, order.shape[0], CHUNK):
+        block = order[start:start + CHUNK]
+        for i, tick, value in zip(
+            which[block].tolist(), ticks[block].tolist(), values[block].tolist()
+        ):
+            push(names[i], tick, value)
+
+
 def run_offline(
     trace: AlignedTrace,
     config: DetectorConfig,
     coalesce: int = 0,
 ) -> tuple[list[AttackFactorPoint], list[Alert], dict[str, list[LofResult]]]:
-    """Replay an aligned trace tick by tick through a ``Detector``.
+    """Push every value of an aligned trace, in tick order, through a
+    ``Detector``.
 
     Returns the attack-factor series, the alerts, and per counter its top_n
     whole-series outliers as LofResults in rank order; their indices point
@@ -437,29 +413,9 @@ def run_offline(
             f"no configured counter present in trace (available: {available})"
         )
 
-    # per counter and push tick: the tick the push evaluates (-1 for none)
-    # and its score, landed in the score maps when the push happens
-    lagged = lag(config)
-    eval_ticks: dict[str, np.ndarray] = {}
-    tick_scores: dict[str, np.ndarray] = {}
-    for counter in selected:
-        col = trace.values[counter.name]
-        present = np.flatnonzero(~np.isnan(col))
-        scored = present[config.warmup - 1:]
-        evals = np.full(trace.n_ticks, -1)
-        evals[scored] = present[config.warmup - 1 - lagged:present.shape[0] - lagged]
-        at = np.full(trace.n_ticks, np.nan)
-        at[scored] = lagged_scores(col[present], config)
-        eval_ticks[counter.name], tick_scores[counter.name] = evals, at
-
     points: list[AttackFactorPoint] = []
     detector = Detector(config, coalesce, points)
-    for tick in range(trace.n_ticks):
-        detector.advance(tick)
-        for name, evals in eval_ticks.items():
-            eval_tick = int(evals[tick])
-            if eval_tick >= 0:
-                detector.land(name, eval_tick, float(tick_scores[name][tick]))
+    _push_in_tick_order(detector, trace, [counter.name for counter in selected])
     alerts = list(detector.finish())
 
     ranked: dict[str, list[LofResult]] = {}

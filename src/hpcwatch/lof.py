@@ -29,9 +29,10 @@ Three kernels compute the same numbers:
   each row once for every k-distance (O(n log n + n*k)), closes the tie
   cases in form, and builds one distance row for the point and one for
   each of its m neighbors (O(n*m) per window, however wide the stack's
-  other neighborhoods are).  It serves the detector's window scoring:
-  stacks of up to 64 windows, in ``detect`` from every tick one read of
-  stdin holds.
+  other neighborhoods are).  It serves the ``Detector``'s window scoring
+  for both drivers: a warm-up window alone, and full windows in stacks of
+  up to 64, queued tick-major across counters, in ``detect`` from every
+  tick one read of stdin holds.
 * ``_sorted_kernel`` sorts once and walks runs of the sorted values:
   O(n log n + n*k) time and O(n*k) memory.  It serves ``lof_all``, which
   ranks whole series (36 000 points for an hour at 100 ms).
@@ -46,16 +47,14 @@ a leading axis or take the last running sum instead.)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 _TINY = math.nextafter(0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class LofResult:
+class LofResult(NamedTuple):
     index: int
     lrd: float
     lof: float
@@ -366,10 +365,8 @@ def lof_at(windows: np.ndarray, k: int, pos: int) -> np.ndarray:
 def lof_all(points: np.ndarray | Sequence[float], k: int) -> list[LofResult]:
     """One LofResult per point, index-aligned, bit-identical to ``lof_scores``."""
     lrd_arr, lof_arr = _sorted_kernel(_points(points, k), k)
-    return [
-        LofResult(index=i, lrd=d, lof=f)
-        for i, (d, f) in enumerate(zip(lrd_arr.tolist(), lof_arr.tolist()))
-    ]
+    indices = range(lrd_arr.shape[0])
+    return list(map(LofResult._make, zip(indices, lrd_arr.tolist(), lof_arr.tolist())))
 
 
 def top_n_outliers(results: Sequence[LofResult], n: int) -> list[int]:

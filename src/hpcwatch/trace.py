@@ -79,14 +79,6 @@ class CounterSeries:
             if s.event is not self.event and s.event != self.event:
                 raise ValueError(f"sample event {s.event} in series {self.event}")
 
-    @property
-    def nominal_interval(self) -> float:
-        """Median gap between consecutive samples, 0.0 for short series."""
-        if len(self.samples) < 2:
-            return 0.0
-        gaps = np.diff([s.timestamp for s in self.samples])
-        return float(np.median(gaps))
-
 
 @dataclass
 class Trace:
@@ -94,9 +86,6 @@ class Trace:
 
     series: dict[str, CounterSeries] = field(default_factory=dict)
     origin: list[str] = field(default_factory=list)
-
-    def events(self) -> list[EventKind]:
-        return [s.event for s in self.series.values()]
 
 
 @dataclass
@@ -111,9 +100,6 @@ class AlignedTrace:
     tick_interval: float
     n_ticks: int
     values: dict[str, np.ndarray]
-
-    def tick_time(self, tick: int) -> float:
-        return tick * self.tick_interval
 
     def events(self) -> list[str]:
         return list(self.values)

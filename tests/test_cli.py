@@ -106,12 +106,11 @@ def test_events_setting_splits_and_strips():
 
 def test_coalesce_keeps_first_of_each_run():
     def raised(coalesce: int) -> list[int]:
-        # a score of 2.0 lands for each listed tick, so each one alerts
+        # each lone burst on a flat line scores +inf, so each one alerts
         detector = Detector(DetectorConfig(counters=(EventKind("LLC-loads"),)), coalesce)
         for tick in range(130):
-            detector.advance(tick)
-            if tick in (100, 101, 103, 120, 121):
-                detector.land("LLC-loads", tick, 2.0)
+            burst = tick in (100, 101, 103, 120, 121)
+            detector.push("LLC-loads", tick, 5000.0 if burst else 1000.0)
         return [a.eval_tick for a in detector.finish()]
 
     assert raised(5) == [100, 120]

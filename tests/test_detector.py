@@ -361,10 +361,9 @@ def test_streaming_matches_offline_with_gaps():
     assert streamed[1] == offline[1]
 
 
-def test_detector_crosses_a_long_gap_in_one_step():
-    # two counters go silent for `gap` ticks, each side of the gap with a
-    # burst; a tick with no score gives no point, so the points and alerts
-    # of a 10**8-tick gap are those of a 10**4-tick one, shifted
+def gap_deltas() -> dict[str, np.ndarray]:
+    """600 deltas of two counters, with a burst 150 ticks either side of
+    the middle, where the gap tests put their gap."""
     rng = np.random.default_rng(10)
     levels = {"LLC-loads": 1123, "bus-cycles": 23917}
     deltas = {
@@ -372,6 +371,35 @@ def test_detector_crosses_a_long_gap_in_one_step():
     }
     for col in deltas.values():
         col[[150, 151, 450, 451]] *= 20
+    return deltas
+
+
+def assert_shifted(far, near, gap: int, near_gap: int, config: DetectorConfig) -> None:
+    """The (points, alerts) of the run with a ``gap``-tick gap after the
+    300th tick equal those with a ``near_gap``-tick one, shifted back."""
+    points, alerts = far
+    after, shift = 301 + gap, gap - near_gap
+    assert {a.eval_tick < after for a in alerts} == {True, False}
+
+    def back(tick: int) -> int:
+        return tick - shift if tick >= after else tick
+
+    assert [
+        dataclasses.replace(p, tick=back(p.tick), eval_tick=back(p.eval_tick)) for p in points
+    ] == near[0]
+    assert [
+        dataclasses.replace(
+            a, eval_tick=back(a.eval_tick), eval_time=back(a.eval_tick) * config.tick_interval
+        )
+        for a in alerts
+    ] == near[1]
+
+
+def test_detector_crosses_a_long_gap_in_one_step():
+    # two counters go silent for `gap` ticks, each side of the gap with a
+    # burst; a tick with no score gives no point, so the points and alerts
+    # of a 10**8-tick gap are those of a 10**4-tick one, shifted
+    deltas = gap_deltas()
     config = DetectorConfig()
 
     def run(gap: int):
@@ -384,24 +412,37 @@ def test_detector_crosses_a_long_gap_in_one_step():
         return points, list(detector.finish())
 
     started = time.perf_counter()
-    points, alerts = run(10**8)
+    far = run(10**8)
     assert time.perf_counter() - started < 5.0
-    near_points, near_alerts = run(10**4)
-    after, shift = 301 + 10**8, 10**8 - 10**4
-    assert {a.eval_tick < after for a in alerts} == {True, False}
+    assert_shifted(far, run(10**4), 10**8, 10**4, config)
 
-    def back(tick: int) -> int:
-        return tick - shift if tick >= after else tick
 
-    assert [
-        dataclasses.replace(p, tick=back(p.tick), eval_tick=back(p.eval_tick)) for p in points
-    ] == near_points
-    assert [
-        dataclasses.replace(
-            a, eval_tick=back(a.eval_tick), eval_time=back(a.eval_tick) * config.tick_interval
-        )
-        for a in alerts
-    ] == near_alerts
+def test_run_offline_crosses_a_long_gap():
+    # the same two counters through align and run_offline: the points and
+    # alerts of a 10**6-tick gap are those of a 100-tick one, shifted
+    deltas = gap_deltas()
+    config = DetectorConfig()
+
+    def run(gap: int):
+        trace = Trace()
+        for name, col in deltas.items():
+            event = EventKind(name)
+            samples = [
+                Sample(timestamp=(i + 1 + (gap if i >= 300 else 0)) * 0.1, delta=int(v), event=event)
+                for i, v in enumerate(col.tolist())
+            ]
+            trace.series[name] = CounterSeries(event=event, samples=samples)
+        aligned = align(trace, 0.1)
+        assert aligned.n_ticks == 601 + gap
+        return run_offline(aligned, config)
+
+    started = time.perf_counter()
+    points, alerts, ranked = run(10**6)
+    # a loop over every tick of the gap takes seconds
+    assert time.perf_counter() - started < 0.5
+    near_points, near_alerts, near_ranked = run(100)
+    assert_shifted((points, alerts), (near_points, near_alerts), 10**6, 100, config)
+    assert ranked == near_ranked
 
 
 def test_run_offline_score_maps_stay_bounded(monkeypatch):

@@ -281,7 +281,6 @@ def test_align_basics():
     assert aligned.n_ticks == 5
     assert col[1] == 5 and col[2] == 7 and col[4] == 9
     assert math.isnan(col[0]) and math.isnan(col[3])
-    assert aligned.tick_time(4) == pytest.approx(0.4)
 
 
 def test_align_sums_same_tick():
@@ -335,10 +334,3 @@ def test_serialize_reparse_round_trip(raw):
     assert diags.malformed == []
     assert again.series["dTLB-loads"].samples == samples
 
-
-def test_nominal_interval():
-    ev = EventKind("LLC-loads")
-    samples = [Sample(0.1 * (i + 1), 5, ev) for i in range(10)]
-    series = CounterSeries(event=ev, samples=samples)
-    assert series.nominal_interval == pytest.approx(0.1)
-    assert CounterSeries(event=ev, samples=samples[:1]).nominal_interval == 0.0

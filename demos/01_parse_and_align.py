@@ -50,12 +50,13 @@ for name, series in trace.series.items():
     deltas = [s.delta for s in series.samples]
     print(f"{name}: {deltas}")
 
-# align() snaps every sample to round(t / interval).  Ticks nobody sampled
-# stay NaN; the `<not counted>` readout claims no tick either.
+# align() snaps every sample to round(t / interval) and keeps, per counter,
+# the ticks it has a value at with those values.  The `<not counted>`
+# readout claims no tick.
 aligned = align(trace, 0.1)
 print(f"\ngrid: {aligned.n_ticks} ticks of {aligned.tick_interval}s")
-for name, column in aligned.values.items():
-    print(f"{name}: {column.tolist()}")
+for name, ticks in aligned.ticks.items():
+    print(f"{name}: {list(zip(ticks.tolist(), aligned.values[name].tolist()))}")
 
 # The round trip back to text is exact, which is what makes report runs
 # reproducible byte for byte.

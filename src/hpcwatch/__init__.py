@@ -5,7 +5,6 @@ from .detector import (
     AttackFactorPoint,
     Detector,
     DetectorConfig,
-    WindowState,
     run_offline,
 )
 from .events import CANDIDATE_EVENTS, KNOWN_EVENTS, EventKind
@@ -43,7 +42,6 @@ __all__ = [
     "Sample",
     "SynthConfig",
     "Trace",
-    "WindowState",
     "align",
     "evaluate",
     "generate_trace",

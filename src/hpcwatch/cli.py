@@ -26,8 +26,6 @@ import subprocess
 import sys
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from .detector import (
     Alert,
     Detector,
@@ -57,6 +55,7 @@ from .synth import (
     write_ground_truth,
 )
 from .trace import (
+    AlignedTrace,
     LineError,
     ParseDiagnostics,
     Trace,
@@ -147,22 +146,24 @@ def _detector_config(settings: dict) -> DetectorConfig:
 # analyze
 # ---------------------------------------------------------------------------
 
+def _align_inputs(paths: Sequence[str], tick_interval: float) -> tuple[AlignedTrace, int]:
+    """Aligned inputs and malformed-line count; the parsed samples die here."""
+    traces: list[Trace] = []
+    malformed = 0
+    for path in paths:
+        trace, diags = parse_file(path)
+        malformed += len(diags.malformed)
+        traces.append(trace)
+    if not any(trace.series for trace in traces):
+        raise ValueError("no samples in input files")
+    return align(merge_traces(traces), tick_interval), malformed
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     settings = _resolve_settings(args)
     config = _detector_config(settings)
 
-    traces: list[Trace] = []
-    malformed = 0
-    total_samples = 0
-    for path in args.inputs:
-        trace, diags = parse_file(path)
-        malformed += len(diags.malformed)
-        total_samples += diags.samples_parsed
-        traces.append(trace)
-    if total_samples == 0:
-        raise ValueError("no samples in input files")
-
-    aligned = align(merge_traces(traces), config.tick_interval)
+    aligned, malformed = _align_inputs(args.inputs, config.tick_interval)
     points, alerts, ranked = run_offline(aligned, config, settings["coalesce"])
 
     outdir = args.out or "."
@@ -173,13 +174,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     write_alerts_csv(os.path.join(outdir, "alerts.csv"), alerts)
 
     # one ranking per counter: its rows in outliers.csv and the circles of
-    # its chart are the same results, on the same aligned column
+    # its chart are the same results, on the same aligned values
     rows: list[OutlierRow] = []
     for name, top in ranked.items():
-        col = aligned.values[name]
-        present = np.flatnonzero(~np.isnan(col))
+        present = aligned.ticks[name]
         times = (present * config.tick_interval).tolist()
-        values = col[present].tolist()
+        values = aligned.values[name].tolist()
         for rank, result in enumerate(top, start=1):
             rows.append(
                 OutlierRow(

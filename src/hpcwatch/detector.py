@@ -215,7 +215,7 @@ def threshold_check(point: AttackFactorPoint, config: DetectorConfig) -> Alert |
 
 def select_counters(trace: AlignedTrace, config: DetectorConfig) -> list[EventKind]:
     """Configured counters actually present in the trace, in config order."""
-    present = set(trace.events())
+    present = trace.values.keys()
     return [c for c in config.counters if c.name in present]
 
 
@@ -375,14 +375,13 @@ class Detector:
 # ---------------------------------------------------------------------------
 
 def _push_in_tick_order(detector: Detector, trace: AlignedTrace, names: list[str]) -> None:
-    """Push every counted value of the ``names`` columns, tick by tick and
+    """Push every value of the ``names`` counters, tick by tick and
     in ``names`` order within a tick, converted to Python objects CHUNK at
     a time.  Its own function, so its arrays are freed before
     ``run_offline`` ranks the whole series."""
-    present = [np.flatnonzero(~np.isnan(trace.values[name])) for name in names]
-    ticks = np.concatenate(present)
-    values = np.concatenate([trace.values[name][at] for name, at in zip(names, present)])
-    which = np.repeat(np.arange(len(names)), [at.shape[0] for at in present])
+    ticks = np.concatenate([trace.ticks[name] for name in names])
+    values = np.concatenate([trace.values[name] for name in names])
+    which = np.repeat(np.arange(len(names)), [trace.ticks[name].shape[0] for name in names])
     order = np.argsort(ticks, kind="stable")
     push = detector.push
     for start in range(0, order.shape[0], CHUNK):
@@ -403,12 +402,12 @@ def run_offline(
 
     Returns the attack-factor series, the alerts, and per counter its top_n
     whole-series outliers as LofResults in rank order; their indices point
-    into the counter's non-missing values, in tick order.  Counters too
-    short to rank get an empty list.  ``coalesce`` is the ``Detector``'s.
+    into the counter's ``trace.values``.  Counters too short to rank get an
+    empty list.  ``coalesce`` is the ``Detector``'s.
     """
     selected = select_counters(trace, config)
     if not selected:
-        available = ", ".join(sorted(trace.events())) or "none"
+        available = ", ".join(sorted(trace.values)) or "none"
         raise ValueError(
             f"no configured counter present in trace (available: {available})"
         )
@@ -420,8 +419,7 @@ def run_offline(
 
     ranked: dict[str, list[LofResult]] = {}
     for counter in selected:
-        col = trace.values[counter.name]
-        values = col[~np.isnan(col)]
+        values = trace.values[counter.name]
         top: list[LofResult] = []
         if values.shape[0] >= config.k + 1:
             results = lof_all(values, config.k)

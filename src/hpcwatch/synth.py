@@ -156,7 +156,7 @@ def generate_trace(config: SynthConfig) -> tuple[Trace, GroundTruth]:
             affected = tuple(config.attack.affected)
 
     rng = np.random.default_rng(config.seed)
-    trace = Trace(origin=[f"synth:seed={config.seed}"])
+    trace = Trace()
 
     for counter in config.counters:
         spec = config.baseline_for(counter.name)

@@ -25,6 +25,10 @@ line arrives.  ``parse_stream`` collects its output into a trace and keeps
 the errors; the live ``detect`` loop pushes the samples and only counts the
 errors, so its memory stays flat however many lines are malformed.
 
+``align`` snaps every series onto one tick grid, keeping per counter only
+the ticks with a counted sample and their summed deltas: an ``AlignedTrace``
+grows with the samples, so a gap in a capture costs nothing.
+
 A parsed ``Sample`` is a named tuple, and every sample of one event shares
 one ``EventKind`` (from a bounded cache, so a stream of ever-new names
 cannot grow it): an hour of readouts holds a few hundred thousand of them.
@@ -35,6 +39,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, NamedTuple
 
@@ -85,24 +90,30 @@ class Trace:
     """A collection of counter series, at most one per event name."""
 
     series: dict[str, CounterSeries] = field(default_factory=dict)
-    origin: list[str] = field(default_factory=list)
 
 
 @dataclass
 class AlignedTrace:
-    """Per-event delta values on a common tick grid.
+    """Per-event deltas at the ticks that have a sample of that event.
 
-    ``values[name]`` is a float array with one slot per tick; NaN marks a
-    tick with no sample for that event.  Tick ``i`` represents the instant
-    ``i * tick_interval``.
+    ``ticks[name]`` holds strictly increasing ints in ``[0, n_ticks)`` and
+    ``values[name]`` their float deltas, one per tick; a tick with no sample
+    of an event has no entry.  Tick ``i`` is the instant ``i * tick_interval``.
     """
 
     tick_interval: float
     n_ticks: int
+    ticks: dict[str, np.ndarray]
     values: dict[str, np.ndarray]
 
-    def events(self) -> list[str]:
-        return list(self.values)
+    def __post_init__(self) -> None:
+        if self.ticks.keys() != self.values.keys():
+            raise ValueError("ticks and values must name the same events")
+        for name, at in self.ticks.items():
+            if at.ndim != 1 or at.shape != self.values[name].shape:
+                raise ValueError(f"{name}: ticks and values must be 1-D and of one length")
+            if (np.diff(at, prepend=-1, append=self.n_ticks) <= 0).any():
+                raise ValueError(f"{name}: ticks must strictly increase within [0, {self.n_ticks})")
 
 
 @dataclass
@@ -247,7 +258,6 @@ def read_samples(
 def parse_stream(
     reader: Iterable[str] | IO[str],
     event_hint: EventKind | None = None,
-    origin: str = "<stream>",
 ) -> tuple[Trace, ParseDiagnostics]:
     """Parse a line source into a trace, one series per event seen.
 
@@ -262,7 +272,7 @@ def parse_stream(
         else:
             by_event.setdefault(item.event.name, []).append(item)
 
-    trace = Trace(origin=[origin])
+    trace = Trace()
     for name, samples in by_event.items():
         trace.series[name] = CounterSeries(event=samples[0].event, samples=samples)
     return trace, diags
@@ -273,7 +283,7 @@ def parse_file(
     event_hint: EventKind | None = None,
 ) -> tuple[Trace, ParseDiagnostics]:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_stream(fh, event_hint=event_hint, origin=path)
+        return parse_stream(fh, event_hint=event_hint)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +298,6 @@ def merge_traces(traces: Iterable[Trace]) -> Trace:
             if name in merged.series:
                 raise ValueError(f"duplicate event across traces: {name}")
             merged.series[name] = series
-        merged.origin.extend(trace.origin)
     return merged
 
 
@@ -300,37 +309,32 @@ def tick_of(timestamp: float, tick_interval: float) -> int:
 def align(trace: Trace, tick_interval: float) -> AlignedTrace:
     """Snap every series onto the tick grid ``round(t / tick_interval)``.
 
-    Deltas of samples landing on the same tick sum; ticks with no sample for
-    an event stay missing (NaN).  Missing-delta samples claim no tick.  The
-    grid runs from tick 0 to the maximum mapped tick over all series.
+    Deltas of samples on one tick sum left to right; a tick with no sample
+    of an event has no entry.  Missing-delta samples claim no tick.  The grid
+    runs from tick 0 to the maximum mapped tick over all series.
     """
     if tick_interval <= 0:
         raise ValueError(f"tick_interval must be > 0, got {tick_interval}")
-    for name, series in trace.series.items():
-        if not series.samples:
-            raise ValueError(f"empty series for event {name}")
-
-    mapped: dict[str, list[tuple[int, int]]] = {}
-    max_tick = 0
-    for name, series in trace.series.items():
-        pairs = [
-            (tick_of(s.timestamp, tick_interval), s.delta)
-            for s in series.samples
-            if s.delta is not None
-        ]
-        mapped[name] = pairs
-        if pairs:
-            max_tick = max(max_tick, max(t for t, _ in pairs))
-
-    n_ticks = max_tick + 1
+    ticks: dict[str, np.ndarray] = {}
     values: dict[str, np.ndarray] = {}
-    for name, pairs in mapped.items():
-        col = np.full(n_ticks, np.nan)
-        for tick, delta in pairs:
-            col[tick] = delta if np.isnan(col[tick]) else col[tick] + delta
-        values[name] = col
-
-    return AlignedTrace(tick_interval=tick_interval, n_ticks=n_ticks, values=values)
+    for name, series in trace.series.items():
+        samples = series.samples
+        if not samples:
+            raise ValueError(f"empty series for event {name}")
+        # a delta is a Python int of any size, so each goes to float on its own
+        deltas = np.fromiter(map(operator.itemgetter(1), samples), object, len(samples))
+        counted = np.not_equal(deltas, None)
+        stamps = np.fromiter(map(operator.itemgetter(0), samples), np.float64, len(samples))
+        # the operations of tick_of, on every counted sample at once
+        mapped = np.floor(stamps[counted] / tick_interval + 0.5)
+        if mapped.shape[0] and mapped[-1] >= 2.0**63:  # stamps increase
+            raise ValueError(f"{name}: timestamp {stamps[counted][-1]} is past the int64 ticks")
+        ticks[name], slot = np.unique(mapped.astype(np.int64), return_inverse=True)
+        # np.add.at adds in index order, so a shared tick sums left to right
+        values[name] = np.zeros(ticks[name].shape[0])
+        np.add.at(values[name], slot, deltas[counted].astype(np.float64))
+    n_ticks = 1 + max((int(at[-1]) for at in ticks.values() if at.shape[0]), default=0)
+    return AlignedTrace(tick_interval, n_ticks, ticks, values)
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,7 @@ def test_constant_windows_score_one_and_stay_silent():
     constant = AlignedTrace(
         tick_interval=0.1,
         n_ticks=400,
+        ticks={"LLC-loads": np.arange(400), "bus-cycles": np.arange(400)},
         values={"LLC-loads": np.full(400, 7.0), "bus-cycles": np.full(400, 900.0)},
     )
     points, alerts, _ = run_offline(constant, DetectorConfig())
@@ -136,15 +137,16 @@ def test_affine_invariance_scores_factors_alerts():
         return col
 
     base_cols = {"LLC-loads": column(True), "bus-cycles": column(False)}
+    ticks = {k: np.arange(150) for k in base_cols}
     config = DetectorConfig()
     ref_points, ref_alerts, _ = run_offline(
-        AlignedTrace(tick_interval=0.1, n_ticks=150, values=base_cols), config
+        AlignedTrace(tick_interval=0.1, n_ticks=150, ticks=ticks, values=base_cols), config
     )
     assert ref_alerts, "fixture must trip at least one alert"
     for c, b in combos:
         mapped = {k: c * v + b for k, v in base_cols.items()}
         points, alerts, _ = run_offline(
-            AlignedTrace(tick_interval=0.1, n_ticks=150, values=mapped), config
+            AlignedTrace(tick_interval=0.1, n_ticks=150, ticks=ticks, values=mapped), config
         )
         assert [p.eval_tick for p in points] == [p.eval_tick for p in ref_points]
         for got, ref in zip(points, ref_points):

@@ -272,6 +272,24 @@ def test_analyze_events_flag_restricts_counters(tmp_path, capsys):
     assert {r.event for r in rows} == {"LLC-loads"}
 
 
+def test_analyze_counts_a_counter_never_counted(tmp_path, capsys):
+    # every dTLB-loads readout is <not counted>, so it has no aligned value:
+    # it still counts in counters=, and the reports are those of a run
+    # without it
+    main(synth_args(tmp_path))
+    files = trace_files(tmp_path)
+    dtlb = Path(next(f for f in files if f.endswith("dTLB-loads.csv")))
+    stamps = [line.split(",")[0] for line in dtlb.read_text().splitlines()]
+    dtlb.write_text("".join(f"{t},<not counted>,dTLB-loads\n" for t in stamps))
+    capsys.readouterr()
+    main(["analyze", *files, "--out", str(tmp_path / "with")])
+    assert capsys.readouterr().out.startswith("ticks=301 counters=6 ")
+    main(["analyze", *[f for f in files if f != str(dtlb)], "--out", str(tmp_path / "without")])
+    assert capsys.readouterr().out.startswith("ticks=301 counters=5 ")
+    for name in ("attack_factor.csv", "alerts.csv", "outliers.csv"):
+        assert (tmp_path / "with" / name).read_bytes() == (tmp_path / "without" / name).read_bytes()
+
+
 def test_analyze_coalesce_folds_alert_runs(tmp_path):
     main(synth_args(tmp_path))
     out_all = tmp_path / "all"

@@ -4,6 +4,7 @@ the offline driver, plus streaming/offline agreement."""
 import dataclasses
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -417,32 +418,44 @@ def test_detector_crosses_a_long_gap_in_one_step():
     assert_shifted(far, run(10**4), 10**8, 10**4, config)
 
 
+def gap_trace(gap: int) -> Trace:
+    """The ``gap_deltas`` counters as a trace, one sample per 100 ms tick,
+    silent for ``gap`` ticks after the 300th."""
+    trace = Trace()
+    for name, col in gap_deltas().items():
+        event = EventKind(name)
+        samples = [
+            Sample(timestamp=(i + 1 + (gap if i >= 300 else 0)) * 0.1, delta=int(v), event=event)
+            for i, v in enumerate(col.tolist())
+        ]
+        trace.series[name] = CounterSeries(event=event, samples=samples)
+    return trace
+
+
 def test_run_offline_crosses_a_long_gap():
     # the same two counters through align and run_offline: the points and
-    # alerts of a 10**6-tick gap are those of a 100-tick one, shifted
-    deltas = gap_deltas()
+    # alerts of a long gap are those of a 100-tick one, shifted.  A loop over
+    # every tick of a 10**6-tick gap takes seconds; one slot per tick per
+    # counter across a 10**7-tick gap takes 160 MB, where 1 200 samples need
+    # a few hundred kB
     config = DetectorConfig()
-
-    def run(gap: int):
-        trace = Trace()
-        for name, col in deltas.items():
-            event = EventKind(name)
-            samples = [
-                Sample(timestamp=(i + 1 + (gap if i >= 300 else 0)) * 0.1, delta=int(v), event=event)
-                for i, v in enumerate(col.tolist())
-            ]
-            trace.series[name] = CounterSeries(event=event, samples=samples)
-        aligned = align(trace, 0.1)
+    near_points, near_alerts, near_ranked = run_offline(align(gap_trace(100), 0.1), config)
+    for gap, bound in ((10**6, "time"), (10**7, "memory")):
+        trace = gap_trace(gap)
+        if bound == "memory":
+            tracemalloc.start()
+        try:
+            started = time.perf_counter()
+            aligned = align(trace, 0.1)
+            points, alerts, ranked = run_offline(aligned, config)
+            elapsed = time.perf_counter() - started
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (elapsed < 0.5) if bound == "time" else (peak < 4 * 2**20), (gap, elapsed, peak)
         assert aligned.n_ticks == 601 + gap
-        return run_offline(aligned, config)
-
-    started = time.perf_counter()
-    points, alerts, ranked = run(10**6)
-    # a loop over every tick of the gap takes seconds
-    assert time.perf_counter() - started < 0.5
-    near_points, near_alerts, near_ranked = run(100)
-    assert_shifted((points, alerts), (near_points, near_alerts), 10**6, 100, config)
-    assert ranked == near_ranked
+        assert_shifted((points, alerts), (near_points, near_alerts), gap, 100, config)
+        assert ranked == near_ranked
 
 
 def test_run_offline_score_maps_stay_bounded(monkeypatch):
@@ -485,6 +498,7 @@ def aligned_columns(columns: dict[str, list[float]]) -> AlignedTrace:
     return AlignedTrace(
         tick_interval=0.1,
         n_ticks=n,
+        ticks={k: np.arange(n) for k in columns},
         values={k: np.array(v, dtype=np.float64) for k, v in columns.items()},
     )
 

@@ -115,9 +115,9 @@ def test_sample_grid_and_counts():
         assert all(s.delta is not None and s.delta >= 0 for s in series.samples)
     aligned = align(trace, config.tick_interval)
     assert aligned.n_ticks == 101  # ticks 0..100, tick 0 empty
-    for column in aligned.values.values():
-        assert math.isnan(column[0])
-        assert not np.isnan(column[1:]).any()
+    for name, values in aligned.values.items():
+        assert aligned.ticks[name].tolist() == list(range(1, 101))
+        assert values.shape == (100,)
 
 
 def test_attack_tick_snaps_attack_time_to_grid():
@@ -164,14 +164,15 @@ def test_boost_lands_on_the_attack_ticks():
     )
     boosted, truth = generate_trace(config)
     clean, _ = generate_trace(SynthConfig(seed=23, duration=10.0))
-    b = align(boosted, 0.1).values["LLC-loads"]
-    c = align(clean, 0.1).values["LLC-loads"]
+    b = align(boosted, 0.1)
+    c = align(clean, 0.1)
+    assert b.ticks["LLC-loads"].tolist() == c.ticks["LLC-loads"].tolist() == list(range(1, 101))
     hot = range(truth.attack_tick, truth.attack_tick + 3)
-    for tick in range(1, 101):
+    for tick, bv, cv in zip(range(1, 101), b.values["LLC-loads"], c.values["LLC-loads"]):
         if tick in hot:
-            assert b[tick] == np.rint(c[tick] * 30.0)
+            assert bv == np.rint(cv * 30.0)
         else:
-            assert b[tick] == c[tick]
+            assert bv == cv
 
 
 def test_lognormal_baseline_is_right_skewed():
@@ -199,11 +200,11 @@ def test_burst_dominates_steady_baseline_everywhere():
         trace, truth = generate_trace(config)
         aligned = align(trace, 0.1)
         for name, column in aligned.values.items():
-            clean = np.delete(
-                column[1:], [t - 1 for t in range(truth.attack_tick, truth.attack_tick + 3)]
-            )
-            boosted = column[truth.attack_tick]
-            assert boosted > np.percentile(clean, 99), (seed, name)
+            at = aligned.ticks[name]
+            hot = (at >= truth.attack_tick) & (at < truth.attack_tick + 3)
+            assert hot.sum() == 3, (seed, name)
+            boosted = column[at == truth.attack_tick][0]
+            assert boosted > np.percentile(column[~hot], 99), (seed, name)
 
 
 # ---------------------------------------------------------------------------

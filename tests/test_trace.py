@@ -7,14 +7,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import align_reference
 import hpcwatch.trace as trace_module
 import parse_reference
 from hpcwatch.events import CANDIDATE_EVENTS, KNOWN_EVENTS, EventKind
 from hpcwatch.trace import (
     MISSING_DELTA_TOKEN,
+    AlignedTrace,
     CounterSeries,
     LineError,
     ParseDiagnostics,
@@ -277,31 +279,135 @@ def test_align_basics():
     text = "0.1,5,LLC-loads\n0.2,7,LLC-loads\n0.4,9,LLC-loads\n"
     trace, _ = parse_stream(io.StringIO(text))
     aligned = align(trace, 0.1)
-    col = aligned.values["LLC-loads"]
     assert aligned.n_ticks == 5
-    assert col[1] == 5 and col[2] == 7 and col[4] == 9
-    assert math.isnan(col[0]) and math.isnan(col[3])
+    assert aligned.ticks["LLC-loads"].tolist() == [1, 2, 4]
+    assert aligned.values["LLC-loads"].tolist() == [5.0, 7.0, 9.0]
 
 
 def test_align_sums_same_tick():
     text = "0.299,5,LLC-loads\n0.301,7,LLC-loads\n"
     trace, _ = parse_stream(io.StringIO(text))
-    col = align(trace, 0.1).values["LLC-loads"]
-    assert col[3] == 12
+    aligned = align(trace, 0.1)
+    assert aligned.ticks["LLC-loads"].tolist() == [3]
+    assert aligned.values["LLC-loads"].tolist() == [12.0]
 
 
 def test_align_skips_missing_deltas():
-    text = "0.1,<not counted>,LLC-loads\n0.2,7,LLC-loads\n"
+    text = "0.1,<not counted>,LLC-loads\n0.2,7,LLC-loads\n0.3,<not counted>,bus-cycles\n"
     trace, _ = parse_stream(io.StringIO(text))
-    col = align(trace, 0.1).values["LLC-loads"]
-    assert math.isnan(col[1])
-    assert col[2] == 7
+    aligned = align(trace, 0.1)
+    assert aligned.n_ticks == 3
+    assert aligned.ticks["LLC-loads"].tolist() == [2]
+    assert aligned.values["LLC-loads"].tolist() == [7.0]
+    assert aligned.ticks["bus-cycles"].shape == aligned.values["bus-cycles"].shape == (0,)
 
 
 def test_align_rejects_bad_interval():
     trace, _ = parse_stream(io.StringIO("0.1,5,LLC-loads\n"))
     with pytest.raises(ValueError):
         align(trace, 0.0)
+
+
+def test_align_rejects_a_tick_past_int64():
+    # 1e18 / 0.1 is past 2**63: an int64 cast of it is undefined, so align
+    # names the timestamp instead of handing on a wrapped or saturated tick
+    trace, _ = parse_stream(io.StringIO("0.1,5,LLC-loads\n1e18,5,LLC-loads\n"))
+    with pytest.raises(ValueError, match=r"LLC-loads: timestamp 1e\+18 is past"):
+        align(trace, 0.1)
+    # the last representable tick below 2**63 still aligns
+    trace, _ = parse_stream(io.StringIO(f"{(2.0**63 - 1024) * 0.5!r},5,LLC-loads\n"))
+    assert align(trace, 0.5).n_ticks == 2**63 - 1023
+
+
+@pytest.mark.parametrize(
+    "ticks, values, reason",
+    [
+        ({"a": np.arange(3)}, {"b": np.ones(3)}, "same events"),
+        ({"a": np.arange(3)}, {"a": np.ones(2)}, "one length"),
+        ({"a": np.arange(4).reshape(2, 2)}, {"a": np.ones((2, 2))}, "one length"),
+        ({"a": np.array([0, 2, 2])}, {"a": np.ones(3)}, "strictly increase"),
+        ({"a": np.array([3, 1, 2])}, {"a": np.ones(3)}, "strictly increase"),
+        ({"a": np.array([-1, 0, 1])}, {"a": np.ones(3)}, r"within \[0, 5\)"),
+        ({"a": np.array([0, 1, 5])}, {"a": np.ones(3)}, r"within \[0, 5\)"),
+    ],
+)
+def test_aligned_trace_rejects_misaligned_arrays(ticks, values, reason):
+    with pytest.raises(ValueError, match=reason):
+        AlignedTrace(tick_interval=0.1, n_ticks=5, ticks=ticks, values=values)
+
+
+# Twelve readouts in one tick whose left-to-right sum (2**53, as each +1
+# rounds away) differs from numpy's pairwise one.
+PAIRWISE_TRAP = [(0.1 + i / 1000, 2**53 if i == 0 else 1) for i in range(12)]
+
+
+def counter_samples(readouts) -> Trace:
+    trace = Trace()
+    for name, rows in readouts.items():
+        event = EventKind(name)
+        samples = [Sample(t, d, event) for t, d in rows]
+        trace.series[name] = CounterSeries(event=event, samples=samples)
+    return trace
+
+
+@st.composite
+def tick_readouts(draw) -> list[tuple[float, int | None]]:
+    """One counter's readouts at 100 ms ticks: up to 12 in one tick, at
+    whole milliseconds from half a tick before it (a half-tick boundary
+    such as 0.05 or 0.15) to just under half a tick after."""
+    delta = st.one_of(
+        st.integers(min_value=0, max_value=10**6),
+        st.sampled_from([2**53 + 1, 10**20]),
+        st.integers(min_value=2**52, max_value=2**70),
+    )
+    if draw(st.booleans()):
+        delta = st.one_of(delta, st.none())
+    if draw(st.integers(0, 7)) == 0:
+        delta = st.none()
+    ticks = draw(st.lists(st.integers(0, 60), min_size=1, max_size=8, unique=True))
+    readouts = []
+    for tick in sorted(ticks):
+        offsets = draw(st.lists(st.integers(-50, 49), min_size=1, max_size=12, unique=True))
+        for ms in sorted(offsets):
+            readouts.append(((100 * tick + ms) / 1000, draw(delta)))
+    return readouts
+
+
+@given(
+    st.dictionaries(
+        st.sampled_from(["LLC-loads", "bus-cycles", "dTLB-loads"]), tick_readouts(), min_size=1
+    )
+)
+@example({"LLC-loads": PAIRWISE_TRAP})
+@example(
+    {
+        "LLC-loads": [(0.05, 1), (0.15, 2), (0.25, 3), (0.35, 10**20)],
+        "bus-cycles": [(0.45, None), (0.55, None)],
+    }
+)
+@settings(max_examples=300, deadline=None)
+def test_align_equals_the_reference_bit_for_bit(readouts):
+    trace = counter_samples(readouts)
+    n_ticks, columns = align_reference.align(trace, 0.1)
+    aligned = align(trace, 0.1)
+    assert aligned.n_ticks == n_ticks
+    assert aligned.ticks.keys() == aligned.values.keys() == columns.keys()
+    for name, col in columns.items():
+        present = np.flatnonzero(~np.isnan(col))
+        assert aligned.ticks[name].dtype == np.int64
+        assert aligned.ticks[name].tolist() == present.tolist()
+        assert aligned.values[name].dtype == np.float64
+        assert aligned.values[name].tobytes() == col[present].tobytes()
+
+
+def test_a_pairwise_sum_fails_the_reference():
+    # the sum np.add.reduceat would give align differs on PAIRWISE_TRAP, so
+    # the property above holds align to a left-to-right sum
+    trace = counter_samples({"LLC-loads": PAIRWISE_TRAP})
+    _, columns = align_reference.align(trace, 0.1)
+    deltas = np.array([float(d) for _, d in PAIRWISE_TRAP])
+    assert columns["LLC-loads"][1] == align(trace, 0.1).values["LLC-loads"][0] == 2.0**53
+    assert np.add.reduceat(deltas, [0])[0] != 2.0**53
 
 
 def test_serialize_sample_round_trip_missing():

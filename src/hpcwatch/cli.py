@@ -35,7 +35,7 @@ from .detector import (
     run_offline,
     threshold_check,  # unused here; bench/tracing.py hooks it by this name
 )
-from .events import CANDIDATE_EVENTS, EventKind
+from .events import EventKind
 from .lof import lof_all  # unused here; bench/tracing.py hooks it by this name
 from .report import (
     OutlierRow,
@@ -74,6 +74,9 @@ EXIT_CAPTURE = 2
 EXIT_ALERTS = 3
 
 _CONFIG_KEYS = ("k", "delta", "window", "interval", "events", "top", "coalesce")
+
+# the built-in settings, which a config file and then the flags override
+_DEFAULTS = DetectorConfig()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -116,18 +119,21 @@ def _resolve_settings(args: argparse.Namespace) -> dict:
         if flag is not None:
             return flag
         if name in file_cfg:
-            return cast(file_cfg[name])
+            try:
+                return cast(file_cfg[name])
+            except ValueError as exc:
+                raise ValueError(f"{path}: setting {name!r}: {exc}") from None
         return builtin
 
-    events = pick("events", ",".join(CANDIDATE_EVENTS), str)
+    events = pick("events", ",".join(c.name for c in _DEFAULTS.counters), str)
     return {
-        "k": pick("k", 5, int),
-        "delta": pick("delta", 1.5, float),
-        "window": pick("window", 50, int),
-        "interval": pick("interval", 0.100, float),
+        "k": pick("k", _DEFAULTS.k, int),
+        "delta": pick("delta", _DEFAULTS.delta_threshold, float),
+        "window": pick("window", _DEFAULTS.window, int),
+        "interval": pick("interval", _DEFAULTS.tick_interval, float),
         "events": [e.strip() for e in events.split(",") if e.strip()],
-        "top": pick("top", 5, int),
-        "coalesce": pick("coalesce", 0, int),
+        "top": pick("top", _DEFAULTS.top_n, int),
+        "coalesce": pick("coalesce", _DEFAULTS.coalesce, int),
     }
 
 
@@ -139,6 +145,7 @@ def _detector_config(settings: dict) -> DetectorConfig:
         tick_interval=settings["interval"],
         counters=tuple(EventKind(n) for n in settings["events"]),
         top_n=settings["top"],
+        coalesce=settings["coalesce"],
     )
 
 
@@ -164,7 +171,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     config = _detector_config(settings)
 
     aligned, malformed = _align_inputs(args.inputs, config.tick_interval)
-    points, alerts, ranked = run_offline(aligned, config, settings["coalesce"])
+    points, alerts, ranked = run_offline(aligned, config)
 
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
@@ -238,7 +245,7 @@ def _read_blocks(stream) -> Iterator[list[str]]:
 def cmd_detect(args: argparse.Namespace) -> int:
     settings = _resolve_settings(args)
     config = _detector_config(settings)
-    detector = Detector(config, settings["coalesce"])
+    detector = Detector(config)
     diags = ParseDiagnostics()
     alert_count = 0
     malformed = 0
@@ -398,16 +405,19 @@ def _normalize_profiler_csv(raw_path: str, out_path: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _add_detector_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=int, help="neighbor count (default 5)")
-    p.add_argument("--delta", type=float, help="alert threshold on f (default 1.5)")
-    p.add_argument("--window", type=int, help="samples per counter window (default 50)")
-    p.add_argument("--top", type=int, help="outliers to mark per counter (default 5)")
+    d = _DEFAULTS
+    p.add_argument("--k", type=int, help=f"neighbor count (default {d.k})")
+    p.add_argument("--delta", type=float,
+                   help=f"alert threshold on f (default {d.delta_threshold})")
+    p.add_argument("--window", type=int, help=f"samples per counter window (default {d.window})")
+    p.add_argument("--top", type=int, help=f"outliers to mark per counter (default {d.top_n})")
     p.add_argument("--coalesce", type=int,
-                   help="suppress alerts within N ticks of the last one (default 0)")
+                   help=f"suppress alerts within N ticks of the last one (default {d.coalesce})")
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--interval", type=float, help="tick interval in seconds (default 0.1)")
+    p.add_argument("--interval", type=float,
+                   help=f"tick interval in seconds (default {_DEFAULTS.tick_interval})")
     p.add_argument("--events", type=str, help="comma-separated counter names")
     p.add_argument("--config", type=str, help="key=value settings file")
 

@@ -34,7 +34,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .events import CANDIDATE_EVENTS, EventKind
+from .events import CANDIDATE_KINDS, EventKind
 from .lof import LofResult, lof_all, lof_at, lof_scores, top_n_outliers
 from .trace import AlignedTrace, Sample, tick_of
 
@@ -46,30 +46,28 @@ from .trace import AlignedTrace, Sample, tick_of
 CHUNK = 64
 
 
-def _default_counters() -> tuple[EventKind, ...]:
-    return tuple(EventKind(name) for name in CANDIDATE_EVENTS)
-
-
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Detection parameters.
+    """Every detection setting, validated once.
 
-    ``warmup`` is the number of samples a counter must deliver before its
-    window is scored at all; the default 2k+2 gives the lagged point a full
-    complement of candidates on both sides even in the worst case.
+    ``k`` is the LOF neighbourhood (MinPts), ``window`` the samples in each
+    counter's window, and ``delta_threshold`` the bound f must exceed to
+    alert.  ``tick_interval`` is the grid spacing in seconds.  ``counters``
+    are the counters whose scores are averaged into f, in that order, each
+    named once; ``top_n`` is how many whole-series outliers are ranked per
+    counter.  An alert within ``coalesce`` ticks after the last alert raised
+    is dropped; 0 keeps every alert.
     """
 
     k: int = 5
     delta_threshold: float = 1.5
     window: int = 50
     tick_interval: float = 0.100
-    counters: tuple[EventKind, ...] = field(default_factory=_default_counters)
+    counters: tuple[EventKind, ...] = CANDIDATE_KINDS
     top_n: int = 5
-    warmup: int | None = None
+    coalesce: int = 0
 
     def __post_init__(self) -> None:
-        if self.warmup is None:
-            object.__setattr__(self, "warmup", 2 * self.k + 2)
         if self.k < 2:
             raise ValueError(f"k must be >= 2, got {self.k}")
         if self.window < self.k + 2:
@@ -80,10 +78,20 @@ class DetectorConfig:
             raise ValueError(f"tick_interval must be > 0, got {self.tick_interval}")
         if not self.counters:
             raise ValueError("counters must be nonempty")
+        twice = [c.name for i, c in enumerate(self.counters) if c in self.counters[:i]]
+        if twice:
+            raise ValueError(f"counter {twice[0]} is named twice")
         if self.top_n < 1:
             raise ValueError(f"top_n must be >= 1, got {self.top_n}")
-        if self.warmup < self.k + 1:
-            raise ValueError(f"warmup must be >= k+1 ({self.k + 1}), got {self.warmup}")
+        if self.coalesce < 0:
+            raise ValueError(f"coalesce must be >= 0, got {self.coalesce}")
+
+    @property
+    def warmup(self) -> int:
+        """Samples a counter must deliver before its window is scored at
+        all: 2k+2 gives the lagged point a full complement of candidates on
+        both sides even in the worst case."""
+        return 2 * self.k + 2
 
 
 def lag(config: DetectorConfig) -> int:
@@ -236,7 +244,7 @@ class _Ring:
 
 
 class Detector:
-    """The tick loop behind both drivers.
+    """The tick loop behind both drivers, run with one ``DetectorConfig``.
 
     ``push`` takes one parsed line, or one aligned value: its event name,
     its tick and its delta.
@@ -248,7 +256,7 @@ class Detector:
     once, in order, after each window queued at it or before has landed:
     the scores for that tick are averaged into f, the score maps are
     pruned, and f above the threshold raises an alert unless it follows the
-    last alert raised within ``coalesce`` ticks.
+    last alert raised within the config's ``coalesce`` ticks.
 
     Full windows are copied into a stack and scored together, CHUNK at a
     time; warm-up windows, shorter, are scored when pushed.  ``poll``
@@ -260,17 +268,12 @@ class Detector:
     """
 
     def __init__(
-        self,
-        config: DetectorConfig,
-        coalesce: int = 0,
-        points: list[AttackFactorPoint] | None = None,
+        self, config: DetectorConfig, points: list[AttackFactorPoint] | None = None
     ) -> None:
-        if coalesce < 0:
-            raise ValueError(f"coalesce must be >= 0, got {coalesce}")
         self.config = config
-        self.coalesce = coalesce
         self._points = points
         self._lag = lag(config)
+        self._warmup = config.warmup
         self._rings = {c.name: _Ring(config.window, self._lag) for c in config.counters}
         self._scores: dict[str, dict[int, float]] = {c.name: {} for c in config.counters}
         # queued windows in push order: (event, evaluated tick, clock tick
@@ -299,7 +302,7 @@ class Detector:
         ring.ticks.append(tick)
         ring.count += 1
         count = ring.count
-        if count < self.config.warmup:
+        if count < self._warmup:
             return
         eval_tick = ring.ticks[0]
         if count < window:
@@ -364,7 +367,8 @@ class Detector:
         alert = threshold_check(point, self.config)
         if alert is None:
             return
-        if self._last_alert is not None and alert.eval_tick - self._last_alert <= self.coalesce:
+        last = self._last_alert
+        if last is not None and alert.eval_tick - last <= self.config.coalesce:
             return
         self._last_alert = alert.eval_tick
         self._alerts.append(alert)
@@ -393,9 +397,7 @@ def _push_in_tick_order(detector: Detector, trace: AlignedTrace, names: list[str
 
 
 def run_offline(
-    trace: AlignedTrace,
-    config: DetectorConfig,
-    coalesce: int = 0,
+    trace: AlignedTrace, config: DetectorConfig
 ) -> tuple[list[AttackFactorPoint], list[Alert], dict[str, list[LofResult]]]:
     """Push every value of an aligned trace, in tick order, through a
     ``Detector``.
@@ -403,7 +405,7 @@ def run_offline(
     Returns the attack-factor series, the alerts, and per counter its top_n
     whole-series outliers as LofResults in rank order; their indices point
     into the counter's ``trace.values``.  Counters too short to rank get an
-    empty list.  ``coalesce`` is the ``Detector``'s.
+    empty list.  Alerts are coalesced as ``config.coalesce`` says.
     """
     selected = select_counters(trace, config)
     if not selected:
@@ -413,7 +415,7 @@ def run_offline(
         )
 
     points: list[AttackFactorPoint] = []
-    detector = Detector(config, coalesce, points)
+    detector = Detector(config, points)
     _push_in_tick_order(detector, trace, [counter.name for counter in selected])
     alerts = list(detector.finish())
 

@@ -74,3 +74,7 @@ class EventKind:
 
     def __str__(self) -> str:
         return self.name
+
+
+# The candidate events as kinds: the default counters of detector and synth.
+CANDIDATE_KINDS: tuple[EventKind, ...] = tuple(EventKind(name) for name in CANDIDATE_EVENTS)

@@ -14,13 +14,13 @@ against the generator's ground truth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .detector import Alert
-from .events import CANDIDATE_EVENTS, EventKind
+from .events import CANDIDATE_KINDS, EventKind
 from .trace import CounterSeries, Sample, Trace, tick_of
 
 
@@ -83,16 +83,12 @@ class AttackSpec:
             raise ValueError(f"attack time must be >= 0, got {self.at}")
 
 
-def _default_counters() -> tuple[EventKind, ...]:
-    return tuple(EventKind(name) for name in CANDIDATE_EVENTS)
-
-
 @dataclass(frozen=True)
 class SynthConfig:
     seed: int
     duration: float
     tick_interval: float = 0.100
-    counters: tuple[EventKind, ...] = field(default_factory=_default_counters)
+    counters: tuple[EventKind, ...] = CANDIDATE_KINDS
     baseline: Mapping[str, BaselineSpec] | None = None
     attack: AttackSpec | None = None
 

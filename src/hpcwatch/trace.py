@@ -9,10 +9,11 @@ the interval, and the event name::
          0.001225993,1621,branch-load-misses
          0.002574349,5149,branch-load-misses
 
-``#`` lines are comments, blank lines are skipped, extra trailing fields
-(units, ratios appended by newer profiler versions) are ignored.  A delta of
-``<not counted>`` marks an interval the kernel could not measure; it is kept
-as an explicit missing value because zero is a legitimate measurement.
+``#`` lines are comments and blank lines are skipped.  Every other line
+needs all three fields; extra trailing fields (units, ratios appended by
+newer profiler versions) are ignored.  A delta of ``<not counted>`` marks an
+interval the kernel could not measure; it is kept as an explicit missing
+value because zero is a legitimate measurement.
 
 Parsing is forgiving per line and strict in accounting: every malformed line
 is recorded with its line number and reason, and the diagnostics identity
@@ -146,17 +147,13 @@ class LineError:
 _event_kind = functools.lru_cache(maxsize=1024)(EventKind)
 
 
-def parse_line(
-    line: str,
-    line_no: int,
-    event_hint: EventKind | None = None,
-) -> Sample | SkippedLine | LineError:
+def parse_line(line: str, line_no: int) -> Sample | SkippedLine | LineError:
     """Classify and parse one physical line (without its terminator).
 
     Returns a :class:`Sample`, a :class:`SkippedLine` marker for comments and
     blank lines, or a :class:`LineError` carrying ``line_no`` and a reason.
-    Two-field lines (timestamp, delta) are accepted only when ``event_hint``
-    supplies the event; extra trailing fields beyond the third are ignored.
+    A data line needs all three fields, the event name included; extra
+    trailing fields beyond the third are ignored.
 
     Fields are read without their surrounding whitespace, and reasons quote
     them so.  ``float()`` and ``int()`` skip that whitespace themselves,
@@ -166,7 +163,7 @@ def parse_line(
     """
     fields = line.split(",")
     n_fields = len(fields)
-    if n_fields < 3 and not (n_fields == 2 and event_hint is not None):
+    if n_fields < 3:
         head = fields[0].lstrip()
         if not head and n_fields == 1:
             return SkippedLine.BLANK
@@ -204,20 +201,14 @@ def parse_line(
     if delta is not None and delta < 0:
         return LineError(line_no, f"negative delta {fields[1].strip()!r}")
 
-    if n_fields >= 3:
-        name = fields[2].strip()
-        if not name:
-            return LineError(line_no, "empty event name")
-        event = _event_kind(name)
-    else:
-        event = event_hint
-    return Sample(timestamp, delta, event)
+    name = fields[2].strip()
+    if not name:
+        return LineError(line_no, "empty event name")
+    return Sample(timestamp, delta, _event_kind(name))
 
 
 def read_samples(
-    reader: Iterable[str] | IO[str],
-    diags: ParseDiagnostics,
-    event_hint: EventKind | None = None,
+    reader: Iterable[str] | IO[str], diags: ParseDiagnostics
 ) -> Iterator[Sample | LineError]:
     """Yield each usable sample, or the error of a malformed line, as read.
 
@@ -232,7 +223,7 @@ def read_samples(
         diags.lines_read += 1
         # through the module global, not a local alias, so a wrapper put on
         # parse_line sees every line
-        parsed = parse_line(raw.rstrip("\r\n"), line_no, event_hint)
+        parsed = parse_line(raw.rstrip("\r\n"), line_no)
         kind = type(parsed)
         if kind is Sample:
             name = parsed.event.name
@@ -255,10 +246,7 @@ def read_samples(
             diags.blank_lines += 1
 
 
-def parse_stream(
-    reader: Iterable[str] | IO[str],
-    event_hint: EventKind | None = None,
-) -> tuple[Trace, ParseDiagnostics]:
+def parse_stream(reader: Iterable[str] | IO[str]) -> tuple[Trace, ParseDiagnostics]:
     """Parse a line source into a trace, one series per event seen.
 
     Per-line errors are collected in the diagnostics and parsing continues;
@@ -266,7 +254,7 @@ def parse_stream(
     """
     diags = ParseDiagnostics()
     by_event: dict[str, list[Sample]] = {}
-    for item in read_samples(reader, diags, event_hint):
+    for item in read_samples(reader, diags):
         if type(item) is LineError:
             diags.malformed.append((item.line_no, item.reason))
         else:
@@ -278,12 +266,9 @@ def parse_stream(
     return trace, diags
 
 
-def parse_file(
-    path: str,
-    event_hint: EventKind | None = None,
-) -> tuple[Trace, ParseDiagnostics]:
+def parse_file(path: str) -> tuple[Trace, ParseDiagnostics]:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_stream(fh, event_hint=event_hint)
+        return parse_stream(fh)
 
 
 # ---------------------------------------------------------------------------

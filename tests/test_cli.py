@@ -3,6 +3,7 @@
 import io
 import math
 import os
+import re
 import select
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from hpcwatch.cli import (
     EXIT_ERROR,
     EXIT_OK,
     _normalize_profiler_csv,
+    _detector_config,
     _resolve_settings,
     build_parser,
     load_config_file,
@@ -99,6 +101,21 @@ def test_config_flag_beats_env_var(tmp_path, monkeypatch):
     assert _resolve_settings(args)["window"] == 32
 
 
+def test_builtin_settings_are_the_config_defaults(monkeypatch):
+    monkeypatch.delenv("HPCWATCH_CONFIG", raising=False)
+    args = build_parser().parse_args(["detect"])
+    assert _detector_config(_resolve_settings(args)) == DetectorConfig()
+
+
+def test_config_value_that_does_not_parse_names_file_and_key(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "cfg"
+    path.write_text("k=abc\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: setting 'k': invalid literal")):
+        _resolve_settings(build_parser().parse_args(["detect", "--config", str(path)]))
+    assert detect_on("", monkeypatch, "--config", str(path)) == EXIT_ERROR
+    assert f"{path}: setting 'k'" in capsys.readouterr().err
+
+
 def test_events_setting_splits_and_strips():
     args = build_parser().parse_args(["detect", "--events", "LLC-loads, bus-cycles"])
     assert _resolve_settings(args)["events"] == ["LLC-loads", "bus-cycles"]
@@ -107,7 +124,7 @@ def test_events_setting_splits_and_strips():
 def test_coalesce_keeps_first_of_each_run():
     def raised(coalesce: int) -> list[int]:
         # each lone burst on a flat line scores +inf, so each one alerts
-        detector = Detector(DetectorConfig(counters=(EventKind("LLC-loads"),)), coalesce)
+        detector = Detector(DetectorConfig(counters=(EventKind("LLC-loads"),), coalesce=coalesce))
         for tick in range(130):
             burst = tick in (100, 101, 103, 120, 121)
             detector.push("LLC-loads", tick, 5000.0 if burst else 1000.0)
@@ -810,6 +827,20 @@ def test_negative_coalesce_exits_one(tmp_path, monkeypatch, capsys):
     cfg.write_text("coalesce=-1\n")
     assert detect_on("", monkeypatch, "--config", str(cfg)) == EXIT_ERROR
     assert capsys.readouterr().err.count("coalesce must be >= 0") == 3
+
+
+def test_counter_named_twice_exits_one(tmp_path, monkeypatch, capsys):
+    main(["synth", "--seed", "3", "--duration", "30", "--attack-at", "15",
+          "--out", str(tmp_path / "trace")])
+    out = tmp_path / "report"
+    files = trace_files(tmp_path)
+    twice = ["--events", "LLC-loads,LLC-loads"]
+    assert main(["analyze", *files, "--out", str(out), *twice]) == EXIT_ERROR
+    assert not out.exists()
+    assert detect_on(interleaved(tmp_path), monkeypatch, *twice) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.count("counter LLC-loads is named twice") == 2
+    assert captured.out.count("\n") == 1  # synth's line only: detect printed no row
 
 
 def test_analyze_missing_file_exits_one(capsys):

@@ -110,7 +110,10 @@ def test_config_defaults():
 def test_config_warmup_follows_k():
     assert DetectorConfig(k=3).warmup == 8
     assert DetectorConfig(k=7).warmup == 16
-    assert DetectorConfig(k=5, warmup=30).warmup == 30
+
+
+def test_replaced_config_warmup_follows_k():
+    assert dataclasses.replace(DetectorConfig(), k=3).warmup == 8
 
 
 @pytest.mark.parametrize(
@@ -122,7 +125,7 @@ def test_config_warmup_follows_k():
         {"delta_threshold": 0.5},
         {"tick_interval": 0.0},
         {"counters": ()},
-        {"k": 5, "warmup": 5},
+        {"coalesce": -1},
         {"top_n": 0},
     ],
 )

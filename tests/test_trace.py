@@ -96,16 +96,7 @@ def test_parse_line_errors():
         got = parse_line(bad, 7)
         assert isinstance(got, LineError), bad
         assert got.line_no == 7
-
-
-def test_parse_line_event_hint_two_fields():
-    hint = EventKind("bus-cycles")
-    s = parse_line("0.2,99", 1, event_hint=hint)
-    assert isinstance(s, Sample)
-    assert s.event == hint
-    # three-field lines keep their own event name even with a hint
-    s = parse_line("0.2,99,LLC-loads", 1, event_hint=hint)
-    assert s.event.name == "LLC-loads"
+    assert parse_line("0.1,42", 7).reason == "expected 3 fields, got 2"
 
 
 def test_parse_stream_listing():
@@ -211,19 +202,19 @@ hostile_lines = st.one_of(
 )
 
 
-@given(st.lists(hostile_lines, max_size=12), st.sampled_from([None, EventKind("bus-cycles")]))
+@given(st.lists(hostile_lines, max_size=12))
 @settings(max_examples=400, deadline=None)
-def test_parser_equals_the_reference_on_hostile_lines(lines, hint):
+def test_parser_equals_the_reference_on_hostile_lines(lines):
     for line_no, line in enumerate(lines, start=1):
-        got = parse_line(line, line_no, hint)
-        want = parse_reference.parse_line(line, line_no, hint)
+        got = parse_line(line, line_no)
+        want = parse_reference.parse_line(line, line_no)
         assert type(got) is type(want), line
         assert got == want, line
         if type(want) is Sample:
             assert repr(got) == repr(want), line
     got_diags, want_diags = ParseDiagnostics(), ParseDiagnostics()
-    got_items = list(read_samples(lines, got_diags, hint))
-    want_items = list(parse_reference.read_samples(lines, want_diags, hint))
+    got_items = list(read_samples(lines, got_diags))
+    want_items = list(parse_reference.read_samples(lines, want_diags))
     assert got_items == want_items
     assert got_diags == want_diags
 

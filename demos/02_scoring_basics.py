@@ -24,31 +24,32 @@ for i, p in enumerate(POINTS):
     print(f"point {p:4}: k-distance {k_distance:4}, neighbors {members}")
 
 # Densities: the cluster points reach each other over short distances, the
-# stray point only over long ones.
-results = lof_all(POINTS, K)
+# stray point only over long ones.  lof_all returns every point's density
+# and score as two arrays, in point order.
+lrd, lof = lof_all(POINTS, K)
 print()
-for p, r in zip(POINTS, results):
-    print(f"lrd({p:4}) = {r.lrd:.6f}")
+for p, density in zip(POINTS, lrd.tolist()):
+    print(f"lrd({p:4}) = {density:.6f}")
 
 # Scores.  The cluster scores near 1, the stray point near 5: its neighbors
-# are several times denser than it is.  lof_scores gives the same numbers
-# as an array.
+# are several times denser than it is.  lof_scores gives the same scores.
 print()
-for p, r in zip(POINTS, results):
-    print(f"lof({p:4}) = {r.lof:.6f}")
+for p, score in zip(POINTS, lof.tolist()):
+    print(f"lof({p:4}) = {score:.6f}")
 
-assert lof_scores(POINTS, K).tolist() == [r.lof for r in results]
-assert abs(results[3].lof - 4.958333) < 1e-5
-assert abs(results[1].lof - 1.333333) < 1e-5
+assert lof_scores(POINTS, K).tolist() == lof.tolist()
+assert abs(lof[3] - 4.958333) < 1e-5
+assert abs(lof[1] - 1.333333) < 1e-5
 
 # Duplicates are the degenerate extreme: a window of identical values has
 # no structure to be an outlier against, and everything scores exactly 1.
 flat = [7.0] * 8
-assert all(r.lof == 1.0 for r in lof_all(flat, K))
+assert (lof_all(flat, K)[1] == 1.0).all()
 print("\nconstant window: every score is exactly 1.0")
 
 # Ranking a noisy window surfaces the two planted spikes first.
+# top_n_outliers takes both arrays and returns the top n points, each as a
+# LofResult (index, lrd, lof).
 window = [50.0, 51.0, 49.0, 52.0, 50.0, 400.0, 51.0, 48.0, 390.0, 50.0]
-results = lof_all(window, 3)
-top = top_n_outliers(results, 2)
+top = [r.index for r in top_n_outliers(*lof_all(window, 3), 2)]
 print(f"top outliers at indices {top}: values {[window[i] for i in top]}")

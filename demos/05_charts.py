@@ -24,8 +24,7 @@ values[60] = 2150
 times = [(i + 1) * 0.1 for i in range(len(values))]
 
 # Score the whole series and keep the five strongest outliers.
-results = lof_all([float(v) for v in values], 5)
-top = [results[idx] for idx in top_n_outliers(results, 5)]
+top = top_n_outliers(*lof_all([float(v) for v in values], 5), 5)
 print("top outliers:")
 for rank, result in enumerate(top, start=1):
     print(f"  {rank}. t={times[result.index]:.1f}s "

@@ -1,0 +1,92 @@
+"""Hour-long `hpcwatch analyze --plot`: wall time, peak RSS and report digest.
+
+    python3 scripts/hour_analyze.py --runs 3
+
+Synthesizes the hour trace once (`synth --seed 7 --duration 3600
+--attack-at 1800`, six counters at 100 ms), then runs `hpcwatch analyze
+--plot --mark 1800` on it --runs times, each in a new process.  For each
+run it prints the wall time from launch to exit, the child's own peak RSS
+(VmHWM, read by the child from /proc/self/status at exit, so Linux only;
+the parent's rusage would also count the parent's RSS at the fork) and one
+sha256 over the report files.  Exits 1 if `analyze` fails or if two runs
+write different reports.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SYNTH = ["synth", "--seed", "7", "--duration", "3600", "--attack-at", "1800"]
+MARK = "1800"
+
+# Run in the child: the command, then its own high-water RSS into argv[1].
+CHILD = """
+import sys
+from hpcwatch.cli import main
+code = main(sys.argv[2:])
+with open("/proc/self/status", encoding="ascii") as fh:
+    hwm = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+with open(sys.argv[1], "w", encoding="ascii") as fh:
+    fh.write(hwm)
+sys.exit(code)
+"""
+
+
+def report_digest(outdir: Path) -> str:
+    """sha256 over every report file's name and bytes, in name order."""
+    h = hashlib.sha256()
+    for path in sorted(outdir.iterdir()):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--runs", type=int, default=3)
+    args = parser.parse_args(argv)
+    if args.runs < 1:
+        parser.error("--runs must be at least 1")
+
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    with tempfile.TemporaryDirectory(prefix="hour_analyze-") as tmp:
+        work = Path(tmp)
+        subprocess.run(
+            [sys.executable, "-m", "hpcwatch", *SYNTH, "--out", str(work / "trace")],
+            env=env, check=True, stdout=subprocess.DEVNULL,
+        )
+        inputs = sorted(str(p) for p in (work / "trace").glob("*.csv"))
+        digests = set()
+        for run in range(1, args.runs + 1):
+            outdir, info = work / f"report{run}", work / f"hwm{run}"
+            command = ["analyze", *inputs, "--out", str(outdir), "--plot", "--mark", MARK]
+            started = time.perf_counter()
+            proc = subprocess.run(
+                [sys.executable, "-c", CHILD, str(info), *command],
+                env=env, capture_output=True, text=True,
+            )
+            wall = time.perf_counter() - started
+            if proc.returncode not in (0, 3):
+                print(f"run {run}: analyze exited {proc.returncode}: {proc.stderr.strip()}",
+                      file=sys.stderr)
+                return 1
+            peak_mb = int(info.read_text()) / 1024.0
+            digest = report_digest(outdir)
+            digests.add(digest)
+            print(f"run {run}: wall {wall:.2f} s, peak RSS {peak_mb:.1f} MB, "
+                  f"reports sha256 {digest}", flush=True)
+    if len(digests) > 1:
+        print("runs wrote different reports", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

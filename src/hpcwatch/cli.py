@@ -185,22 +185,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     rows: list[OutlierRow] = []
     for name, top in ranked.items():
         present = aligned.ticks[name]
-        times = (present * config.tick_interval).tolist()
-        values = aligned.values[name].tolist()
-        for rank, result in enumerate(top, start=1):
-            rows.append(
-                OutlierRow(
-                    event=name,
-                    tick=int(present[result.index]),
-                    time=times[result.index],
-                    value=values[result.index],
-                    lof=result.lof,
-                    rank=rank,
-                )
-            )
+        times = present * config.tick_interval
+        values = aligned.values[name]
+        for rank, (index, _, lof) in enumerate(top, start=1):
+            rows.append(OutlierRow(
+                event=name, tick=int(present[index]), time=float(times[index]),
+                value=float(values[index]), lof=lof, rank=rank,
+            ))
         if args.plot and top:
             emit_plot(
-                name, times, values, top, os.path.join(outdir, f"{name}.svg"), args.mark
+                name, times.tolist(), values.tolist(), top,
+                os.path.join(outdir, f"{name}.svg"), args.mark,
             )
     write_outliers_csv(os.path.join(outdir, "outliers.csv"), rows)
 

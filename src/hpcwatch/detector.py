@@ -34,7 +34,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .events import CANDIDATE_KINDS, EventKind
+from .events import CANDIDATE_KINDS, EventKind, check_counters
 from .lof import LofResult, lof_all, lof_at, lof_scores, top_n_outliers
 from .trace import AlignedTrace, Sample, tick_of
 
@@ -76,11 +76,7 @@ class DetectorConfig:
             raise ValueError(f"delta_threshold must be > 1, got {self.delta_threshold}")
         if not self.tick_interval > 0:
             raise ValueError(f"tick_interval must be > 0, got {self.tick_interval}")
-        if not self.counters:
-            raise ValueError("counters must be nonempty")
-        twice = [c.name for i, c in enumerate(self.counters) if c in self.counters[:i]]
-        if twice:
-            raise ValueError(f"counter {twice[0]} is named twice")
+        check_counters(self.counters)
         if self.top_n < 1:
             raise ValueError(f"top_n must be >= 1, got {self.top_n}")
         if self.coalesce < 0:
@@ -422,9 +418,8 @@ def run_offline(
     ranked: dict[str, list[LofResult]] = {}
     for counter in selected:
         values = trace.values[counter.name]
-        top: list[LofResult] = []
-        if values.shape[0] >= config.k + 1:
-            results = lof_all(values, config.k)
-            top = [results[i] for i in top_n_outliers(results, config.top_n)]
-        ranked[counter.name] = top
+        ranked[counter.name] = (
+            top_n_outliers(*lof_all(values, config.k), config.top_n)
+            if values.shape[0] >= config.k + 1 else []
+        )
     return points, alerts, ranked

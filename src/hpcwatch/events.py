@@ -10,6 +10,7 @@ through verbatim so traces from exotic hardware still parse.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 # The portable event set, in the conventional listing order.
 KNOWN_EVENTS: tuple[str, ...] = (
@@ -78,3 +79,13 @@ class EventKind:
 
 # The candidate events as kinds: the default counters of detector and synth.
 CANDIDATE_KINDS: tuple[EventKind, ...] = tuple(EventKind(name) for name in CANDIDATE_EVENTS)
+
+
+def check_counters(counters: Sequence[EventKind]) -> None:
+    """Raise ``ValueError`` unless ``counters`` is nonempty and names each
+    counter once."""
+    if not counters:
+        raise ValueError("counters must be nonempty")
+    twice = [c.name for i, c in enumerate(counters) if c in counters[:i]]
+    if twice:
+        raise ValueError(f"counter {twice[0]} is named twice")

@@ -35,7 +35,9 @@ Three kernels compute the same numbers:
   tick one read of stdin holds.
 * ``_sorted_kernel`` sorts once and walks runs of the sorted values:
   O(n log n + n*k) time and O(n*k) memory.  It serves ``lof_all``, which
-  ranks whole series (36 000 points for an hour at 100 ms).
+  scores whole series (36 000 points for an hour at 100 ms) as two arrays;
+  ``top_n_outliers`` ranks those and builds a ``LofResult`` only for each
+  of the n points it returns.
 
 All three add every neighborhood sum's terms one at a time in ascending
 point index, the order the brute-force definition uses, so they agree bit
@@ -362,17 +364,17 @@ def lof_at(windows: np.ndarray, k: int, pos: int) -> np.ndarray:
     return scores
 
 
-def lof_all(points: np.ndarray | Sequence[float], k: int) -> list[LofResult]:
-    """One LofResult per point, index-aligned, bit-identical to ``lof_scores``."""
-    lrd_arr, lof_arr = _sorted_kernel(_points(points, k), k)
-    indices = range(lrd_arr.shape[0])
-    return list(map(LofResult._make, zip(indices, lrd_arr.tolist(), lof_arr.tolist())))
+def lof_all(points: np.ndarray | Sequence[float], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lrd, lof) arrays, one entry per point in input order, bit-identical
+    to ``lof_scores``."""
+    return _sorted_kernel(_points(points, k), k)
 
 
-def top_n_outliers(results: Sequence[LofResult], n: int) -> list[int]:
-    """Indices of the n largest scores, descending; equal scores keep the
-    earlier index first.  Returns fewer than n if fewer results exist."""
+def top_n_outliers(lrd: np.ndarray, lof: np.ndarray, n: int) -> list[LofResult]:
+    """The n highest-scoring points as LofResults, highest first; equal
+    scores keep the earlier index first.  Returns fewer than n if fewer
+    points exist.  Read with ``top_n_outliers(*lof_all(x, k), n)``."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    ranked = sorted(results, key=lambda r: (-r.lof, r.index))
-    return [r.index for r in ranked[:n]]
+    top = np.argsort(-lof, kind="stable")[:n]
+    return list(map(LofResult._make, zip(top.tolist(), lrd[top].tolist(), lof[top].tolist())))

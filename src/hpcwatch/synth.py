@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .detector import Alert
-from .events import CANDIDATE_KINDS, EventKind
+from .events import CANDIDATE_KINDS, EventKind, check_counters
 from .trace import CounterSeries, Sample, Trace, tick_of
 
 
@@ -97,8 +97,7 @@ class SynthConfig:
             raise ValueError(f"duration must be > 0, got {self.duration}")
         if not self.tick_interval > 0:
             raise ValueError(f"tick_interval must be > 0, got {self.tick_interval}")
-        if not self.counters:
-            raise ValueError("counters must be nonempty")
+        check_counters(self.counters)
         if self.attack is not None:
             end = self.attack.at + self.attack.width * self.tick_interval
             if end > self.duration + 1e-9:

@@ -41,6 +41,7 @@ import enum
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, NamedTuple
 
@@ -146,6 +147,9 @@ class LineError:
 # so a stream that names ever-new events cannot grow it without end.
 _event_kind = functools.lru_cache(maxsize=1024)(EventKind)
 
+# A delta must convert to a finite float.
+_MAX_DELTA = int(sys.float_info.max)
+
 
 def parse_line(line: str, line_no: int) -> Sample | SkippedLine | LineError:
     """Classify and parse one physical line (without its terminator).
@@ -198,8 +202,9 @@ def parse_line(line: str, line_no: int) -> Sample | SkippedLine | LineError:
                 delta = int(text)
             except ValueError:
                 return LineError(line_no, f"non-numeric delta {text!r}")
-    if delta is not None and delta < 0:
-        return LineError(line_no, f"negative delta {fields[1].strip()!r}")
+    if delta is not None and not 0 <= delta <= _MAX_DELTA:
+        reason = "negative delta" if delta < 0 else "delta out of range"
+        return LineError(line_no, f"{reason} {fields[1].strip()!r}")
 
     name = fields[2].strip()
     if not name:
@@ -287,8 +292,12 @@ def merge_traces(traces: Iterable[Trace]) -> Trace:
 
 
 def tick_of(timestamp: float, tick_interval: float) -> int:
-    """Grid index of a timestamp: half-up rounding to the nearest tick."""
-    return int(math.floor(timestamp / tick_interval + 0.5))
+    """Grid index of a timestamp: half-up rounding to the nearest tick.
+    Ticks are int64, as in ``align``: a later one is a ``ValueError``."""
+    grid = timestamp / tick_interval + 0.5
+    if not grid < 2.0**63:
+        raise ValueError(f"timestamp {timestamp} is past the int64 ticks")
+    return int(math.floor(grid))
 
 
 def align(trace: Trace, tick_interval: float) -> AlignedTrace:
@@ -310,8 +319,10 @@ def align(trace: Trace, tick_interval: float) -> AlignedTrace:
         deltas = np.fromiter(map(operator.itemgetter(1), samples), object, len(samples))
         counted = np.not_equal(deltas, None)
         stamps = np.fromiter(map(operator.itemgetter(0), samples), np.float64, len(samples))
-        # the operations of tick_of, on every counted sample at once
-        mapped = np.floor(stamps[counted] / tick_interval + 0.5)
+        # the operations of tick_of, on every counted sample at once; a
+        # stamp that overflows to +inf is caught below
+        with np.errstate(over="ignore"):
+            mapped = np.floor(stamps[counted] / tick_interval + 0.5)
         if mapped.shape[0] and mapped[-1] >= 2.0**63:  # stamps increase
             raise ValueError(f"{name}: timestamp {stamps[counted][-1]} is past the int64 ticks")
         ticks[name], slot = np.unique(mapped.astype(np.int64), return_inverse=True)

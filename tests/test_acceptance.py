@@ -67,11 +67,11 @@ def test_lof_oracle_equivalence_200_sets():
             pts = np.concatenate(
                 [rng.normal(0.0, 1.0, n - 1), rng.normal(500.0, 1.0, 1)]
             )  # one far outlier
-        mine = lof_all(pts.tolist(), k)
+        mine = lof_all(pts.tolist(), k)[1].tolist()
         ref = oracle.lof_all(pts.tolist(), k)
-        for r, expected in zip(mine, ref):
-            gap = relative_gap(r.lof, expected)
-            assert gap <= 1e-9, f"case {case}: point {r.index} off by {gap}"
+        for index, (score, expected) in enumerate(zip(mine, ref)):
+            gap = relative_gap(score, expected)
+            assert gap <= 1e-9, f"case {case}: point {index} off by {gap}"
     assert time.monotonic() - started < 10.0
 
 
@@ -83,7 +83,7 @@ def test_lof_derived_fixture_values():
     """{0,1,2,10} with k=2: the isolated point scores 4.95833..., its inner
     neighbor 1.33333..., within 1e-6.  Both values were derived with the
     brute-force oracle before the fast path existed."""
-    results = {r.index: r.lof for r in lof_all([0.0, 1.0, 2.0, 10.0], 2)}
+    results = dict(enumerate(lof_all([0.0, 1.0, 2.0, 10.0], 2)[1].tolist()))
     assert results[3] == pytest.approx(4.9583333333, abs=1e-6)
     assert results[1] == pytest.approx(1.3333333333, abs=1e-6)
 
@@ -123,9 +123,9 @@ def test_affine_invariance_scores_factors_alerts():
 
     # score level
     base_pts = (np.cumsum(rng.uniform(1e4, 1e5, 48)) + 5e5).tolist()
-    reference = [r.lof for r in lof_all(base_pts, 5)]
+    reference = lof_all(base_pts, 5)[1].tolist()
     for c, b in combos:
-        got = [r.lof for r in lof_all([c * x + b for x in base_pts], 5)]
+        got = lof_all([c * x + b for x in base_pts], 5)[1].tolist()
         for g, e in zip(got, reference):
             assert relative_gap(g, e) <= 1e-9, (c, b)
 
@@ -299,10 +299,9 @@ def test_plot_contract_circles_and_marker():
     vertical marker element."""
     values = [50, 51, 52, 50, 53, 400, 52, 51, 390, 50, 52, 51, 49, 50, 52]
     times = [(i + 1) * 0.1 for i in range(len(values))]
-    results = lof_all([float(v) for v in values], 5)
     from hpcwatch.lof import top_n_outliers
 
-    top = [results[i] for i in top_n_outliers(results, 5)]
+    top = top_n_outliers(*lof_all([float(v) for v in values], 5), 5)
     assert len(top) == 5
 
     unmarked = render_plot("LLC-loads", times, values, top)

@@ -843,6 +843,52 @@ def test_counter_named_twice_exits_one(tmp_path, monkeypatch, capsys):
     assert captured.out.count("\n") == 1  # synth's line only: detect printed no row
 
 
+def test_synth_counter_named_twice_exits_one_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "trace"
+    rc = main(["synth", "--events", "LLC-loads,LLC-loads", "--out", str(out)])
+    assert rc == EXIT_ERROR
+    assert not out.exists()
+    assert "error: counter LLC-loads is named twice" in capsys.readouterr().err
+
+
+def test_an_oversized_delta_is_one_malformed_line(tmp_path, monkeypatch, capsys):
+    main(["synth", "--seed", "4", "--duration", "30", "--attack-at", "15",
+          "--out", str(tmp_path / "trace")])
+    files = trace_files(tmp_path)
+    plain = tmp_path / "plain"
+    assert main(["analyze", *files, "--out", str(plain)]) == EXIT_ALERTS
+    capsys.readouterr()
+    assert detect_on(interleaved(tmp_path), monkeypatch) == EXIT_ALERTS
+    rows = capsys.readouterr().out
+
+    big = f"0.05,{'9' * 400},LLC-loads\n"
+    loads = next(f for f in files if f.endswith("/LLC-loads.csv"))
+    with open(loads, encoding="utf-8") as fh:
+        text = fh.read()
+    with open(loads, "w", encoding="utf-8") as fh:
+        fh.write(big + text)
+    out = tmp_path / "report"
+    assert main(["analyze", *files, "--out", str(out)]) == EXIT_ALERTS
+    for name in ("alerts.csv", "attack_factor.csv", "outliers.csv"):
+        assert (out / name).read_bytes() == (plain / name).read_bytes()
+    assert "1 malformed input lines skipped" in capsys.readouterr().err
+    assert detect_on(big + interleaved(tmp_path), monkeypatch) == EXIT_ALERTS
+    captured = capsys.readouterr()
+    assert captured.out == rows
+    assert "1 malformed lines skipped" in captured.err
+
+
+def test_a_timestamp_past_the_int64_ticks_exits_one(tmp_path, monkeypatch, capsys):
+    text = "0.1,5,LLC-loads\n1e308,5,LLC-loads\n"
+    assert detect_on(text, monkeypatch) == EXIT_ERROR
+    path = tmp_path / "far.csv"
+    path.write_text(text)
+    assert main(["analyze", str(path), "--out", str(tmp_path / "report")]) == EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: timestamp 1e+308 is past the int64 ticks",
+                   "error: LLC-loads: timestamp 1e+308 is past the int64 ticks"]
+
+
 def test_analyze_missing_file_exits_one(capsys):
     assert main(["analyze", "/nonexistent/trace.csv"]) == EXIT_ERROR
     assert "error:" in capsys.readouterr().err

@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from hpcwatch.lof import LofResult, lof_all, lof_at, lof_scores, top_n_outliers
@@ -50,17 +52,18 @@ def assert_lof_all_is_oracle(pts, k, reset):
     """lof_all's density and score of every point equal the oracle's bit
     for bit; ``reset`` is the exact_oracle fixture's."""
     reset()
-    results = lof_all(pts, k)
-    assert [r.lrd for r in results] == [oracle.lrd(pts, i, k) for i in range(len(pts))]
-    assert [r.lof for r in results] == oracle.lof_all(pts, k)
+    lrd, lof = lof_all(pts, k)
+    assert lrd.tolist() == [oracle.lrd(pts, i, k) for i in range(len(pts))]
+    assert lof.tolist() == oracle.lof_all(pts, k)
 
 
 def test_distance():
     # the metric is |a - b|: a two-point set's density is 1 / distance
-    assert lof_all([3.0, 3.0], 1)[0].lrd == math.inf
-    assert lof_all([0.0, 10.0], 1)[0].lrd == 1 / 10
-    assert lof_all([1621, 5149], 1)[0].lrd == 1 / 3528
-    assert lof_all([5149, 1621], 1)[0].lrd == 1 / 3528
+    # (lof_all(...)[0] is the lrd array)
+    assert lof_all([3.0, 3.0], 1)[0][0] == math.inf
+    assert lof_all([0.0, 10.0], 1)[0][0] == 1 / 10
+    assert lof_all([1621, 5149], 1)[0][0] == 1 / 3528
+    assert lof_all([5149, 1621], 1)[0][0] == 1 / 3528
     with pytest.raises(ValueError):
         lof_all([float("nan"), 1.0], 1)
 
@@ -116,10 +119,10 @@ def test_reachability_distance_fixture(exact_oracle):
 
 
 def test_lrd_fixture():
-    results = lof_all(FIXTURE, 2)
-    assert results[0].lrd == pytest.approx(2 / 3, rel=1e-12)
-    assert results[3].lrd == pytest.approx(2 / 17, rel=1e-12)
-    assert lof_all([5.0, 5.0, 5.0, 5.0], 2)[1].lrd == math.inf
+    lrd, _ = lof_all(FIXTURE, 2)
+    assert lrd[0] == pytest.approx(2 / 3, rel=1e-12)
+    assert lrd[3] == pytest.approx(2 / 17, rel=1e-12)
+    assert lof_all([5.0, 5.0, 5.0, 5.0], 2)[0][1] == math.inf
 
 
 def test_lof_fixture():
@@ -130,9 +133,9 @@ def test_lof_fixture():
 
 def test_lof_duplicate_convention():
     assert lof_scores([5.0, 5.0, 5.0, 5.0], 2)[2] == 1.0
-    results = lof_all([7.0] * 9, 4)
-    assert all(r.lof == 1.0 for r in results)
-    assert all(r.lrd == math.inf for r in results)
+    lrd, lof = lof_all([7.0] * 9, 4)
+    assert all(score == 1.0 for score in lof.tolist())
+    assert all(density == math.inf for density in lrd.tolist())
 
 
 def test_lof_all_matches_pointwise_exactly(exact_oracle):
@@ -140,9 +143,9 @@ def test_lof_all_matches_pointwise_exactly(exact_oracle):
     for _ in range(10):
         pts = rng.lognormal(3, 1, 30).tolist()
         k = int(rng.integers(2, 9))
-        batch = lof_all(pts, k)
-        assert [r.index for r in batch] == list(range(len(pts)))
-        assert [r.lof for r in batch] == lof_scores(pts, k).tolist()
+        lrd, lof = lof_all(pts, k)
+        assert lrd.shape == lof.shape == (len(pts),)  # index-aligned
+        assert lof.tolist() == lof_scores(pts, k).tolist()
         assert_lof_all_is_oracle(pts, k, exact_oracle)
 
 
@@ -154,23 +157,53 @@ def test_lof_all_too_few_points():
 def test_lof_scores_matches_lof_all():
     pts = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0]
     scores = lof_scores(np.array(pts), 3)
-    assert [float(s) for s in scores] == [r.lof for r in lof_all(pts, 3)]
+    assert [float(s) for s in scores] == lof_all(pts, 3)[1].tolist()
+
+
+def _ranked(lof, n):
+    """Indices ``top_n_outliers`` ranks for these scores (lrd all 1.0)."""
+    return [r.index for r in top_n_outliers(np.ones(len(lof)), np.array(lof), n)]
 
 
 def test_top_n_outliers():
-    mk = lambda scores: [LofResult(i, 1.0, s) for i, s in enumerate(scores)]
-    assert top_n_outliers(mk([1.0, 1.3, 1.0, 4.9]), 1) == [3]
-    assert top_n_outliers(mk([2.0, 2.0, 1.0]), 2) == [0, 1]
-    assert top_n_outliers(mk([1.0, 2.0]), 5) == [1, 0]
-    assert top_n_outliers(lof_all(FIXTURE, 2), 1) == [3]
+    assert _ranked([1.0, 1.3, 1.0, 4.9], 1) == [3]
+    assert _ranked([2.0, 2.0, 1.0], 2) == [0, 1]
+    assert _ranked([1.0, 2.0], 5) == [1, 0]
+    assert [r.index for r in top_n_outliers(*lof_all(FIXTURE, 2), 1)] == [3]
     with pytest.raises(ValueError):
-        top_n_outliers(mk([1.0]), 0)
+        _ranked([1.0], 0)
 
 
-def test_top_n_tie_rule_is_permutation_stable():
-    results = [LofResult(i, 1.0, s) for i, s in enumerate([2.0, 3.0, 2.0, 3.0, 1.0])]
-    assert top_n_outliers(results, 4) == [1, 3, 0, 2]
-    assert top_n_outliers(list(reversed(results)), 4) == [1, 3, 0, 2]
+def test_top_n_outliers_builds_results_for_the_top_only():
+    lrd, lof = lof_all(FIXTURE, 2)
+    top = top_n_outliers(lrd, lof, 2)
+    assert top == [LofResult(i, lrd[i], lof[i]) for i in (3, 1)]
+    assert all(type(r.index) is int and type(r.lrd) is float and type(r.lof) is float
+               for r in top)
+
+
+def test_top_n_tie_rule_keeps_the_earlier_index_first():
+    assert _ranked([2.0, 3.0, 2.0, 3.0, 1.0], 4) == [1, 3, 0, 2]
+    assert _ranked([1.0, 3.0, 2.0, 3.0, 2.0], 4) == [1, 3, 2, 4]
+    assert _ranked([math.inf, 1.0, math.inf, 5.0], 3) == [0, 2, 3]
+    assert _ranked([1.0] * 6, 3) == [0, 1, 2]
+
+
+@given(
+    st.lists(
+        st.one_of(st.sampled_from([1.0, 1.0, 2.0, math.inf]),
+                  st.floats(min_value=1e-300, max_value=1e6)),
+        min_size=1, max_size=80,
+    ),
+    st.integers(1, 90),
+)
+@settings(max_examples=300, deadline=None)
+def test_top_n_outliers_ranks_by_score_then_index(lof, n):
+    lrd = np.arange(len(lof), dtype=np.float64)
+    want = sorted(range(len(lof)), key=lambda i: (-lof[i], i))[:n]
+    top = top_n_outliers(lrd, np.array(lof), n)
+    assert [r.index for r in top] == want
+    assert [(r.lrd, r.lof) for r in top] == [(float(i), lof[i]) for i in want]
 
 
 def _assert_close(a: float, b: float, rel: float) -> None:
@@ -192,10 +225,10 @@ def test_oracle_equivalence_random_sets():
             pts = rng.lognormal(4, 1, n)
         else:
             pts = rng.integers(0, 12, n).astype(float)  # duplicate-heavy
-        mine = lof_all(pts.tolist(), k)
+        mine = lof_all(pts.tolist(), k)[1].tolist()
         ref = oracle.lof_all(pts.tolist(), k)
         for r, expected in zip(mine, ref):
-            _assert_close(r.lof, expected, 1e-9)
+            _assert_close(r, expected, 1e-9)
 
 
 def test_affine_invariance_floats():
@@ -207,11 +240,11 @@ def test_affine_invariance_floats():
     # the geometry before any score is computed.
     rng = np.random.default_rng(99)
     base = (np.cumsum(rng.uniform(1e4, 1e5, 40)) + 5e5).tolist()
-    reference = [r.lof for r in lof_all(base, 5)]
+    reference = lof_all(base, 5)[1].tolist()
     for c in (1e-3, 1.0, 1e3):
         for b in (0.0, 1e6):
             mapped = [c * x + b for x in base]
-            got = [r.lof for r in lof_all(mapped, 5)]
+            got = lof_all(mapped, 5)[1].tolist()
             for g, e in zip(got, reference):
                 _assert_close(g, e, 1e-9)
 
@@ -219,27 +252,26 @@ def test_affine_invariance_floats():
 def test_affine_invariance_integer_exact_cases():
     # integer scale/shift keep every distance exact, ties included
     pts = [3.0, 7.0, 7.0, 7.0, 7.0, 7.0, 7.0, 12.0, 30.0, 31.0]
-    base = [r.lof for r in lof_all(pts, 3)]
+    base = lof_all(pts, 3)[1].tolist()
     for c, b in ((1e3, 0.0), (1.0, 1e6), (1e3, 1e6)):
         mapped = [c * x + b for x in pts]
-        assert [r.lof for r in lof_all(mapped, 3)] == base
+        assert lof_all(mapped, 3)[1].tolist() == base
 
 
 def test_reflection_invariance():
     rng = np.random.default_rng(7)
     pts = rng.normal(10, 3, 25).tolist()
-    assert [r.lof for r in lof_all([-x for x in pts], 4)] == [
-        r.lof for r in lof_all(pts, 4)
-    ]
+    assert lof_all([-x for x in pts], 4)[1].tolist() == lof_all(pts, 4)[1].tolist()
 
 
 def test_all_scores_positive():
     rng = np.random.default_rng(11)
     for _ in range(20):
         pts = rng.integers(0, 6, 20).astype(float).tolist()
-        for r in lof_all(pts, 5):
-            assert r.lof > 0
-            assert r.lrd > 0
+        lrd, lof = lof_all(pts, 5)
+        for density, score in zip(lrd.tolist(), lof.tolist()):
+            assert score > 0
+            assert density > 0
 
 
 def test_reachability_lower_bound(exact_oracle):
@@ -275,7 +307,7 @@ def test_lof_all_equals_oracle_bit_for_bit(exact_oracle):
             pts = draw(int(rng.integers(k + 1, n_max + 1))).tolist()
             exact_oracle()
             expected = oracle.lof_all(pts, k)
-            assert [r.lof for r in lof_all(pts, k)] == expected, (name, len(pts), k)
+            assert lof_all(pts, k)[1].tolist() == expected, (name, len(pts), k)
 
 
 @pytest.mark.parametrize(
@@ -305,7 +337,7 @@ def test_lof_all_sums_a_long_tie_run_in_order():
     ])
     pts = rng.permutation(pts).tolist()
     for k in (3, 5):
-        assert [r.lof for r in lof_all(pts, k)] == lof_scores(pts, k).tolist()
+        assert lof_all(pts, k)[1].tolist() == lof_scores(pts, k).tolist()
 
 
 def test_lof_all_ranks_an_hour_of_jitter_quickly_in_bounded_memory():
@@ -317,14 +349,31 @@ def test_lof_all_ranks_an_hour_of_jitter_quickly_in_bounded_memory():
         tracemalloc.start()
         try:
             started = time.perf_counter()
-            results = lof_all(values, 5)
+            lrd, lof = lof_all(values, 5)
             elapsed = time.perf_counter() - started
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(results) == 36_000
+        assert len(lrd) == len(lof) == 36_000
         assert elapsed < 2.0, (level, elapsed)
         assert peak < 64 * 2**20, (level, peak)
+
+
+def test_lof_all_result_of_an_hour_holds_two_arrays():
+    # the result lives as long as its caller ranks it: two float arrays,
+    # not one object per point
+    rng = np.random.default_rng(3601)
+    for level in (18, 61452):
+        values = np.rint(rng.lognormal(math.log(level), 0.03, 36_000))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = lof_all(values, 5)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(result[1]) == 36_000
+        assert retained < 2**20, (level, retained)
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,13 @@ def test_attack_window_must_fit_duration():
         )
 
 
+def test_counters_are_nonempty_and_each_named_once():
+    with pytest.raises(ValueError, match="counters must be nonempty"):
+        SynthConfig(seed=1, duration=10.0, counters=())
+    with pytest.raises(ValueError, match="counter LLC-loads is named twice"):
+        SynthConfig(seed=1, duration=10.0, counters=(EventKind("LLC-loads"),) * 2)
+
+
 def test_duration_must_cover_a_tick():
     with pytest.raises(ValueError, match="shorter than one tick"):
         generate_trace(SynthConfig(seed=1, duration=0.04))

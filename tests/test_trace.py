@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -97,6 +98,16 @@ def test_parse_line_errors():
         assert isinstance(got, LineError), bad
         assert got.line_no == 7
     assert parse_line("0.1,42", 7).reason == "expected 3 fields, got 2"
+
+
+def test_parse_line_rejects_a_delta_past_the_float_range():
+    # such a delta would end either driver in float(delta)'s OverflowError;
+    # the frozen reference parser still accepts it
+    big = "9" * 400
+    assert parse_line(f"0.1,{big},LLC-loads", 3) == LineError(3, f"delta out of range {big!r}")
+    top = int(sys.float_info.max)
+    assert parse_line(f"0.1,{top},LLC-loads", 4).delta == top
+    assert parse_line(f"0.1, {top + 1} ,LLC-loads", 5).reason.startswith("delta out of range")
 
 
 def test_parse_stream_listing():
@@ -264,6 +275,14 @@ def test_tick_of_half_up():
     assert tick_of(0.051, 0.1) == 1
     assert tick_of(50.0, 0.1) == 500
     assert tick_of(60.0, 0.1) == 600
+
+
+def test_tick_of_rejects_a_tick_past_int64():
+    # align's rule: 1e308 / 0.1 overflows to +inf, and 1e18 / 0.1 is past 2**63
+    for timestamp in (1e18, 1e308):
+        with pytest.raises(ValueError, match="past the int64 ticks"):
+            tick_of(timestamp, 0.1)
+    assert tick_of((2.0**63 - 1024) * 0.5, 0.5) == 2**63 - 1024
 
 
 def test_align_basics():

@@ -45,10 +45,10 @@ accounted = (
 )
 assert accounted == diags.lines_read
 
-# Per-counter series keep their own timestamps.
-for name, series in trace.series.items():
-    deltas = [s.delta for s in series.samples]
-    print(f"{name}: {deltas}")
+# Each counter keeps its own columns: its timestamps, and its deltas as
+# floats, NaN where the kernel did not count.
+for name, stamps in trace.timestamps.items():
+    print(f"{name}: {list(zip(stamps.tolist(), trace.deltas[name].tolist()))}")
 
 # align() snaps every sample to round(t / interval) and keeps, per counter,
 # the ticks it has a value at with those values.  The `<not counted>`

@@ -23,24 +23,28 @@ def readout(name: str, tick: int) -> float:
         return base * 30.0
     return base
 
-# The detector evaluates a tick once a later one arrives.  It appends every
-# attack-factor point to `points`; poll() hands over the alerts raised.
-points = []
+# The detector evaluates a tick once a later one arrives, `lag` ticks after
+# the tick it judges.  It appends each evaluated tick's eval tick, f and
+# contributing count to the three columns of `points`; poll() hands over
+# the alerts raised.
+points = ([], [], [])
 detector = Detector(config, points=points)
 
 
 def show(alerts) -> None:
     raised = {alert.eval_tick: alert for alert in alerts}
-    for point in points:
-        alert = raised.get(point.eval_tick)
+    for eval_tick, f, contributing in zip(*points):
+        tick = eval_tick + lag(config)
+        alert = raised.get(eval_tick)
         if alert is not None:
             print(
-                f"tick {point.tick:3}: ALERT for tick {point.eval_tick} "
-                f"(t={alert.eval_time:.1f}s) f={point.f}"
+                f"tick {tick:3}: ALERT for tick {eval_tick} "
+                f"(t={alert.eval_time:.1f}s) f={f}"
             )
-        elif point.tick % 20 == 0:
-            print(f"tick {point.tick:3}: f={point.f:.3f} over {point.contributing} counters")
-    points.clear()
+        elif tick % 20 == 0:
+            print(f"tick {tick:3}: f={f:.3f} over {contributing} counters")
+    for column in points:
+        column.clear()
 
 
 for tick in range(100):

@@ -8,14 +8,18 @@ Synthesizes the hour trace once (`synth --seed 7 --duration 3600
 run it prints the wall time from launch to exit, the child's own peak RSS
 (VmHWM, read by the child from /proc/self/status at exit, so Linux only;
 the parent's rusage would also count the parent's RSS at the fork) and one
-sha256 over the report files.  Exits 1 if `analyze` fails or if two runs
-write different reports.
+sha256 over the report files.  A second line splits the run by stage:
+the child wraps the `hpcwatch.cli` names of each stage, and prints the
+stage's wall time inside the child and its VmRSS/VmHWM after the stage's
+last call.  Exits 1 if `analyze` fails or if two runs write different
+reports.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -27,15 +31,49 @@ ROOT = Path(__file__).resolve().parent.parent
 SYNTH = ["synth", "--seed", "7", "--duration", "3600", "--attack-at", "1800"]
 MARK = "1800"
 
-# Run in the child: the command, then its own high-water RSS into argv[1].
+# Run in the child: the command, with the hpcwatch.cli names of each stage
+# wrapped, then its stages and its own high-water RSS as JSON into argv[1].
 CHILD = """
+import json
 import sys
-from hpcwatch.cli import main
-code = main(sys.argv[2:])
-with open("/proc/self/status", encoding="ascii") as fh:
-    hwm = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+import time
+import hpcwatch.cli as cli
+
+STAGES = {
+    "parse": ["parse_file"],
+    "align": ["merge_traces", "align"],
+    "run_offline": ["run_offline"],
+    "report": ["write_attack_factor_csv", "write_alerts_csv", "write_outliers_csv",
+               "emit_plot"],
+}
+
+
+def status():
+    with open("/proc/self/status", encoding="ascii") as fh:
+        fields = dict(line.split(":", 1) for line in fh)
+    return [int(fields[key].split()[0]) for key in ("VmRSS", "VmHWM")]
+
+
+spent = {}
+
+
+def timed(stage, fn):
+    def call(*args, **kwargs):
+        started = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            seconds = spent.get(stage, [0.0])[0] + time.perf_counter() - started
+            spent[stage] = [seconds, *status()]
+    return call
+
+
+for stage, names in STAGES.items():
+    for name in names:
+        setattr(cli, name, timed(stage, getattr(cli, name)))
+code = cli.main(sys.argv[2:])
 with open(sys.argv[1], "w", encoding="ascii") as fh:
-    fh.write(hwm)
+    json.dump({"hwm_kib": status()[1], "stages": spent}, fh)
 sys.exit(code)
 """
 
@@ -77,11 +115,16 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"run {run}: analyze exited {proc.returncode}: {proc.stderr.strip()}",
                       file=sys.stderr)
                 return 1
-            peak_mb = int(info.read_text()) / 1024.0
+            child = json.loads(info.read_text())
             digest = report_digest(outdir)
             digests.add(digest)
-            print(f"run {run}: wall {wall:.2f} s, peak RSS {peak_mb:.1f} MB, "
-                  f"reports sha256 {digest}", flush=True)
+            print(f"run {run}: wall {wall:.2f} s, peak RSS {child['hwm_kib'] / 1024.0:.1f} MB, "
+                  f"reports sha256 {digest}")
+            print(f"run {run}: " + "; ".join(
+                f"{stage} {seconds:.2f} s, then VmRSS {rss / 1024.0:.1f} MB, "
+                f"VmHWM {hwm / 1024.0:.1f} MB"
+                for stage, (seconds, rss, hwm) in child["stages"].items()
+            ), flush=True)
     if len(digests) > 1:
         print("runs wrote different reports", file=sys.stderr)
         return 1

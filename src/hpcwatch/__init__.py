@@ -2,7 +2,6 @@
 
 from .detector import (
     Alert,
-    AttackFactorPoint,
     Detector,
     DetectorConfig,
     run_offline,
@@ -12,7 +11,6 @@ from .lof import LofResult, lof_all, top_n_outliers
 from .synth import EvalMetrics, GroundTruth, SynthConfig, evaluate, generate_trace
 from .trace import (
     AlignedTrace,
-    CounterSeries,
     ParseDiagnostics,
     Sample,
     Trace,
@@ -28,9 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Alert",
     "AlignedTrace",
-    "AttackFactorPoint",
     "CANDIDATE_EVENTS",
-    "CounterSeries",
     "Detector",
     "DetectorConfig",
     "EvalMetrics",

@@ -161,7 +161,7 @@ def _align_inputs(paths: Sequence[str], tick_interval: float) -> tuple[AlignedTr
         trace, diags = parse_file(path)
         malformed += len(diags.malformed)
         traces.append(trace)
-    if not any(trace.series for trace in traces):
+    if not any(trace.timestamps for trace in traces):
         raise ValueError("no samples in input files")
     return align(merge_traces(traces), tick_interval), malformed
 
@@ -171,12 +171,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     config = _detector_config(settings)
 
     aligned, malformed = _align_inputs(args.inputs, config.tick_interval)
-    points, alerts, ranked = run_offline(aligned, config)
+    series, alerts, ranked = run_offline(aligned, config)
 
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
     write_attack_factor_csv(
-        os.path.join(outdir, "attack_factor.csv"), points, config.tick_interval
+        os.path.join(outdir, "attack_factor.csv"), series, config.tick_interval
     )
     write_alerts_csv(os.path.join(outdir, "alerts.csv"), alerts)
 
@@ -295,12 +295,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
-    for name in trace.series:
+    for name in trace.timestamps:
         write_trace(trace, os.path.join(outdir, f"{name}.csv"), events=[name])
     write_ground_truth(
         os.path.join(outdir, "ground_truth.txt"), truth, config.tick_interval
     )
-    print(f"{len(trace.series)} trace files written to {outdir}")
+    print(f"{len(trace.timestamps)} trace files written to {outdir}")
     return EXIT_OK
 
 
@@ -332,11 +332,10 @@ def cmd_capture(args: argparse.Namespace) -> int:
         raise ValueError("capture needs --pid or a command after --")
 
     interval_ms = max(1, int(round(settings["interval"] * 1000)))
-    raw_path = args.out + ".raw"
     cmd = [
         args.profiler,
         "stat",
-        "-o", raw_path,
+        "-o", args.out,
         "-x", ",",
         "-I", str(interval_ms),
         "-e", ",".join(settings["events"]),
@@ -368,31 +367,8 @@ def cmd_capture(args: argparse.Namespace) -> int:
         print(f"{reason}: {stderr or f'exit code {proc.returncode}'}", file=sys.stderr)
         return EXIT_CAPTURE
 
-    _normalize_profiler_csv(raw_path, args.out)
-    os.remove(raw_path)
     print(f"trace written to {args.out}")
     return EXIT_OK
-
-
-def _normalize_profiler_csv(raw_path: str, out_path: str) -> None:
-    """Rewrite profiler interval CSV into the 3-field ingest shape.
-
-    Handles both the bare (time,count,event) layout and the newer one with
-    a unit column after the count.
-    """
-    with open(raw_path, "r", encoding="utf-8") as src, open(
-        out_path, "w", encoding="utf-8"
-    ) as dst:
-        for raw in src:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                dst.write(raw)
-                continue
-            fields = [f.strip() for f in line.split(",")]
-            if len(fields) < 3:
-                continue
-            event = fields[3] if len(fields) >= 4 and fields[2] == "" else fields[2]
-            dst.write(f"{fields[0]},{fields[1]},{event}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -10,16 +10,16 @@ above the configured threshold raises an alert.
 One ``Detector`` runs that tick loop for both drivers: it keeps the rings,
 the score maps and the clock, and evaluates, prunes, thresholds and
 coalesces each tick once the clock has passed it.  ``detect`` pushes every
-parsed sample into it, ``run_offline`` every aligned value in tick order;
-only a counted delta of a configured counter moves the clock, the samples
-``align`` places on the grid.  A push only queues its window, tagged with
-the clock's tick; each ``poll`` scores the queued full windows in one
-``lof_at`` call, however many ticks they span, then lands the scores and
-evaluates the passed ticks in push order, so polling less often stacks
-more windows and changes no alert.  ``run_offline`` also ranks each
-counter's whole aligned column once, for ``outliers.csv`` and the charts.
-``push_value`` scores one window on the spot through ``lof_scores``; it is
-the reference the ``Detector`` is tested against.
+parsed sample into it, ``run_offline`` every aligned value in tick order,
+keeping f as arrays; only a counted delta of a configured counter moves
+the clock, the samples ``align`` places on the grid.  A push only queues
+its window, tagged with the clock's tick; each ``poll`` scores the queued
+full windows in one ``lof_at`` call, however many ticks they span, then
+lands the scores and evaluates the passed ticks in push order, so polling
+less often stacks more windows and changes no alert.  ``run_offline`` also
+ranks each counter's whole aligned column once, for ``outliers.csv`` and
+the charts.  ``push_value`` scores one window on the spot through
+``lof_scores``; it is the reference the ``Detector`` is tested against.
 
 The lag is floor(k/2) + 1 ticks: 3 ticks (300 ms at the default 100 ms
 cadence) for the default k=5.  Detection latency is therefore bounded below
@@ -28,9 +28,10 @@ by the lag; nothing can alert on the newest sample.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, MutableSequence, Sequence
 
 import numpy as np
 
@@ -259,12 +260,13 @@ class Detector:
     scores what is queued, evaluates the passed ticks and hands over the
     alerts raised since the last call; a push that fills the stack does
     the same but keeps the alerts for ``poll``.  ``finish`` also evaluates
-    the newest tick at end of input.  ``points``, if given, receives every
-    attack-factor point in tick order.
+    the newest tick at end of input.  ``points``, if given, is three
+    columns that receive the eval tick, f and contributing count of every
+    evaluated tick with a score, in tick order.
     """
 
     def __init__(
-        self, config: DetectorConfig, points: list[AttackFactorPoint] | None = None
+        self, config: DetectorConfig, points: tuple[MutableSequence, ...] | None = None
     ) -> None:
         self.config = config
         self._points = points
@@ -359,7 +361,8 @@ class Detector:
         if point is None:
             return
         if self._points is not None:
-            self._points.append(point)
+            for column, value in zip(self._points, (point.eval_tick, point.f, point.contributing)):
+                column.append(value)
         alert = threshold_check(point, self.config)
         if alert is None:
             return
@@ -394,11 +397,12 @@ def _push_in_tick_order(detector: Detector, trace: AlignedTrace, names: list[str
 
 def run_offline(
     trace: AlignedTrace, config: DetectorConfig
-) -> tuple[list[AttackFactorPoint], list[Alert], dict[str, list[LofResult]]]:
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], list[Alert], dict[str, list[LofResult]]]:
     """Push every value of an aligned trace, in tick order, through a
     ``Detector``.
 
-    Returns the attack-factor series, the alerts, and per counter its top_n
+    Returns the attack-factor series as the eval tick (int64), f and
+    contributing count (int64) arrays, the alerts, and per counter its top_n
     whole-series outliers as LofResults in rank order; their indices point
     into the counter's ``trace.values``.  Counters too short to rank get an
     empty list.  Alerts are coalesced as ``config.coalesce`` says.
@@ -410,10 +414,11 @@ def run_offline(
             f"no configured counter present in trace (available: {available})"
         )
 
-    points: list[AttackFactorPoint] = []
-    detector = Detector(config, points)
+    columns = (array("q"), array("d"), array("q"))
+    detector = Detector(config, columns)
     _push_in_tick_order(detector, trace, [counter.name for counter in selected])
     alerts = list(detector.finish())
+    series = tuple(np.frombuffer(column, column.typecode) for column in columns)
 
     ranked: dict[str, list[LofResult]] = {}
     for counter in selected:
@@ -422,4 +427,4 @@ def run_offline(
             top_n_outliers(*lof_all(values, config.k), config.top_n)
             if values.shape[0] >= config.k + 1 else []
         )
-    return points, alerts, ranked
+    return series, alerts, ranked

@@ -19,7 +19,9 @@ import csv
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .detector import Alert, AttackFactorPoint
+import numpy as np
+
+from .detector import Alert
 from .trace import tick_of
 
 ATTACK_FACTOR_HEADER = ["eval_time", "f", "contributing"]
@@ -47,13 +49,13 @@ def _writer(fh):
 
 
 def write_attack_factor_csv(
-    path: str, points: Sequence[AttackFactorPoint], tick_interval: float
+    path: str, series: tuple[np.ndarray, np.ndarray, np.ndarray], tick_interval: float
 ) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = _writer(fh)
         w.writerow(ATTACK_FACTOR_HEADER)
-        for p in points:
-            w.writerow([fmt(p.eval_tick * tick_interval), fmt(p.f), p.contributing])
+        for tick, f, count in zip(*(column.tolist() for column in series)):
+            w.writerow([fmt(tick * tick_interval), fmt(f), count])
 
 
 def write_alerts_csv(path: str, alerts: Sequence[Alert]) -> None:

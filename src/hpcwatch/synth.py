@@ -21,7 +21,7 @@ import numpy as np
 
 from .detector import Alert
 from .events import CANDIDATE_KINDS, EventKind, check_counters
-from .trace import CounterSeries, Sample, Trace, tick_of
+from .trace import Trace, tick_of
 
 
 @dataclass(frozen=True)
@@ -151,7 +151,8 @@ def generate_trace(config: SynthConfig) -> tuple[Trace, GroundTruth]:
             affected = tuple(config.attack.affected)
 
     rng = np.random.default_rng(config.seed)
-    trace = Trace()
+    stamps = (np.arange(n_ticks) + 1) * config.tick_interval
+    columns: dict[str, np.ndarray] = {}
 
     for counter in config.counters:
         spec = config.baseline_for(counter.name)
@@ -165,16 +166,9 @@ def generate_trace(config: SynthConfig) -> tuple[Trace, GroundTruth]:
             if lo < hi:
                 deltas[lo:hi] = np.rint(deltas[lo:hi] * config.attack.magnitude)
 
-        samples = [
-            Sample(
-                timestamp=(i + 1) * config.tick_interval,
-                delta=int(deltas[i]),
-                event=counter,
-            )
-            for i in range(n_ticks)
-        ]
-        trace.series[counter.name] = CounterSeries(event=counter, samples=samples)
+        columns[counter.name] = deltas
 
+    trace = Trace({name: stamps for name in columns}, columns)
     return trace, GroundTruth(attack_tick=attack_tick, affected=affected)
 
 

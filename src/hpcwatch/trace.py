@@ -11,9 +11,12 @@ the interval, and the event name::
 
 ``#`` lines are comments and blank lines are skipped.  Every other line
 needs all three fields; extra trailing fields (units, ratios appended by
-newer profiler versions) are ignored.  A delta of ``<not counted>`` marks an
-interval the kernel could not measure; it is kept as an explicit missing
-value because zero is a legitimate measurement.
+newer profiler versions) are ignored.  ``perf stat -x, -I`` writes an empty
+unit field between the delta and the event, so an empty third field
+followed by a fourth names the event in the fourth.  A delta of
+``<not counted>`` marks an interval the kernel could not measure, and
+``<not supported>`` an event it cannot count at all; either is kept as an
+explicit missing value because zero is a legitimate measurement.
 
 Parsing is forgiving per line and strict in accounting: every malformed line
 is recorded with its line number and reason, and the diagnostics identity
@@ -22,17 +25,17 @@ is recorded with its line number and reason, and the diagnostics identity
 
 holds for ``parse_stream`` on arbitrary input.  ``read_samples`` is its line
 reader: it yields each usable sample and each malformed line's error as the
-line arrives.  ``parse_stream`` collects its output into a trace and keeps
-the errors; the live ``detect`` loop pushes the samples and only counts the
-errors, so its memory stays flat however many lines are malformed.
+line arrives.  ``parse_stream`` collects its output into a trace of arrays
+and keeps the errors; the live ``detect`` loop pushes the samples and only
+counts the errors, so its memory stays flat however many lines are malformed.
 
-``align`` snaps every series onto one tick grid, keeping per counter only
+``align`` snaps every event onto one tick grid, keeping per counter only
 the ticks with a counted sample and their summed deltas: an ``AlignedTrace``
 grows with the samples, so a gap in a capture costs nothing.
 
 A parsed ``Sample`` is a named tuple, and every sample of one event shares
 one ``EventKind`` (from a bounded cache, so a stream of ever-new names
-cannot grow it): an hour of readouts holds a few hundred thousand of them.
+cannot grow it).
 """
 
 from __future__ import annotations
@@ -40,8 +43,9 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import operator
 import sys
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, NamedTuple
 
@@ -50,6 +54,8 @@ import numpy as np
 from .events import EventKind
 
 MISSING_DELTA_TOKEN = "<not counted>"
+# perf's delta for an event the host cannot count; read as missing too
+UNSUPPORTED_DELTA_TOKEN = "<not supported>"
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +66,7 @@ class Sample(NamedTuple):
     """One (timestamp, delta, event) readout.
 
     ``delta`` is ``None`` for an interval the profiler reported as not
-    counted.
+    counted or not supported.
     """
 
     timestamp: float
@@ -69,29 +75,21 @@ class Sample(NamedTuple):
 
 
 @dataclass
-class CounterSeries:
-    """All samples of one event, in time order."""
+class Trace:
+    """Per event, its readouts' strictly increasing float timestamps and
+    their float deltas, NaN for a delta not counted."""
 
-    event: EventKind
-    samples: list[Sample]
+    timestamps: dict[str, np.ndarray] = field(default_factory=dict)
+    deltas: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for a, b in zip(self.samples, self.samples[1:]):
-            if b.timestamp <= a.timestamp:
-                raise ValueError(
-                    f"timestamps not strictly increasing for {self.event}: "
-                    f"{a.timestamp} then {b.timestamp}"
-                )
-        for s in self.samples:
-            if s.event is not self.event and s.event != self.event:
-                raise ValueError(f"sample event {s.event} in series {self.event}")
-
-
-@dataclass
-class Trace:
-    """A collection of counter series, at most one per event name."""
-
-    series: dict[str, CounterSeries] = field(default_factory=dict)
+        if self.timestamps.keys() != self.deltas.keys():
+            raise ValueError("timestamps and deltas must name the same events")
+        for name, stamps in self.timestamps.items():
+            if stamps.ndim != 1 or stamps.shape != self.deltas[name].shape:
+                raise ValueError(f"{name}: timestamps and deltas must be 1-D and of one length")
+            if not (np.diff(stamps) > 0).all():
+                raise ValueError(f"{name}: timestamps must strictly increase")
 
 
 @dataclass
@@ -151,13 +149,36 @@ _event_kind = functools.lru_cache(maxsize=1024)(EventKind)
 _MAX_DELTA = int(sys.float_info.max)
 
 
+def _long_int(text: str) -> int | None:
+    """The value of an integer literal longer than ``int()`` reads, else None.
+
+    ``float()`` reads any sign, digits and underscores that ``int()`` does,
+    at any length and in linear time.  A finite result is below 10**309,
+    so every digit but the last 310 is a zero and ``int()`` reads the
+    rest; an infinite one is past every delta's range.
+    """
+    sign = text[:1] if text[:1] in ("+", "-") else ""
+    digits = text[len(sign):].replace("_", "")
+    if not digits.isdecimal():
+        return None
+    try:
+        value = float(text)
+    except ValueError:
+        return None
+    if math.isinf(value):
+        return -_MAX_DELTA - 1 if value < 0 else _MAX_DELTA + 1
+    return int(sign + digits[-310:])
+
+
 def parse_line(line: str, line_no: int) -> Sample | SkippedLine | LineError:
     """Classify and parse one physical line (without its terminator).
 
     Returns a :class:`Sample`, a :class:`SkippedLine` marker for comments and
     blank lines, or a :class:`LineError` carrying ``line_no`` and a reason.
     A data line needs all three fields, the event name included; extra
-    trailing fields beyond the third are ignored.
+    trailing fields beyond the third are ignored, except that an empty
+    third field before a fourth, perf's unit column, leaves the name to the
+    fourth.
 
     Fields are read without their surrounding whitespace, and reasons quote
     them so.  ``float()`` and ``int()`` skip that whitespace themselves,
@@ -195,20 +216,25 @@ def parse_line(line: str, line_no: int) -> Sample | SkippedLine | LineError:
         delta = int(fields[1])
     except ValueError:
         text = fields[1].strip()
-        if text == MISSING_DELTA_TOKEN:
+        if text == MISSING_DELTA_TOKEN or text == UNSUPPORTED_DELTA_TOKEN:
             delta = None
         else:
             try:
                 delta = int(text)
             except ValueError:
-                return LineError(line_no, f"non-numeric delta {text!r}")
+                delta = _long_int(text)
+                if delta is None:
+                    return LineError(line_no, f"non-numeric delta {text!r}")
     if delta is not None and not 0 <= delta <= _MAX_DELTA:
         reason = "negative delta" if delta < 0 else "delta out of range"
         return LineError(line_no, f"{reason} {fields[1].strip()!r}")
 
     name = fields[2].strip()
     if not name:
-        return LineError(line_no, "empty event name")
+        if n_fields > 3:
+            name = fields[3].strip()
+        if not name:
+            return LineError(line_no, "empty event name")
     return Sample(timestamp, delta, _event_kind(name))
 
 
@@ -252,23 +278,24 @@ def read_samples(
 
 
 def parse_stream(reader: Iterable[str] | IO[str]) -> tuple[Trace, ParseDiagnostics]:
-    """Parse a line source into a trace, one series per event seen.
+    """Parse a line source into a trace, one pair of columns per event seen.
 
     Per-line errors are collected in the diagnostics and parsing continues;
     only an unreadable source raises.
     """
     diags = ParseDiagnostics()
-    by_event: dict[str, list[Sample]] = {}
+    columns: defaultdict[str, tuple[array, array]] = defaultdict(lambda: (array("d"), array("d")))
     for item in read_samples(reader, diags):
         if type(item) is LineError:
             diags.malformed.append((item.line_no, item.reason))
         else:
-            by_event.setdefault(item.event.name, []).append(item)
-
-    trace = Trace()
-    for name, samples in by_event.items():
-        trace.series[name] = CounterSeries(event=samples[0].event, samples=samples)
-    return trace, diags
+            stamps, deltas = columns[item.event.name]
+            stamps.append(item.timestamp)
+            deltas.append(math.nan if item.delta is None else float(item.delta))
+    return Trace(
+        {name: np.frombuffer(stamps) for name, (stamps, _) in columns.items()},
+        {name: np.frombuffer(deltas) for name, (_, deltas) in columns.items()},
+    ), diags
 
 
 def parse_file(path: str) -> tuple[Trace, ParseDiagnostics]:
@@ -284,10 +311,11 @@ def merge_traces(traces: Iterable[Trace]) -> Trace:
     """Union of disjoint traces; duplicate event names are an error."""
     merged = Trace()
     for trace in traces:
-        for name, series in trace.series.items():
-            if name in merged.series:
+        for name in trace.timestamps:
+            if name in merged.timestamps:
                 raise ValueError(f"duplicate event across traces: {name}")
-            merged.series[name] = series
+            merged.timestamps[name] = trace.timestamps[name]
+            merged.deltas[name] = trace.deltas[name]
     return merged
 
 
@@ -301,24 +329,21 @@ def tick_of(timestamp: float, tick_interval: float) -> int:
 
 
 def align(trace: Trace, tick_interval: float) -> AlignedTrace:
-    """Snap every series onto the tick grid ``round(t / tick_interval)``.
+    """Snap every event onto the tick grid ``round(t / tick_interval)``.
 
     Deltas of samples on one tick sum left to right; a tick with no sample
     of an event has no entry.  Missing-delta samples claim no tick.  The grid
-    runs from tick 0 to the maximum mapped tick over all series.
+    runs from tick 0 to the maximum mapped tick over all events.
     """
     if tick_interval <= 0:
         raise ValueError(f"tick_interval must be > 0, got {tick_interval}")
     ticks: dict[str, np.ndarray] = {}
     values: dict[str, np.ndarray] = {}
-    for name, series in trace.series.items():
-        samples = series.samples
-        if not samples:
+    for name, stamps in trace.timestamps.items():
+        if not stamps.shape[0]:
             raise ValueError(f"empty series for event {name}")
-        # a delta is a Python int of any size, so each goes to float on its own
-        deltas = np.fromiter(map(operator.itemgetter(1), samples), object, len(samples))
-        counted = np.not_equal(deltas, None)
-        stamps = np.fromiter(map(operator.itemgetter(0), samples), np.float64, len(samples))
+        deltas = trace.deltas[name]
+        counted = ~np.isnan(deltas)
         # the operations of tick_of, on every counted sample at once; a
         # stamp that overflows to +inf is caught below
         with np.errstate(over="ignore"):
@@ -328,7 +353,7 @@ def align(trace: Trace, tick_interval: float) -> AlignedTrace:
         ticks[name], slot = np.unique(mapped.astype(np.int64), return_inverse=True)
         # np.add.at adds in index order, so a shared tick sums left to right
         values[name] = np.zeros(ticks[name].shape[0])
-        np.add.at(values[name], slot, deltas[counted].astype(np.float64))
+        np.add.at(values[name], slot, deltas[counted])
     n_ticks = 1 + max((int(at[-1]) for at in ticks.values() if at.shape[0]), default=0)
     return AlignedTrace(tick_interval, n_ticks, ticks, values)
 
@@ -337,20 +362,21 @@ def align(trace: Trace, tick_interval: float) -> AlignedTrace:
 # Serialization (same format as the input)
 # ---------------------------------------------------------------------------
 
-def serialize_sample(sample: Sample) -> str:
-    delta = MISSING_DELTA_TOKEN if sample.delta is None else str(sample.delta)
-    return f"{sample.timestamp!r},{delta},{sample.event.name}"
-
-
 def iter_serialized(trace: Trace, events: Iterable[str] | None = None) -> Iterator[str]:
-    """Lines for the given events (default all), interleaved in time order."""
-    names = list(events) if events is not None else sorted(trace.series)
-    heap = sorted(
-        (s for name in names for s in trace.series[name].samples),
-        key=lambda s: (s.timestamp, s.event.name),
+    """Lines for the given events (default all), interleaved in time order
+    and, at one timestamp, in event-name order.
+
+    A delta is written as ``int(delta)``: below 2**53 that is the integer
+    parsed, and past it the integer its float holds (2**53 + 1 parses to
+    the float 2**53 and is written so).
+    """
+    readouts = sorted(
+        (stamp, name, delta)
+        for name in sorted(trace.timestamps if events is None else events)
+        for stamp, delta in zip(trace.timestamps[name].tolist(), trace.deltas[name].tolist())
     )
-    for sample in heap:
-        yield serialize_sample(sample)
+    for stamp, name, delta in readouts:
+        yield f"{stamp!r},{MISSING_DELTA_TOKEN if math.isnan(delta) else int(delta)},{name}"
 
 
 def write_trace(trace: Trace, path: str, events: Iterable[str] | None = None) -> None:

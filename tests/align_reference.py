@@ -3,7 +3,8 @@
 Frozen here so tests can hold ``hpcwatch.trace.align`` to it bit for bit:
 the same tick count, and for each counter the same ticks and values as
 this column's non-NaN slots.  It maps and sums one sample at a time, the
-plain way, in sample order.
+plain way, in sample order.  Only the lines that read the trace follow its
+columnar form; a NaN delta is a missing one.
 """
 
 from __future__ import annotations
@@ -20,17 +21,17 @@ def align(trace: Trace, tick_interval: float) -> tuple[int, dict[str, np.ndarray
     counter, NaN where the counter has no counted sample."""
     if tick_interval <= 0:
         raise ValueError(f"tick_interval must be > 0, got {tick_interval}")
-    for name, series in trace.series.items():
-        if not series.samples:
+    for name, stamps in trace.timestamps.items():
+        if not len(stamps):
             raise ValueError(f"empty series for event {name}")
 
-    mapped: dict[str, list[tuple[int, int]]] = {}
+    mapped: dict[str, list[tuple[int, float]]] = {}
     max_tick = 0
-    for name, series in trace.series.items():
+    for name, stamps in trace.timestamps.items():
         pairs = [
-            (int(math.floor(s.timestamp / tick_interval + 0.5)), s.delta)
-            for s in series.samples
-            if s.delta is not None
+            (int(math.floor(timestamp / tick_interval + 0.5)), delta)
+            for timestamp, delta in zip(stamps.tolist(), trace.deltas[name].tolist())
+            if not math.isnan(delta)
         ]
         mapped[name] = pairs
         if pairs:

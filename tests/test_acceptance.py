@@ -104,8 +104,8 @@ def test_constant_windows_score_one_and_stay_silent():
         ticks={"LLC-loads": np.arange(400), "bus-cycles": np.arange(400)},
         values={"LLC-loads": np.full(400, 7.0), "bus-cycles": np.full(400, 900.0)},
     )
-    points, alerts, _ = run_offline(constant, DetectorConfig())
-    assert points and all(p.f == 1.0 for p in points)
+    (_, fs, _), alerts, _ = run_offline(constant, DetectorConfig())
+    assert fs.tolist() and all(f == 1.0 for f in fs.tolist())
     assert alerts == []
 
 
@@ -139,18 +139,18 @@ def test_affine_invariance_scores_factors_alerts():
     base_cols = {"LLC-loads": column(True), "bus-cycles": column(False)}
     ticks = {k: np.arange(150) for k in base_cols}
     config = DetectorConfig()
-    ref_points, ref_alerts, _ = run_offline(
+    (ref_ticks, ref_fs, _), ref_alerts, _ = run_offline(
         AlignedTrace(tick_interval=0.1, n_ticks=150, ticks=ticks, values=base_cols), config
     )
     assert ref_alerts, "fixture must trip at least one alert"
     for c, b in combos:
         mapped = {k: c * v + b for k, v in base_cols.items()}
-        points, alerts, _ = run_offline(
+        (eval_ticks, fs, _), alerts, _ = run_offline(
             AlignedTrace(tick_interval=0.1, n_ticks=150, ticks=ticks, values=mapped), config
         )
-        assert [p.eval_tick for p in points] == [p.eval_tick for p in ref_points]
-        for got, ref in zip(points, ref_points):
-            assert relative_gap(got.f, ref.f) <= 1e-9, (c, b, got.eval_tick)
+        assert eval_ticks.tolist() == ref_ticks.tolist()
+        for tick, got, ref in zip(eval_ticks.tolist(), fs.tolist(), ref_fs.tolist()):
+            assert relative_gap(got, ref) <= 1e-9, (c, b, tick)
         assert [a.eval_tick for a in alerts] == [a.eval_tick for a in ref_alerts], (c, b)
 
 
@@ -244,13 +244,15 @@ def test_parser_fidelity_on_profiler_listing():
     assert diags.samples_parsed == 4
     assert diags.comments_skipped == 1
     assert diags.malformed == []
-    series = trace.series["branch-load-misses"]
-    assert [s.delta for s in series.samples] == [1621, 5149, 5352, 5807]
+    name = "branch-load-misses"
+    assert trace.deltas[name].tolist() == [1621, 5149, 5352, 5807]
 
     text = "\n".join(iter_serialized(trace)) + "\n"
     again, rediags = parse_stream(io.StringIO(text))
     assert rediags.malformed == []
-    assert again.series["branch-load-misses"].samples == series.samples
+    assert again.timestamps.keys() == again.deltas.keys() == {name}
+    assert again.timestamps[name].tobytes() == trace.timestamps[name].tobytes()
+    assert again.deltas[name].tobytes() == trace.deltas[name].tobytes()
     assert "\n".join(iter_serialized(again)) + "\n" == text
 
 

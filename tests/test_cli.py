@@ -18,7 +18,6 @@ from hpcwatch.cli import (
     EXIT_CAPTURE,
     EXIT_ERROR,
     EXIT_OK,
-    _normalize_profiler_csv,
     _detector_config,
     _resolve_settings,
     build_parser,
@@ -370,16 +369,16 @@ def test_detect_warns_on_malformed_lines(tmp_path, monkeypatch, capsys):
 
 
 def test_detect_counts_malformed_lines_without_keeping_them(monkeypatch, capsys):
-    """A profiler prints ``<not supported>`` for an unsupported event once
-    per interval, for as long as the capture runs: detect counts those
-    lines and keeps none of them."""
+    """perf prints a fractional count in msec for ``task-clock`` once per
+    interval, for as long as the capture runs: detect counts those lines
+    and keeps none of them."""
     import tracemalloc
 
     n = 40_000
 
     def stream():
         for i in range(n):
-            yield f"{i * 0.1 + 0.05:.3f},<not supported>,cpu-cycles\n"
+            yield f"{i * 0.1 + 0.05:.3f},100.52,msec,task-clock,100123456,100.00,1.005,CPUs\n"
 
     monkeypatch.setattr("sys.stdin", stream())
     tracemalloc.start()
@@ -660,8 +659,8 @@ def test_poll_cadence_changes_no_alert_and_no_point(make_stream):
     expected, _ = replay_detect(lines)
     config = DetectorConfig()
 
-    def run(every: int | None) -> tuple[list[str], list]:
-        points: list = []
+    def run(every: int | None) -> tuple[list[str], tuple[list, list, list]]:
+        points: tuple[list, list, list] = ([], [], [])
         alerts: list = []
         detector = Detector(config, points=points)
 
@@ -680,7 +679,7 @@ def test_poll_cadence_changes_no_alert_and_no_point(make_stream):
 
     rows, points = run(1)
     assert rows == [row for row, _ in expected]
-    assert len(points) > 500
+    assert len(points[0]) > 500
     for every in (7, 64, 1000, None):
         assert run(every) == (rows, points), every
 
@@ -878,6 +877,51 @@ def test_an_oversized_delta_is_one_malformed_line(tmp_path, monkeypatch, capsys)
     assert "1 malformed lines skipped" in captured.err
 
 
+def as_perf_stat(line: str) -> str:
+    """A three-field readout in the fields of ``perf stat -x, -I``: time,
+    count, an empty unit, event, run time, percentage, and an empty metric
+    value and unit; a count not counted becomes ``<not supported>``."""
+    timestamp, delta, event = line.split(",")
+    if delta == "<not counted>":
+        delta = "<not supported>"
+    return f"     {timestamp},{delta},,{event},100123456,100.00,,"
+
+
+def test_perf_stat_layout_reads_as_the_three_field_one(tmp_path, monkeypatch, capsys):
+    main(synth_args(tmp_path))
+    files = trace_files(tmp_path)
+    # one readout of one counter was not counted
+    loads = next(f for f in files if f.endswith("/LLC-loads.csv"))
+    lines = Path(loads).read_text().splitlines()
+    lines[200] = lines[200].split(",")[0] + ",<not counted>,LLC-loads"
+    Path(loads).write_text("".join(line + "\n" for line in lines))
+    perf_dir = tmp_path / "perf"
+    perf_dir.mkdir()
+    for path in files:
+        text = Path(path).read_text().splitlines()
+        header = "# started on Mon Oct 19 10:56:05 2026\n\n"
+        (perf_dir / Path(path).name).write_text(header + "".join(
+            as_perf_stat(line) + "\n" for line in text))
+    perf_files = [str(perf_dir / Path(path).name) for path in files]
+
+    plain, perf = tmp_path / "plain", tmp_path / "perf-report"
+    assert main(["analyze", *files, "--out", str(plain), "--plot"]) == EXIT_ALERTS
+    assert main(["analyze", *perf_files, "--out", str(perf), "--plot"]) == EXIT_ALERTS
+    assert sorted(os.listdir(perf)) == sorted(os.listdir(plain))
+    for name in os.listdir(plain):
+        assert (perf / name).read_bytes() == (plain / name).read_bytes(), name
+    capsys.readouterr()
+
+    stream = interleaved(tmp_path)
+    assert detect_on(stream, monkeypatch) == EXIT_ALERTS
+    rows = capsys.readouterr().out
+    perf_stream = "".join(as_perf_stat(line) + "\n" for line in stream.splitlines())
+    assert detect_on(perf_stream, monkeypatch) == EXIT_ALERTS
+    captured = capsys.readouterr()
+    assert captured.out == rows
+    assert captured.err == ""
+
+
 def test_a_timestamp_past_the_int64_ticks_exits_one(tmp_path, monkeypatch, capsys):
     text = "0.1,5,LLC-loads\n1e308,5,LLC-loads\n"
     assert detect_on(text, monkeypatch) == EXIT_ERROR
@@ -917,20 +961,3 @@ def test_capture_missing_profiler_exits_two(tmp_path, capsys):
     )
     assert rc == EXIT_CAPTURE
     assert "profiler not found" in capsys.readouterr().err
-
-
-def test_normalize_profiler_csv_handles_both_layouts(tmp_path):
-    raw = tmp_path / "raw.csv"
-    raw.write_text(
-        "# interval mode\n"
-        "0.100,1621,branch-load-misses\n"
-        "0.200,5149,,instructions,100.00,,\n"
-        "short\n"
-    )
-    out = tmp_path / "norm.csv"
-    _normalize_profiler_csv(str(raw), str(out))
-    lines = out.read_text().splitlines()
-    assert lines[0].startswith("#")
-    assert lines[1] == "0.100,1621,branch-load-misses"
-    assert lines[2] == "0.200,5149,instructions"
-    assert len(lines) == 3

@@ -26,7 +26,7 @@ from hpcwatch.detector import (
 )
 from hpcwatch.events import EventKind
 from hpcwatch.synth import AttackSpec, BaselineSpec, SynthConfig, generate_trace
-from hpcwatch.trace import AlignedTrace, CounterSeries, Sample, Trace, align, tick_of
+from hpcwatch.trace import AlignedTrace, Sample, Trace, align, tick_of
 
 INF = float("inf")
 EV = EventKind("LLC-loads")
@@ -34,16 +34,18 @@ EV = EventKind("LLC-loads")
 
 def make_trace(columns: dict[str, list[float | None]], interval: float = 0.1) -> Trace:
     """Trace with one sample per tick per counter; None skips the tick."""
-    trace = Trace()
+    timestamps, deltas = {}, {}
     for name, values in columns.items():
-        event = EventKind(name)
-        samples = [
-            Sample(timestamp=(i + 1) * interval, delta=int(v), event=event)
-            for i, v in enumerate(values)
-            if v is not None
-        ]
-        trace.series[name] = CounterSeries(event=event, samples=samples)
-    return trace
+        kept = [(i, v) for i, v in enumerate(values) if v is not None]
+        timestamps[name] = np.array([(i + 1) * interval for i, _ in kept])
+        deltas[name] = np.array([float(int(v)) for _, v in kept])
+    return Trace(timestamps, deltas)
+
+
+def rows(series) -> list[tuple[int, float, int]]:
+    """``run_offline``'s attack-factor arrays as (eval tick, f, contributing)
+    rows."""
+    return list(zip(*(column.tolist() for column in series)))
 
 
 def stream_run(trace: Trace, config: DetectorConfig):
@@ -52,15 +54,20 @@ def stream_run(trace: Trace, config: DetectorConfig):
     Evaluation of a tick happens once a strictly newer sample arrives (all
     grid peers are then in), with a final flush at end of stream.  Assumes
     at most one sample per counter per tick, which every fixture here has.
+    Returns the attack factor as ``rows`` gives it, and the alerts.
     """
     ordered = sorted(
-        (s for series in trace.series.values() for s in series.samples),
+        (
+            Sample(t, None if math.isnan(d) else int(d), EventKind(name))
+            for name, stamps in trace.timestamps.items()
+            for t, d in zip(stamps.tolist(), trace.deltas[name].tolist())
+        ),
         key=lambda s: (s.timestamp, s.event.name),
     )
     names = {c.name for c in config.counters}
     states = {n: WindowState(event=EventKind(n), window=config.window) for n in names}
     scores: dict[str, dict[int, float]] = {n: {} for n in names}
-    points: list[AttackFactorPoint] = []
+    points: list[tuple[int, float, int]] = []
     alerts: list[Alert] = []
     next_eval = 0
     max_tick = -1
@@ -70,7 +77,7 @@ def stream_run(trace: Trace, config: DetectorConfig):
         while next_eval < limit:
             point = evaluate_tick(scores, next_eval, config)
             if point is not None:
-                points.append(point)
+                points.append((point.eval_tick, point.f, point.contributing))
                 alert = threshold_check(point, config)
                 if alert is not None:
                     alerts.append(alert)
@@ -268,22 +275,22 @@ def test_run_offline_requires_a_configured_counter():
 
 def test_run_offline_constant_trace_is_all_ones_and_silent():
     aligned = align(make_trace({"LLC-loads": [7.0] * 60}), 0.1)
-    points, alerts, outliers = run_offline(aligned, DetectorConfig())
+    (_, fs, contributing), alerts, outliers = run_offline(aligned, DetectorConfig())
     assert alerts == []
-    assert points, "expected scored ticks after warm-up"
-    assert all(p.f == 1.0 for p in points)
-    assert all(p.contributing == 1 for p in points)
+    assert fs.tolist(), "expected scored ticks after warm-up"
+    assert all(f == 1.0 for f in fs.tolist())
+    assert all(c == 1 for c in contributing.tolist())
     assert len(outliers["LLC-loads"]) == 5
 
 
 def test_run_offline_first_scored_tick_respects_warmup_and_lag():
     config = DetectorConfig()
     aligned = align(make_trace({"LLC-loads": [7.0] * 60}), 0.1)
-    points, _, _ = run_offline(aligned, config)
+    (eval_ticks, _, _), _, _ = run_offline(aligned, config)
     # samples occupy ticks 1..60; warm-up completes at tick 12, whose push
     # scores tick 9, collected when the driver evaluates wall tick 12
-    assert points[0].eval_tick == 9
-    assert points[0].tick == 12
+    assert eval_ticks[0] == 9
+    assert eval_ticks[0] + lag(config) == 12
 
 
 def test_run_offline_detects_injected_burst():
@@ -315,7 +322,10 @@ def test_run_offline_is_deterministic():
     aligned = align(trace, config.tick_interval)
     first = run_offline(aligned, DetectorConfig())
     second = run_offline(aligned, DetectorConfig())
-    assert first == second
+    for got, want in zip(first[0], second[0]):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    assert first[1:] == second[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +357,7 @@ def test_streaming_matches_offline_on_noisy_traces(detector):
         trace, _ = generate_trace(config)
         offline = run_offline(align(trace, config.tick_interval), detector)
         streamed = stream_run(trace, detector)
-        assert streamed[0] == offline[0], f"seed {seed}: attack factor diverged"
+        assert streamed[0] == rows(offline[0]), f"seed {seed}: attack factor diverged"
         assert streamed[1] == offline[1], f"seed {seed}: alerts diverged"
 
 
@@ -361,7 +371,7 @@ def test_streaming_matches_offline_with_gaps():
     detector = DetectorConfig()
     offline = run_offline(align(trace, 0.1), detector)
     streamed = stream_run(trace, detector)
-    assert streamed[0] == offline[0]
+    assert streamed[0] == rows(offline[0])
     assert streamed[1] == offline[1]
 
 
@@ -379,8 +389,9 @@ def gap_deltas() -> dict[str, np.ndarray]:
 
 
 def assert_shifted(far, near, gap: int, near_gap: int, config: DetectorConfig) -> None:
-    """The (points, alerts) of the run with a ``gap``-tick gap after the
-    300th tick equal those with a ``near_gap``-tick one, shifted back."""
+    """The (attack-factor rows, alerts) of the run with a ``gap``-tick gap
+    after the 300th tick equal those with a ``near_gap``-tick one, shifted
+    back."""
     points, alerts = far
     after, shift = 301 + gap, gap - near_gap
     assert {a.eval_tick < after for a in alerts} == {True, False}
@@ -388,9 +399,7 @@ def assert_shifted(far, near, gap: int, near_gap: int, config: DetectorConfig) -
     def back(tick: int) -> int:
         return tick - shift if tick >= after else tick
 
-    assert [
-        dataclasses.replace(p, tick=back(p.tick), eval_tick=back(p.eval_tick)) for p in points
-    ] == near[0]
+    assert [(back(tick), f, count) for tick, f, count in points] == near[0]
     assert [
         dataclasses.replace(
             a, eval_tick=back(a.eval_tick), eval_time=back(a.eval_tick) * config.tick_interval
@@ -407,13 +416,14 @@ def test_detector_crosses_a_long_gap_in_one_step():
     config = DetectorConfig()
 
     def run(gap: int):
-        points: list[AttackFactorPoint] = []
+        points: tuple[list, list, list] = ([], [], [])
         detector = Detector(config, points=points)
         for i in range(600):
             tick = i + 1 + (gap if i >= 300 else 0)
             for name, col in deltas.items():
                 detector.push(name, tick, float(col[i]))
-        return points, list(detector.finish())
+        alerts = list(detector.finish())
+        return list(zip(*points)), alerts
 
     started = time.perf_counter()
     far = run(10**8)
@@ -424,15 +434,9 @@ def test_detector_crosses_a_long_gap_in_one_step():
 def gap_trace(gap: int) -> Trace:
     """The ``gap_deltas`` counters as a trace, one sample per 100 ms tick,
     silent for ``gap`` ticks after the 300th."""
-    trace = Trace()
-    for name, col in gap_deltas().items():
-        event = EventKind(name)
-        samples = [
-            Sample(timestamp=(i + 1 + (gap if i >= 300 else 0)) * 0.1, delta=int(v), event=event)
-            for i, v in enumerate(col.tolist())
-        ]
-        trace.series[name] = CounterSeries(event=event, samples=samples)
-    return trace
+    deltas = gap_deltas()
+    stamps = np.array([(i + 1 + (gap if i >= 300 else 0)) * 0.1 for i in range(600)])
+    return Trace({name: stamps for name in deltas}, deltas)
 
 
 def test_run_offline_crosses_a_long_gap():
@@ -442,7 +446,7 @@ def test_run_offline_crosses_a_long_gap():
     # counter across a 10**7-tick gap takes 160 MB, where 1 200 samples need
     # a few hundred kB
     config = DetectorConfig()
-    near_points, near_alerts, near_ranked = run_offline(align(gap_trace(100), 0.1), config)
+    near_series, near_alerts, near_ranked = run_offline(align(gap_trace(100), 0.1), config)
     for gap, bound in ((10**6, "time"), (10**7, "memory")):
         trace = gap_trace(gap)
         if bound == "memory":
@@ -450,14 +454,14 @@ def test_run_offline_crosses_a_long_gap():
         try:
             started = time.perf_counter()
             aligned = align(trace, 0.1)
-            points, alerts, ranked = run_offline(aligned, config)
+            series, alerts, ranked = run_offline(aligned, config)
             elapsed = time.perf_counter() - started
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert (elapsed < 0.5) if bound == "time" else (peak < 4 * 2**20), (gap, elapsed, peak)
         assert aligned.n_ticks == 601 + gap
-        assert_shifted((points, alerts), (near_points, near_alerts), gap, 100, config)
+        assert_shifted((rows(series), alerts), (rows(near_series), near_alerts), gap, 100, config)
         assert ranked == near_ranked
 
 
@@ -483,13 +487,33 @@ def test_run_offline_score_maps_stay_bounded(monkeypatch):
         return evaluate_tick(scores, tick, cfg)
 
     monkeypatch.setattr(detector_module, "evaluate_tick", spy)
-    points, alerts, _ = run_offline(align(trace, 0.1), config)
+    series, alerts, _ = run_offline(align(trace, 0.1), config)
     # every tick with a score is evaluated; one whose maps are all empty
     # (warm-up, or both counters missing) is skipped
-    assert len(sizes) >= len(points) > 4800
+    assert len(sizes) >= len(series[0]) > 4800
     assert max(sizes) <= lag(config) + 1
     assert alerts
-    assert (points, alerts) == stream_run(trace, config)
+    assert (rows(series), alerts) == stream_run(trace, config)
+
+
+def test_run_offline_result_of_an_hour_holds_three_arrays():
+    # the attack factor of an hour's counter is three arrays, not one
+    # object with its own dict per evaluated tick
+    config = SynthConfig(
+        seed=7, duration=3600.0, counters=(EV,),
+        attack=AttackSpec(at=1800.0, magnitude=20.0, width=2),
+    )
+    aligned = align(generate_trace(config)[0], config.tick_interval)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        series, alerts, _ = run_offline(aligned, DetectorConfig())
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert [column.dtype for column in series] == [np.int64, np.float64, np.int64]
+    assert len(series[0]) > 35_000 and alerts
+    assert retained < 2 * 2**20, retained
 
 
 # ---------------------------------------------------------------------------
@@ -516,8 +540,8 @@ def test_run_offline_shift_is_bitwise_exact():
     )
     shifted = [v + 1e6 for v in base_values]
     got, _, _ = run_offline(aligned_columns({"LLC-loads": shifted}), DetectorConfig())
-    assert [p.f for p in got] == [p.f for p in reference]
-    assert [p.eval_tick for p in got] == [p.eval_tick for p in reference]
+    assert got[1].tolist() == reference[1].tolist()
+    assert got[0].tolist() == reference[0].tolist()
 
 
 def test_run_offline_affine_float_tolerance():
@@ -532,10 +556,10 @@ def test_run_offline_affine_float_tolerance():
         for b in (0.0, 1e6):
             mapped = {k: [c * v + b for v in vs] for k, vs in columns.items()}
             got, _, _ = run_offline(aligned_columns(mapped), DetectorConfig())
-            assert len(got) == len(reference)
-            for g, r in zip(got, reference):
-                assert g.eval_tick == r.eval_tick
-                if math.isinf(r.f):
-                    assert math.isinf(g.f)
+            assert len(rows(got)) == len(rows(reference))
+            for (g_tick, g_f, _), (r_tick, r_f, _) in zip(rows(got), rows(reference)):
+                assert g_tick == r_tick
+                if math.isinf(r_f):
+                    assert math.isinf(g_f)
                 else:
-                    assert g.f == pytest.approx(r.f, rel=1e-9)
+                    assert g_f == pytest.approx(r_f, rel=1e-9)

@@ -2,9 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from hpcwatch.detector import Alert, AttackFactorPoint
+from hpcwatch.detector import Alert
 from hpcwatch.report import (
     ALERTS_HEADER,
     ATTACK_FACTOR_HEADER,
@@ -23,14 +24,11 @@ from hpcwatch.report import (
 INF = float("inf")
 
 
-def point(eval_tick: int, f: float, contributing: int = 6) -> AttackFactorPoint:
-    return AttackFactorPoint(
-        tick=eval_tick + 3,
-        eval_tick=eval_tick,
-        f=f,
-        per_counter_lof={},
-        contributing=contributing,
-    )
+def series(*rows: tuple[int, float, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``run_offline``'s attack-factor columns holding (eval tick, f,
+    contributing) ``rows``."""
+    eval_ticks, fs, contributing = zip(*rows)
+    return np.array(eval_ticks, np.int64), np.array(fs), np.array(contributing, np.int64)
 
 
 def alert(eval_tick: int, f: float, names: tuple[str, ...]) -> Alert:
@@ -53,7 +51,7 @@ def test_fmt_nine_significant_digits():
 
 def test_attack_factor_round_trip(tmp_path):
     path = str(tmp_path / "f.csv")
-    points = [point(9, 1.0), point(10, 151.0 / 48.0, 2), point(11, INF)]
+    points = series((9, 1.0, 6), (10, 151.0 / 48.0, 2), (11, INF, 6))
     write_attack_factor_csv(path, points, tick_interval=0.1)
     lines = open(path).read().splitlines()
     assert lines[0] == ",".join(ATTACK_FACTOR_HEADER)
@@ -128,7 +126,7 @@ def test_readers_reject_empty_file(tmp_path):
 
 
 def test_identical_runs_identical_bytes(tmp_path):
-    points = [point(9, 1.0), point(10, 2.0)]
+    points = series((9, 1.0, 6), (10, 2.0, 6))
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     write_attack_factor_csv(a, points, 0.1)
     write_attack_factor_csv(b, points, 0.1)

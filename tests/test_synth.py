@@ -78,8 +78,10 @@ def test_generation_is_deterministic():
     first, truth_a = generate_trace(config)
     second, truth_b = generate_trace(config)
     assert truth_a == truth_b
-    for name in first.series:
-        assert first.series[name].samples == second.series[name].samples
+    assert first.timestamps.keys() == second.timestamps.keys()
+    for name in first.timestamps:
+        assert first.timestamps[name].tobytes() == second.timestamps[name].tobytes()
+        assert first.deltas[name].tobytes() == second.deltas[name].tobytes()
 
 
 def test_different_seeds_differ():
@@ -92,22 +94,22 @@ def test_different_seeds_differ():
     b, _ = generate_trace(
         SynthConfig(seed=2, duration=10.0, counters=counters, baseline=wide)
     )
-    assert a.series["LLC-loads"].samples != b.series["LLC-loads"].samples
+    assert a.deltas["LLC-loads"].tolist() != b.deltas["LLC-loads"].tolist()
 
 
 def test_steady_defaults_pin_each_counter_to_one_level():
     # the steady defaults are engineered so the whole run sits on a single
     # integer per counter; this is what keeps clean traces alert-free
     trace, _ = generate_trace(SynthConfig(seed=1, duration=10.0))
-    for name, series in trace.series.items():
-        deltas = {s.delta for s in series.samples}
+    for name, column in trace.deltas.items():
+        deltas = set(column.tolist())
         assert len(deltas) == 1, f"{name} drifted across {sorted(deltas)}"
 
 
 def test_sample_grid_and_counts():
     config = SynthConfig(seed=5, duration=10.0)
     trace, _ = generate_trace(config)
-    assert set(trace.series) == {
+    assert set(trace.timestamps) == {
         "iTLB-load-misses",
         "dTLB-loads",
         "bus-cycles",
@@ -115,11 +117,12 @@ def test_sample_grid_and_counts():
         "LLC-loads",
         "LLC-load-misses",
     }
-    for series in trace.series.values():
-        assert len(series.samples) == 100
-        assert series.samples[0].timestamp == pytest.approx(0.1)
-        assert series.samples[-1].timestamp == pytest.approx(10.0)
-        assert all(s.delta is not None and s.delta >= 0 for s in series.samples)
+    for name, stamps in trace.timestamps.items():
+        deltas = trace.deltas[name]
+        assert stamps.shape == deltas.shape == (100,)
+        assert stamps[0] == pytest.approx(0.1)
+        assert stamps[-1] == pytest.approx(10.0)
+        assert all(d >= 0 and d == math.floor(d) for d in deltas.tolist())
     aligned = align(trace, config.tick_interval)
     assert aligned.n_ticks == 101  # ticks 0..100, tick 0 empty
     for name, values in aligned.values.items():
@@ -148,8 +151,8 @@ def test_attack_affects_only_named_counters():
         SynthConfig(seed=5, duration=10.0)
     )
     assert truth.affected == ("LLC-loads",)
-    for name in boosted.series:
-        same = boosted.series[name].samples == clean.series[name].samples
+    for name in boosted.deltas:
+        same = boosted.deltas[name].tolist() == clean.deltas[name].tolist()
         assert same == (name != "LLC-loads")
 
 
@@ -161,8 +164,8 @@ def test_magnitude_one_is_an_exact_noop():
         )
     )
     assert truth.attack_tick == 50
-    for name in base.series:
-        assert boosted.series[name].samples == base.series[name].samples
+    for name in base.deltas:
+        assert boosted.deltas[name].tobytes() == base.deltas[name].tobytes()
 
 
 def test_boost_lands_on_the_attack_ticks():
@@ -191,7 +194,7 @@ def test_lognormal_baseline_is_right_skewed():
         baseline={"LLC-loads": BaselineSpec(mu=math.log(500), sigma=1.0)},
     )
     trace, _ = generate_trace(config)
-    values = np.array([s.delta for s in trace.series["LLC-loads"].samples], dtype=float)
+    values = trace.deltas["LLC-loads"]
     mean, median = values.mean(), np.median(values)
     assert mean > median, f"expected right skew, mean={mean} median={median}"
 

@@ -23,10 +23,12 @@ def readout(name: str, tick: int) -> float:
         return base * 30.0
     return base
 
-# The detector evaluates a tick once a later one arrives, `lag` ticks after
-# the tick it judges.  It appends each evaluated tick's eval tick, f and
-# contributing count to the three columns of `points`; poll() hands over
-# the alerts raised.
+# push() only gathers lines; poll() runs them as one block and hands over
+# the alerts raised.  A tick is evaluated once a later one arrives, and it
+# reads the scores judging the tick `lag` before it: a score counts iff
+# it is computed before the clock passes that tick.  The detector appends
+# each evaluated tick's eval tick, f and contributing count to the three
+# columns of `points`.
 points = ([], [], [])
 detector = Detector(config, points=points)
 

@@ -1,25 +1,21 @@
 """Sliding-window streaming detection over per-counter delta streams.
 
-Each monitored counter keeps a bounded ring of its most recent deltas.
-Every push past warm-up judges one point, the one a fixed lag behind the
-newest sample, so the evaluated point has temporal neighbors on both
-sides; only that point's score is computed.  Per-counter scores landing on
-the same evaluated tick are averaged into a single attack factor f, and f
-above the configured threshold raises an alert.
+Each counter's newest ``window`` deltas form its window.  Every sample past
+warm-up judges one point, the one a fixed lag behind it, so the evaluated
+point has temporal neighbors on both sides; only that point's score is
+computed.  The scores for one evaluated tick are averaged into a single
+attack factor f, and f above the configured threshold raises an alert.
 
-One ``Detector`` runs that tick loop for both drivers: it keeps the rings,
-the score maps and the clock, and evaluates, prunes, thresholds and
-coalesces each tick once the clock has passed it.  ``detect`` pushes every
-parsed sample into it, ``run_offline`` every aligned value in tick order,
-keeping f as arrays; only a counted delta of a configured counter moves
-the clock, the samples ``align`` places on the grid.  A push only queues
-its window, tagged with the clock's tick; each ``poll`` scores the queued
-full windows in one ``lof_at`` call, however many ticks they span, then
-lands the scores and evaluates the passed ticks in push order, so polling
-less often stacks more windows and changes no alert.  ``run_offline`` also
-ranks each counter's whole aligned column once, for ``outliers.csv`` and
-the charts.  ``push_value`` scores one window on the spot through
-``lof_scores``; it is the reference the ``Detector`` is tested against.
+One ``Detector`` runs that tick loop for both drivers, on blocks of lines:
+``detect`` pushes every parsed sample into it, ``run_offline`` runs every
+aligned value in tick order and keeps f as arrays.  One rule says which
+scores count: a score counts iff it is computed before the clock passes
+the tick that reads it (its eval tick + lag); of two scores for one counter
+and tick, the later counts.  ``run_offline`` also ranks each counter's
+whole aligned column once, for ``outliers.csv`` and the charts.
+``push_value`` (through ``lof_scores``), ``evaluate_tick`` and
+``threshold_check`` score, average and threshold one window and one tick
+at a time; they are the reference the ``Detector`` is tested against.
 
 The lag is floor(k/2) + 1 ticks: 3 ticks (300 ms at the default 100 ms
 cadence) for the default k=5.  Detection latency is therefore bounded below
@@ -34,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, MutableSequence, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .events import CANDIDATE_KINDS, EventKind, check_counters
 from .lof import LofResult, lof_all, lof_at, lof_scores, top_n_outliers
@@ -45,6 +42,10 @@ from .trace import AlignedTrace, Sample, tick_of
 # windows cost 5.9, 4.6, 3.9, 5.8 and 5.6 us each at 32, 64, 128, 256 and
 # 512 windows per call.
 CHUNK = 64
+
+# Lines ``Detector.push`` gathers before it runs them, and lines per
+# ``Detector.run`` call in ``run_offline``.
+BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -190,21 +191,6 @@ def evaluate_tick(
     )
 
 
-def prune_scores(
-    scores: Mapping[str, dict[int, float]], tick: int, config: DetectorConfig
-) -> None:
-    """Drop every score the evaluation of ``tick`` or an earlier one reads.
-
-    Ticks are evaluated in increasing order, so no later evaluation looks
-    at them again; a late score for such a tick is dropped too.  Called
-    after each evaluation, this bounds every map by the lag.
-    """
-    done = tick - lag(config)
-    for stream in scores.values():
-        for stale in [t for t in stream if t <= done]:
-            del stream[stale]
-
-
 def threshold_check(point: AttackFactorPoint, config: DetectorConfig) -> Alert | None:
     """Alert iff f strictly exceeds the threshold."""
     if not point.f > config.delta_threshold:
@@ -228,41 +214,29 @@ def select_counters(trace: AlignedTrace, config: DetectorConfig) -> list[EventKi
 # The tick loop
 # ---------------------------------------------------------------------------
 
-class _Ring:
-    """One counter's most recent <= window deltas, each written twice in a
-    row of 2 * window, so the full window is always one contiguous slice."""
-
-    __slots__ = ("values", "ticks", "count")
-
-    def __init__(self, window: int, lagged: int) -> None:
-        self.values = np.empty(2 * window)
-        self.ticks: deque[int] = deque(maxlen=lagged + 1)  # ticks[0] is the lagged point's
-        self.count = 0
-
-
 class Detector:
     """The tick loop behind both drivers, run with one ``DetectorConfig``.
 
-    ``push`` takes one parsed line, or one aligned value: its event name,
-    its tick and its delta.
-    A line whose event is not configured or whose delta was not counted is
-    ignored, as ``align`` gives it no tick: it neither queues a window nor
-    moves the clock.  Any other line stamped past the newest tick seen
-    moves the clock there, and then queues its window at the clock's tick,
-    whatever its own tick.  Every tick the clock has passed is evaluated
-    once, in order, after each window queued at it or before has landed:
-    the scores for that tick are averaged into f, the score maps are
-    pruned, and f above the threshold raises an alert unless it follows the
-    last alert raised within the config's ``coalesce`` ticks.
+    ``run`` takes a block of lines as three arrays in arrival order: each
+    line's counter (its index in ``config.counters``), tick and counted
+    delta.  The clock at a line is the newest tick up to it.  A sample past
+    warm-up scores its window's point ``lag`` samples back, at the score's
+    eval tick, and tick t reads the scores of eval tick t − lag.  A score
+    counts iff it is computed before the clock passes the tick that reads
+    it; of two scores for one counter and tick, the later counts.  Each
+    tick the clock has passed is evaluated once, in order: its scores are
+    averaged into f, and f above the threshold raises an alert unless it
+    follows the last alert raised within ``coalesce`` ticks.  So how the
+    lines are cut into blocks changes no point and no alert.
 
-    Full windows are copied into a stack and scored together, CHUNK at a
-    time; warm-up windows, shorter, are scored when pushed.  ``poll``
-    scores what is queued, evaluates the passed ticks and hands over the
-    alerts raised since the last call; a push that fills the stack does
-    the same but keeps the alerts for ``poll``.  ``finish`` also evaluates
-    the newest tick at end of input.  ``points``, if given, is three
-    columns that receive the eval tick, f and contributing count of every
-    evaluated tick with a score, in tick order.
+    ``push`` takes one parsed line, or one aligned value: its event name,
+    tick and delta.  A line of an unconfigured event or with an uncounted
+    delta is ignored, as ``align`` gives it no tick: it neither scores nor
+    moves the clock.  Pushed lines are run BLOCK at a time.  ``poll`` runs
+    them and hands over the alerts raised since the last call; ``finish``
+    also evaluates the newest tick at end of input.  ``points``, if given,
+    is three columns that receive the eval tick, f and contributing count
+    of every evaluated tick with a score, in tick order.
     """
 
     def __init__(
@@ -271,134 +245,159 @@ class Detector:
         self.config = config
         self._points = points
         self._lag = lag(config)
-        self._warmup = config.warmup
-        self._rings = {c.name: _Ring(config.window, self._lag) for c in config.counters}
-        self._scores: dict[str, dict[int, float]] = {c.name: {} for c in config.counters}
-        # queued windows in push order: (event, evaluated tick, clock tick
-        # at the push, its score, or None for the next row of the stack)
-        self._queue: list[tuple[str, int, int, float | None]] = []
-        self._stack = np.empty((CHUNK, config.window))
-        self._stacked = 0
-        self._clock: int | None = None  # newest tick of a counted line
-        self._next_eval: int | None = None  # oldest tick not evaluated yet
+        self._index = {c.name: i for i, c in enumerate(config.counters)}
+        # per counter: the ticks and deltas of its newest window − 1
+        # samples, and how many samples it has had
+        self._tails = [(np.empty(0, np.int64), np.empty(0), 0)] * len(config.counters)
+        self._pushed = (array("q"), array("q"), array("d"))
+        # the scores that count, for ticks the clock has not passed
+        self._pending = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
+        self._clock: int | None = None  # newest tick run
         self._last_alert: int | None = None  # evaluated tick of the last alert raised
         self._alerts: list[Alert] = []
 
     def push(self, name: str, tick: int, delta: float | None) -> None:
         """One parsed line; a ``None`` delta is a ``<not counted>`` readout."""
-        ring = self._rings.get(name)
-        if ring is None or delta is None:
+        counter = self._index.get(name)
+        if counter is None or delta is None:
             return
-        clock = self._clock
-        if clock is None:
-            self._clock = self._next_eval = tick
-        elif tick > clock:
-            self._clock = tick
-        window = self.config.window
-        slot = ring.count % window
-        ring.values[slot] = ring.values[slot + window] = float(delta)
-        ring.ticks.append(tick)
-        ring.count += 1
-        count = ring.count
-        if count < self._warmup:
-            return
-        eval_tick = ring.ticks[0]
-        if count < window:
-            score = lof_at(ring.values[None, :count], self.config.k, count - 1 - self._lag)
-            self._queue.append((name, eval_tick, self._clock, float(score[0])))
-            return
-        self._stack[self._stacked] = ring.values[slot + 1:slot + 1 + window]
-        self._stacked += 1
-        self._queue.append((name, eval_tick, self._clock, None))
-        if self._stacked == CHUNK:
-            self._drain()
+        counters, ticks, deltas = self._pushed
+        counters.append(counter)
+        ticks.append(tick)
+        deltas.append(delta)
+        if len(counters) == BLOCK:
+            self._run_pushed()
 
     def poll(self) -> Sequence[Alert]:
-        """Score and land what is queued, evaluate every tick the clock has
-        passed, and hand over the alerts raised since the last call, in
-        tick order."""
-        if self._clock is not None:
-            self._drain()
-        if not self._alerts:
-            return ()
+        """Run the pushed lines and hand over the alerts raised since the
+        last call, in tick order."""
+        self._run_pushed()
         alerts, self._alerts = self._alerts, []
         return alerts
 
     def finish(self) -> Sequence[Alert]:
         """End of input: evaluate the newest tick too, then ``poll``."""
+        self._run_pushed()
         if self._clock is not None:
             self._clock += 1
+            self._evaluate([self._pending])
         return self.poll()
 
-    def _drain(self) -> None:
-        # a window queued at clock tick t lands after every tick before t
-        # is evaluated and before t is; later pushes for one tick still win
-        stacked = iter(())
-        if self._stacked:
-            stacked = iter(lof_at(
-                self._stack[:self._stacked], self.config.k, self.config.window - 1 - self._lag
-            ).tolist())
-            self._stacked = 0
-        for name, eval_tick, at, score in self._queue:
-            self._evaluate_until(at)
-            self._scores[name][eval_tick] = next(stacked) if score is None else score
-        self._queue.clear()
-        self._evaluate_until(self._clock)
+    def _run_pushed(self) -> None:
+        pushed = self._pushed
+        if pushed[0]:
+            self._pushed = (array("q"), array("q"), array("d"))
+            self.run(*(np.frombuffer(column, column.typecode) for column in pushed))
 
-    def _evaluate_until(self, tick: int) -> None:
-        while self._next_eval < tick:
-            if not any(self._scores.values()):
-                # a tick with no score gives no point and prunes nothing,
-                # so a gap in the stream is crossed in one step
-                self._next_eval = tick
-                return
-            self._evaluate(self._next_eval)
-            self._next_eval += 1
+    def run(self, counters: np.ndarray, ticks: np.ndarray, deltas: np.ndarray) -> None:
+        """Score the windows a nonempty block of lines completes, keep the
+        scores that count, and evaluate every tick the clock has passed."""
+        clock = np.maximum.accumulate(ticks)
+        if self._clock is not None:
+            np.maximum(clock, self._clock, out=clock)
+        landed = [self._pending]
+        for counter in np.flatnonzero(np.bincount(counters)).tolist():
+            lines = np.flatnonzero(counters == counter)
+            eval_ticks, scores = self._score(counter, ticks[lines], deltas[lines])
+            scored = lines[lines.shape[0] - scores.shape[0]:]  # the lines past warm-up
+            # the rule: eval tick + lag, the tick that reads the score, is
+            # not behind the clock at the line that computed it
+            on_time = eval_ticks >= clock[scored] - self._lag
+            landed.append((np.full(np.count_nonzero(on_time), counter), eval_ticks[on_time],
+                           scores[on_time]))
+        self._clock = int(clock[-1])
+        self._evaluate(landed)
 
-    def _evaluate(self, tick: int) -> None:
-        point = evaluate_tick(self._scores, tick, self.config)
-        prune_scores(self._scores, tick, self.config)
-        if point is None:
+    def _score(
+        self, counter: int, new_ticks: np.ndarray, new_deltas: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Eval ticks and scores of the windows that the counter's new
+        samples past warm-up complete, in sample order."""
+        k, window, lagged = self.config.k, self.config.window, self._lag
+        tail_ticks, tail_values, count = self._tails[counter]
+        ticks = np.concatenate((tail_ticks, new_ticks))
+        values = np.concatenate((tail_values, new_deltas))
+        self._tails[counter] = (
+            ticks[1 - window:].copy(), values[1 - window:].copy(), count + new_ticks.shape[0]
+        )
+        n, first = values.shape[0], count - tail_values.shape[0]  # values[0] is sample `first`
+        start = max(tail_values.shape[0], self.config.warmup - 1 - first)  # first one to score
+        full = max(start, window - 1 - first)  # first full window
+        # a warm-up window, shorter, is scored alone
+        parts = [lof_at(values[None, :end + 1], k, end - lagged)
+                 for end in range(start, min(full, n))]
+        windows = sliding_window_view(values, window)[full - window + 1:] if full < n else ()
+        parts += [lof_at(windows[i:i + CHUNK], k, window - 1 - lagged)
+                  for i in range(0, len(windows), CHUNK)]
+        return ticks[start - lagged:n - lagged], np.concatenate(parts) if parts else np.empty(0)
+
+    def _evaluate(self, landed: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> None:
+        """Keep the later of two scores for one counter and tick, and turn
+        those for the ticks the clock has passed into points and alerts."""
+        # by tick, then counter; the sort is stable, so the last of a
+        # pair's scores is the latest
+        counter, eval_tick, score = (np.concatenate(column) for column in zip(*landed))
+        order = np.lexsort((counter, eval_tick))
+        counter, eval_tick, score = counter[order], eval_tick[order], score[order]
+        last = np.ones(order.shape[0], dtype=bool)
+        last[:-1] = (eval_tick[1:] != eval_tick[:-1]) | (counter[1:] != counter[:-1])
+        counter, eval_tick, score = counter[last], eval_tick[last], score[last]
+        due = int(np.searchsorted(eval_tick, self._clock - self._lag))
+        self._pending = (counter[due:], eval_tick[due:], score[due:])
+        if due == 0:
             return
+
+        config = self.config
+        starts = np.flatnonzero(np.append(True, eval_tick[1:due] != eval_tick[:due - 1]))
+        contributing = np.diff(np.append(starts, due))
+        table = np.zeros((len(config.counters), starts.shape[0]))  # 0.0 where no score
+        table[counter[:due], np.repeat(np.arange(starts.shape[0]), contributing)] = score[:due]
+        total = np.zeros(starts.shape[0])
+        for column in table:  # in config order, as ``evaluate_tick`` sums
+            total += column
+        f = total / contributing
+        ticks = eval_tick[starts]
         if self._points is not None:
-            for column, value in zip(self._points, (point.eval_tick, point.f, point.contributing)):
-                column.append(value)
-        alert = threshold_check(point, self.config)
-        if alert is None:
-            return
-        last = self._last_alert
-        if last is not None and alert.eval_tick - last <= self.config.coalesce:
-            return
-        self._last_alert = alert.eval_tick
-        self._alerts.append(alert)
+            for column, values in zip(self._points, (ticks, f, contributing)):
+                column.extend(values.tolist())
+
+        names = [c.name for c in config.counters]
+        for i in np.flatnonzero(f > config.delta_threshold).tolist():
+            tick = int(ticks[i])
+            if self._last_alert is not None and tick - self._last_alert <= config.coalesce:
+                continue
+            self._last_alert = tick
+            at = slice(starts[i], starts[i] + contributing[i])
+            per_counter = dict(zip([names[c] for c in counter[at].tolist()], score[at].tolist()))
+            self._alerts.append(Alert(
+                eval_time=tick * config.tick_interval, eval_tick=tick, f=float(f[i]),
+                threshold=config.delta_threshold, per_counter_lof=per_counter,
+            ))
 
 
 # ---------------------------------------------------------------------------
 # Offline driver
 # ---------------------------------------------------------------------------
 
-def _push_in_tick_order(detector: Detector, trace: AlignedTrace, names: list[str]) -> None:
-    """Push every value of the ``names`` counters, tick by tick and
-    in ``names`` order within a tick, converted to Python objects CHUNK at
-    a time.  Its own function, so its arrays are freed before
-    ``run_offline`` ranks the whole series."""
+def _run_in_tick_order(detector: Detector, trace: AlignedTrace, selected: list[EventKind]) -> None:
+    """Run every value of the ``selected`` counters, tick by tick and in
+    config order within a tick, BLOCK lines at a time.  Its own function,
+    so its arrays are freed before ``run_offline`` ranks the whole series."""
+    names = [counter.name for counter in selected]
     ticks = np.concatenate([trace.ticks[name] for name in names])
     values = np.concatenate([trace.values[name] for name in names])
-    which = np.repeat(np.arange(len(names)), [trace.ticks[name].shape[0] for name in names])
+    counters = np.repeat([detector.config.counters.index(counter) for counter in selected],
+                         [trace.ticks[name].shape[0] for name in names])
     order = np.argsort(ticks, kind="stable")
-    push = detector.push
-    for start in range(0, order.shape[0], CHUNK):
-        block = order[start:start + CHUNK]
-        for i, tick, value in zip(
-            which[block].tolist(), ticks[block].tolist(), values[block].tolist()
-        ):
-            push(names[i], tick, value)
+    for start in range(0, order.shape[0], BLOCK):
+        block = order[start:start + BLOCK]
+        detector.run(counters[block], ticks[block], values[block])
 
 
 def run_offline(
     trace: AlignedTrace, config: DetectorConfig
 ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], list[Alert], dict[str, list[LofResult]]]:
-    """Push every value of an aligned trace, in tick order, through a
+    """Run every value of an aligned trace, in tick order, through a
     ``Detector``.
 
     Returns the attack-factor series as the eval tick (int64), f and
@@ -416,7 +415,7 @@ def run_offline(
 
     columns = (array("q"), array("d"), array("q"))
     detector = Detector(config, columns)
-    _push_in_tick_order(detector, trace, [counter.name for counter in selected])
+    _run_in_tick_order(detector, trace, selected)
     alerts = list(detector.finish())
     series = tuple(np.frombuffer(column, column.typecode) for column in columns)
 

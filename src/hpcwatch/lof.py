@@ -30,9 +30,9 @@ Three kernels compute the same numbers:
   cases in form, and builds one distance row for the point and one for
   each of its m neighbors (O(n*m) per window, however wide the stack's
   other neighborhoods are).  It serves the ``Detector``'s window scoring
-  for both drivers: a warm-up window alone, and full windows in stacks of
-  up to 64, queued tick-major across counters, in ``detect`` from every
-  tick one read of stdin holds.
+  for both drivers: a warm-up window alone, and a counter's full windows
+  in stacks of up to 64, cut from a sliding view of its newest samples in
+  a block of lines.
 * ``_sorted_kernel`` sorts once and walks runs of the sorted values:
   O(n log n + n*k) time and O(n*k) memory.  It serves ``lof_all``, which
   scores whole series (36 000 points for an hour at 100 ms) as two arrays;
@@ -253,10 +253,11 @@ def _sorted_kernel(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     offsets = np.append(0, np.cumsum(count))
 
     center_x = x[points][seg]
-    reach = np.maximum(kdist[member], np.abs(center_x - x[member]))
-    lrd[points] = count / _ordered_sums(reach, offsets)
-    member_mean = _ordered_sums(lrd[member], offsets) / count
-    lof_arr[points] = member_mean / lrd[points]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        reach = np.maximum(kdist[member], np.abs(center_x - x[member]))
+        lrd[points] = count / _ordered_sums(reach, offsets)
+        member_mean = _ordered_sums(lrd[member], offsets) / count
+        lof_arr[points] = member_mean / lrd[points]
     return lrd, lof_arr
 
 

@@ -413,9 +413,9 @@ def test_detect_drops_a_stale_line_as_analyze_does(tmp_path, monkeypatch, capsys
     assert captured.out.splitlines() == (out / "alerts.csv").read_text().splitlines()[1:]
 
 
-def test_detect_score_maps_stay_bounded(tmp_path, monkeypatch, capsys):
-    from hpcwatch import detector
-    from hpcwatch.detector import lag
+def test_detect_retains_bounded_memory(tmp_path, monkeypatch, capsys):
+    import copy
+    import tracemalloc
 
     events = ("--events", "LLC-loads,bus-cycles")
     main(["synth", "--seed", "5", "--duration", "500", "--attack-at", "250",
@@ -423,50 +423,84 @@ def test_detect_score_maps_stay_bounded(tmp_path, monkeypatch, capsys):
     out = tmp_path / "report"
     main(["analyze", *trace_files(tmp_path), "--out", str(out), *events])
     capsys.readouterr()
-
-    sizes: list[int] = []
-    evaluate_tick = detector.evaluate_tick
-
-    def spy(scores, tick, config):
-        sizes.append(max(len(stream) for stream in scores.values()))
-        return evaluate_tick(scores, tick, config)
-
-    monkeypatch.setattr(detector, "evaluate_tick", spy)
     assert detect_on(interleaved(tmp_path), monkeypatch, *events) == EXIT_ALERTS
-    # every tick is evaluated but the warm-up ones, which have no score
-    assert len(sizes) >= 5000 - DetectorConfig().warmup
-    assert max(sizes) <= lag(DetectorConfig()) + 1
     rows = capsys.readouterr().out.splitlines()
     assert rows == (out / "alerts.csv").read_text().splitlines()[1:]
 
+    # fed as detect feeds it, a Detector holds as much after 10**5 ticks
+    # with gaps and <not counted> readouts as after 10**4, where keeping one
+    # score a tick would take 8 bytes a tick more
+    config = DetectorConfig(counters=(EventKind("LLC-loads"), EventKind("bus-cycles")))
 
-def replay_detect(lines: list[str]) -> tuple[list[tuple[str, int]], int]:
+    def retained(n_ticks: int) -> int:
+        rng = np.random.default_rng(n_ticks)
+        detector = Detector(config)
+        read = 0
+        for tick in range(1, n_ticks + 1):
+            if tick % 500 < 40:
+                continue  # both counters pause
+            for name, level in (("LLC-loads", 1123), ("bus-cycles", 23917)):
+                delta = None if rng.random() < 0.05 else round(rng.lognormal(math.log(level), 0.05))
+                detector.push(name, tick, delta)
+                read += 1
+                if read % 300 == 0:
+                    detector.poll()  # one read of stdin
+        tracemalloc.start()
+        try:
+            held = copy.deepcopy(detector)  # everything it refers to
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            del held
+
+    small, large = retained(10**4), retained(10**5)
+    assert small < 64 * 2**10 and abs(large - small) < 4 * 2**10, (small, large)
+
+
+def replay_detect(
+    lines: list[str], config: DetectorConfig = DetectorConfig(), points: list | None = None
+) -> tuple[list[tuple[str, int]], int]:
     """Alert rows, each with the count of lines read when it fired, and the
-    malformed count, from one push and one evaluation at a time."""
+    malformed count, from one push and one evaluation at a time.  Before a
+    line is pushed, every tick its tick passes is evaluated once, in order;
+    a tick with no score at its eval tick gives no point, so only those
+    with one are visited.  ``points``, if given, receives the (eval tick, f,
+    contributing) of each point."""
     from hpcwatch.detector import (
-        DetectorConfig, WindowState, evaluate_tick, prune_scores, push_sample,
-        threshold_check,
+        WindowState, evaluate_tick, lag, push_sample, threshold_check,
     )
     from hpcwatch.report import alert_row
     from hpcwatch.trace import LineError, Sample, parse_line, tick_of
 
-    config = DetectorConfig()
     wanted = {c.name for c in config.counters}
     states: dict[str, WindowState] = {}
     scores: dict[str, dict[int, float]] = {name: {} for name in wanted}
+    waiting: set[int] = set()  # ticks that read a landed score
     last_ts: dict[str, float] = {}
     rows: list[tuple[str, int]] = []
     malformed = 0
-    next_eval = None
-    max_tick = -1
+    next_eval = clock = None  # oldest tick not evaluated, newest tick pushed
+    last_alert = None
     read = 0
 
-    def evaluate(tick: int) -> None:
-        point = evaluate_tick(scores, tick, config)
-        prune_scores(scores, tick, config)
-        alert = threshold_check(point, config) if point is not None else None
-        if alert is not None:
+    def evaluate_until(tick: int) -> None:
+        nonlocal next_eval, last_alert
+        due = sorted(t for t in waiting if t < tick)
+        waiting.difference_update(due)
+        for t in due:
+            if t < next_eval:
+                continue  # evaluated before its score landed
+            point = evaluate_tick(scores, t, config)
+            if points is not None:
+                points.append((point.eval_tick, point.f, point.contributing))
+            alert = threshold_check(point, config)
+            if alert is None or (
+                last_alert is not None and alert.eval_tick - last_alert <= config.coalesce
+            ):
+                continue
+            last_alert = alert.eval_tick
             rows.append((",".join(alert_row(alert)), read))
+        next_eval = max(next_eval, tick)
 
     for read, raw in enumerate(lines, start=1):
         parsed = parse_line(raw, read)
@@ -481,18 +515,16 @@ def replay_detect(lines: list[str]) -> tuple[list[tuple[str, int]], int]:
         if name not in wanted or parsed.delta is None:
             continue  # align gives it no tick, so it does not move the clock
         tick = tick_of(parsed.timestamp, config.tick_interval)
-        max_tick = max(max_tick, tick)
         next_eval = tick if next_eval is None else next_eval
-        while next_eval < tick:
-            evaluate(next_eval)
-            next_eval += 1
+        clock = tick if clock is None else max(clock, tick)
+        evaluate_until(tick)
         state = states.setdefault(name, WindowState(event=parsed.event, window=config.window))
         result = push_sample(state, parsed, config)
         if result is not None:
             scores[name][result[0]] = result[1]
-    while next_eval is not None and next_eval <= max_tick:
-        evaluate(next_eval)
-        next_eval += 1
+            waiting.add(result[0] + lag(config))
+    if clock is not None:
+        evaluate_until(clock + 1)
     return rows, malformed
 
 
@@ -649,39 +681,95 @@ def jittered_stream() -> tuple[list[str], int]:
     return lines, 0
 
 
-@pytest.mark.parametrize("make_stream", [paced_stream, clock_only_stream, jittered_stream],
-                         ids=["paced", "clock-only-lines", "jittered"])
-def test_poll_cadence_changes_no_alert_and_no_point(make_stream):
+def polled_rows(
+    lines: list[str], config: DetectorConfig, every: int | None
+) -> tuple[list[tuple[str, int]], list[tuple[int, float, int]]]:
+    """Alert rows from a ``Detector`` fed as ``detect`` feeds it and polled
+    after every ``every`` lines (never if None), each with the count of
+    lines read when it was handed over, and its points."""
     from hpcwatch.report import alert_row
     from hpcwatch.trace import LineError, ParseDiagnostics, read_samples, tick_of
 
+    points: tuple[list, list, list] = ([], [], [])
+    rows: list[tuple[str, int]] = []
+    detector = Detector(config, points=points)
+
+    def polled():
+        for read, line in enumerate(lines, start=1):
+            yield line
+            if every is not None and read % every == 0:
+                rows.extend((",".join(alert_row(alert)), read) for alert in detector.poll())
+
+    for item in read_samples(polled(), ParseDiagnostics()):
+        if not isinstance(item, LineError):
+            tick = tick_of(item.timestamp, config.tick_interval)
+            detector.push(item.event.name, tick, item.delta)
+    rows.extend((",".join(alert_row(alert)), len(lines)) for alert in detector.finish())
+    return rows, list(zip(*points))
+
+
+@pytest.mark.parametrize("make_stream", [paced_stream, clock_only_stream, jittered_stream],
+                         ids=["paced", "clock-only-lines", "jittered"])
+def test_poll_cadence_changes_no_alert_and_no_point(make_stream):
     lines, _ = make_stream()
     expected, _ = replay_detect(lines)
     config = DetectorConfig()
-
-    def run(every: int | None) -> tuple[list[str], tuple[list, list, list]]:
-        points: tuple[list, list, list] = ([], [], [])
-        alerts: list = []
-        detector = Detector(config, points=points)
-
-        def polled():
-            for read, line in enumerate(lines, start=1):
-                yield line
-                if every is not None and read % every == 0:
-                    alerts.extend(detector.poll())
-
-        for item in read_samples(polled(), ParseDiagnostics()):
-            if not isinstance(item, LineError):
-                tick = tick_of(item.timestamp, config.tick_interval)
-                detector.push(item.event.name, tick, item.delta)
-        alerts.extend(detector.finish())
-        return [",".join(alert_row(alert)) for alert in alerts], points
-
-    rows, points = run(1)
-    assert rows == [row for row, _ in expected]
-    assert len(points[0]) > 500
+    rows, points = polled_rows(lines, config, 1)
+    assert [row for row, _ in rows] == [row for row, _ in expected]
+    assert len(points) > 500
     for every in (7, 64, 1000, None):
-        assert run(every) == (rows, points), every
+        got, got_points = polled_rows(lines, config, every)
+        assert ([row for row, _ in got], got_points) == ([row for row, _ in rows], points), every
+
+
+def fuzz_stream(seed: int) -> tuple[list[str], DetectorConfig]:
+    """A random config, and a stream of what breaks tick loops: readouts
+    sharing a tick, ticks going back across counters, ``<not counted>``, a
+    counter no setting names, malformed lines, gaps of up to 10**6 ticks,
+    integer ties and bursts."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 6))
+    names = ("LLC-loads", "bus-cycles", "LLC-store-misses")
+    config = DetectorConfig(
+        k=k, window=int(rng.integers(k + 2, 4 * k + 4)), coalesce=int(rng.choice([0, 3])),
+        counters=tuple(EventKind(name) for name in names),
+    )
+    levels = {"LLC-loads": 1123, "bus-cycles": 23917, "LLC-store-misses": 47, "cpu-cycles": 10**6}
+    late = {name: rng.uniform(0.0, 0.35) for name in levels}  # each counter's lines lag this much
+    sigma = float(rng.choice([0.03, 0.3]))
+    arrivals = []
+    tick = 0
+    for _ in range(int(rng.integers(30, 90))):
+        tick += int(rng.integers(2, 10**6)) if rng.random() < 0.03 else 1
+        for name, level in levels.items():
+            if rng.random() < 0.1:
+                continue  # no readout this tick
+            burst = 20 if rng.random() < 0.02 else 1
+            shared = rng.random() < 0.08  # two readouts in one tick
+            for ts in (tick * 0.1 - 0.02, tick * 0.1 + 0.01) if shared else (tick * 0.1,):
+                value = round(rng.lognormal(math.log(level), sigma) * burst)
+                value = "<not counted>" if rng.random() < 0.05 else value
+                arrivals.append((ts + late[name], f"{ts:.2f},{value},{name}"))
+        if rng.random() < 0.02:
+            arrivals.append((tick * 0.1, "garbage"))
+    return [line for _, line in sorted(arrivals)], config
+
+
+def test_detector_equals_the_reference_replay_on_fuzzed_streams():
+    alerting = coalescing = 0
+    for seed in range(100):
+        lines, config = fuzz_stream(seed)
+        points: list = []
+        expected, _ = replay_detect(lines, config, points)
+        for every in (1, 7, 97, None):
+            rows, got_points = polled_rows(lines, config, every)
+            assert got_points == points, (seed, every)
+            if every == 1:
+                assert rows == expected, seed  # each row at the line that fired it
+            assert [row for row, _ in rows] == [row for row, _ in expected], (seed, every)
+        alerting += bool(expected)
+        coalescing += bool(expected) and config.coalesce > 0
+    assert alerting > 50 and coalescing > 20, (alerting, coalescing)
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -875,6 +963,48 @@ def test_an_oversized_delta_is_one_malformed_line(tmp_path, monkeypatch, capsys)
     captured = capsys.readouterr()
     assert captured.out == rows
     assert "1 malformed lines skipped" in captured.err
+
+
+def hpcwatch_process(code: str) -> subprocess.CompletedProcess:
+    """``code`` run by a new interpreter that imports ``hpcwatch`` from src."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=False)
+
+
+def test_analyze_of_a_delta_near_the_float_limit_prints_no_numpy_warning(tmp_path):
+    # two bursts of 10**308 among tied integers: the whole-series ranking's
+    # reachability sums overflow to +inf, which the score conventions cover
+    rng = np.random.default_rng(199)
+    deltas = [str(int(v)) for v in rng.integers(1000, 1101, 199)]
+    deltas[99:101] = ["1" + "0" * 308] * 2
+    trace = tmp_path / "trace.csv"
+    trace.write_text("".join(f"{(i + 1) / 10:.1f},{d},LLC-loads\n" for i, d in enumerate(deltas)))
+    out = tmp_path / "report"
+    proc = hpcwatch_process(
+        "import sys\nfrom hpcwatch.cli import main\n"
+        f"sys.exit(main(['analyze', {str(trace)!r}, '--out', {str(out)!r}]))"
+    )
+    assert proc.returncode in (EXIT_OK, EXIT_ALERTS), proc.stderr
+    assert proc.stderr == ""
+    assert len(read_outliers_csv(out / "outliers.csv")) == 5
+
+
+def test_detect_and_analyze_plot_leave_numpy_ma_unimported(tmp_path):
+    # numpy.ma costs about 2 MB of peak RSS; a bare np.unique imports it
+    main(synth_args(tmp_path))
+    stream = tmp_path / "stream.csv"
+    stream.write_text(interleaved(tmp_path))
+    proc = hpcwatch_process(
+        "import io, sys\nfrom hpcwatch.cli import main\n"
+        f"main(['analyze', *{trace_files(tmp_path)!r}, '--out', {str(tmp_path / 'report')!r},"
+        " '--plot'])\n"
+        f"sys.stdin = io.StringIO(open({str(stream)!r}).read())\n"
+        "main(['detect'])\n"
+        "sys.exit(10 if 'numpy.ma' in sys.modules else 0)"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert list((tmp_path / "report").glob("*.svg"))
 
 
 def as_perf_stat(line: str) -> str:

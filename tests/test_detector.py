@@ -1,6 +1,7 @@
 """Detector unit tests: window mechanics, aggregation, thresholding, and
 the offline driver, plus streaming/offline agreement."""
 
+import copy
 import dataclasses
 import math
 import time
@@ -9,7 +10,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hpcwatch import detector as detector_module
 from hpcwatch.detector import (
     Alert,
     AttackFactorPoint,
@@ -465,9 +465,9 @@ def test_run_offline_crosses_a_long_gap():
         assert ranked == near_ranked
 
 
-def test_run_offline_score_maps_stay_bounded(monkeypatch):
+def test_detector_retains_bounded_memory():
     # 5 000 ticks with gaps, so some scores surface after their tick has
-    # been evaluated; a map that kept them would grow with the trace
+    # been evaluated
     rng = np.random.default_rng(5000)
     columns: dict[str, list[float | None]] = {}
     for name, level in (("LLC-loads", 1123), ("bus-cycles", 23917)):
@@ -479,21 +479,36 @@ def test_run_offline_score_maps_stay_bounded(monkeypatch):
         columns[name] = values
     trace = make_trace(columns)
     config = DetectorConfig()
-
-    sizes: list[int] = []
-
-    def spy(scores, tick, cfg):
-        sizes.append(max(len(stream) for stream in scores.values()))
-        return evaluate_tick(scores, tick, cfg)
-
-    monkeypatch.setattr(detector_module, "evaluate_tick", spy)
     series, alerts, _ = run_offline(align(trace, 0.1), config)
-    # every tick with a score is evaluated; one whose maps are all empty
-    # (warm-up, or both counters missing) is skipped
-    assert len(sizes) >= len(series[0]) > 4800
-    assert max(sizes) <= lag(config) + 1
-    assert alerts
+    assert len(series[0]) > 4800 and alerts
     assert (rows(series), alerts) == stream_run(trace, config)
+
+    # run in blocks as run_offline runs it, a Detector holds as much after
+    # 10**5 ticks with gaps as after 10**4, where keeping one score a tick
+    # would take 8 bytes a tick more
+    config = DetectorConfig(counters=(EV, EventKind("bus-cycles")))
+
+    def retained(n_ticks: int) -> int:
+        rng = np.random.default_rng(n_ticks)
+        ticks = np.arange(1, n_ticks + 1)
+        ticks = np.repeat(ticks[ticks % 500 >= 40], 2)  # both pause 40 ticks in 500
+        counters = np.tile([0, 1], ticks.shape[0] // 2)
+        deltas = np.rint(rng.lognormal(np.log([1123, 23917])[counters], 0.05))
+        detector = Detector(config)
+        for start in range(0, ticks.shape[0], 4096):
+            block = slice(start, start + 4096)
+            detector.run(counters[block], ticks[block], deltas[block])
+            detector.poll()
+        tracemalloc.start()
+        try:
+            held = copy.deepcopy(detector)  # everything it refers to
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            del held
+
+    small, large = retained(10**4), retained(10**5)
+    assert small < 64 * 2**10 and abs(large - small) < 4 * 2**10, (small, large)
 
 
 def test_run_offline_result_of_an_hour_holds_three_arrays():

@@ -1,10 +1,12 @@
-"""Hour-long `hpcwatch analyze --plot`: wall time, peak RSS and report digest.
+r"""Hour-long `hpcwatch analyze --plot`: wall time, peak RSS and report digest.
 
     python3 scripts/hour_analyze.py --runs 3
+    python3 scripts/hour_analyze.py --runs 3 --inputs DIR
 
 Synthesizes the hour trace once (`synth --seed 7 --duration 3600
---attack-at 1800`, six counters at 100 ms), then runs `hpcwatch analyze
---plot --mark 1800` on it --runs times, each in a new process.  For each
+--attack-at 1800`, six counters at 100 ms), or with --inputs takes every
+*.csv file in DIR as a counter file, then runs `hpcwatch analyze --plot
+--mark 1800` on it --runs times, each in a new process.  For each
 run it prints the wall time from launch to exit, the child's own peak RSS
 (VmHWM, read by the child from /proc/self/status at exit, so Linux only;
 the parent's rusage would also count the parent's RSS at the fork) and one
@@ -13,6 +15,14 @@ the child wraps the `hpcwatch.cli` names of each stage, and prints the
 stage's wall time inside the child and its VmRSS/VmHWM after the stage's
 last call.  Exits 1 if `analyze` fails or if two runs write different
 reports.
+
+A jittered hour (3 % jitter, seed 11) for --inputs, made with the
+benchmark's generator in a directory `hour`:
+
+    PYTHONPATH=bench python3 -c "import os; from workloads import *; \
+    write_inputs(*generate_deltas(Workload('h', 'analyze', 3600.0, 0.03), 11), 'hour'); \
+    os.remove('hour/stream.csv')"
+    python3 scripts/hour_analyze.py --inputs hour
 """
 
 from __future__ import annotations
@@ -89,6 +99,8 @@ def report_digest(outdir: Path) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--runs", type=int, default=3)
+    parser.add_argument("--inputs", type=Path,
+                        help="directory of counter files (default: synthesize the hour)")
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be at least 1")
@@ -96,11 +108,17 @@ def main(argv: list[str] | None = None) -> int:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     with tempfile.TemporaryDirectory(prefix="hour_analyze-") as tmp:
         work = Path(tmp)
-        subprocess.run(
-            [sys.executable, "-m", "hpcwatch", *SYNTH, "--out", str(work / "trace")],
-            env=env, check=True, stdout=subprocess.DEVNULL,
-        )
-        inputs = sorted(str(p) for p in (work / "trace").glob("*.csv"))
+        trace_dir = args.inputs
+        if trace_dir is None:
+            trace_dir = work / "trace"
+            subprocess.run(
+                [sys.executable, "-m", "hpcwatch", *SYNTH, "--out", str(trace_dir)],
+                env=env, check=True, stdout=subprocess.DEVNULL,
+            )
+        inputs = sorted(str(p) for p in trace_dir.glob("*.csv"))
+        if not inputs:
+            print(f"no *.csv counter files in {trace_dir}", file=sys.stderr)
+            return 1
         digests = set()
         for run in range(1, args.runs + 1):
             outdir, info = work / f"report{run}", work / f"hwm{run}"

@@ -8,7 +8,6 @@ from .detector import (
 )
 from .events import CANDIDATE_EVENTS, KNOWN_EVENTS, EventKind
 from .lof import LofResult, lof_all, top_n_outliers
-from .synth import EvalMetrics, GroundTruth, SynthConfig, evaluate, generate_trace
 from .trace import (
     AlignedTrace,
     ParseDiagnostics,
@@ -29,18 +28,13 @@ __all__ = [
     "CANDIDATE_EVENTS",
     "Detector",
     "DetectorConfig",
-    "EvalMetrics",
     "EventKind",
-    "GroundTruth",
     "KNOWN_EVENTS",
     "LofResult",
     "ParseDiagnostics",
     "Sample",
-    "SynthConfig",
     "Trace",
     "align",
-    "evaluate",
-    "generate_trace",
     "lof_all",
     "merge_traces",
     "parse_file",

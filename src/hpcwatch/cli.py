@@ -12,6 +12,9 @@ Exit codes: 0 clean, 3 one or more alerts raised, 1 usage or data error,
 2 capture environment error.  Code 3 keeps "detection" distinguishable from
 "failure" for scripting.
 
+analyze and detect load only the modules they run: synth and eval import
+the synthesis module, and capture imports subprocess, when they are called.
+
 Settings resolve in one order: built-in defaults, then a key=value config
 file (--config flag or HPCWATCH_CONFIG env var), then explicit flags.
 """
@@ -22,7 +25,6 @@ import argparse
 import codecs
 import io
 import os
-import subprocess
 import sys
 from typing import Iterator, Sequence
 
@@ -46,14 +48,6 @@ from .report import (
     write_outliers_csv,
 )
 from .svgplot import emit_plot
-from .synth import (
-    AttackSpec,
-    SynthConfig,
-    evaluate,
-    generate_trace,
-    read_ground_truth,
-    write_ground_truth,
-)
 from .trace import (
     AlignedTrace,
     LineError,
@@ -193,10 +187,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 value=float(values[index]), lof=lof, rank=rank,
             ))
         if args.plot and top:
-            emit_plot(
-                name, times.tolist(), values.tolist(), top,
-                os.path.join(outdir, f"{name}.svg"), args.mark,
-            )
+            emit_plot(name, times, values, top, os.path.join(outdir, f"{name}.svg"), args.mark)
     write_outliers_csv(os.path.join(outdir, "outliers.csv"), rows)
 
     if malformed:
@@ -280,6 +271,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from .synth import AttackSpec, SynthConfig, generate_trace, write_ground_truth
+
     settings = _resolve_settings(args)
     attack = None
     if args.attack_at is not None:
@@ -309,6 +302,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from .synth import evaluate, read_ground_truth
+
     settings = _resolve_settings(args)
     truth, sidecar_interval = read_ground_truth(args.truth)
     interval = sidecar_interval if sidecar_interval is not None else settings["interval"]
@@ -327,6 +322,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_capture(args: argparse.Namespace) -> int:
+    import subprocess
+
     settings = _resolve_settings(args)
     if args.pid is None and not args.command:
         raise ValueError("capture needs --pid or a command after --")

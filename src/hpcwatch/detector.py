@@ -43,7 +43,7 @@ from .trace import AlignedTrace, Sample, tick_of
 # 512 windows per call.
 CHUNK = 64
 
-# Lines ``Detector.push`` gathers before it runs them, and lines per
+# Lines ``Detector.push`` gathers before it runs them, and most lines per
 # ``Detector.run`` call in ``run_offline``.
 BLOCK = 4096
 
@@ -381,17 +381,31 @@ class Detector:
 
 def _run_in_tick_order(detector: Detector, trace: AlignedTrace, selected: list[EventKind]) -> None:
     """Run every value of the ``selected`` counters, tick by tick and in
-    config order within a tick, BLOCK lines at a time.  Its own function,
-    so its arrays are freed before ``run_offline`` ranks the whole series."""
-    names = [counter.name for counter in selected]
-    ticks = np.concatenate([trace.ticks[name] for name in names])
-    values = np.concatenate([trace.values[name] for name in names])
-    counters = np.repeat([detector.config.counters.index(counter) for counter in selected],
-                         [trace.ticks[name].shape[0] for name in names])
-    order = np.argsort(ticks, kind="stable")
-    for start in range(0, order.shape[0], BLOCK):
-        block = order[start:start + BLOCK]
-        detector.run(counters[block], ticks[block], values[block])
+    config order within a tick, in blocks of at most BLOCK lines and
+    without an array that spans the trace.
+
+    With n counters, a block ends before the earliest of the counters'
+    (BLOCK // n)-th next ticks: no counter has more values than that before
+    it, and the counter whose tick it is has exactly that many.  A counter
+    with fewer values left gives no bound; when none has more, the block
+    takes every value left.  The block's slices, joined in config order and
+    stably sorted by tick, are its lines in tick order."""
+    ticks = [trace.ticks[counter.name] for counter in selected]
+    values = [trace.values[counter.name] for counter in selected]
+    indices = [detector.config.counters.index(counter) for counter in selected]
+    per_counter = max(1, BLOCK // len(selected))
+    at, lengths = [0] * len(selected), [t.shape[0] for t in ticks]
+    while at != lengths:
+        ahead = [t[i + per_counter] for t, i in zip(ticks, at) if i + per_counter < t.shape[0]]
+        ends = [int(np.searchsorted(t, min(ahead))) for t in ticks] if ahead else lengths
+        block_ticks = np.concatenate([t[i:e] for t, i, e in zip(ticks, at, ends)])
+        order = np.argsort(block_ticks, kind="stable")
+        detector.run(
+            np.repeat(indices, [e - i for i, e in zip(at, ends)])[order],
+            block_ticks[order],
+            np.concatenate([v[i:e] for v, i, e in zip(values, at, ends)])[order],
+        )
+        at = ends
 
 
 def run_offline(

@@ -34,10 +34,12 @@ Three kernels compute the same numbers:
   in stacks of up to 64, cut from a sliding view of its newest samples in
   a block of lines.
 * ``_sorted_kernel`` sorts once and walks runs of the sorted values:
-  O(n log n + n*k) time and O(n*k) memory.  It serves ``lof_all``, which
-  scores whole series (36 000 points for an hour at 100 ms) as two arrays;
-  ``top_n_outliers`` ranks those and builds a ``LofResult`` only for each
-  of the n points it returns.
+  O(n log n + n*k) time, and O(n) memory plus one block of at most BLOCK
+  neighborhood members, laid out afresh for each pass instead of all n*k
+  at once.  It serves ``lof_all``, which scores whole series (36 000
+  points for an hour at 100 ms) as two arrays; ``top_n_outliers`` ranks
+  those and builds a ``LofResult`` only for each of the n points it
+  returns.
 
 All three add every neighborhood sum's terms one at a time in ascending
 point index, the order the brute-force definition uses, so they agree bit
@@ -134,6 +136,11 @@ def _column_sums(table: np.ndarray) -> np.ndarray:
     return np.add.reduce(table, axis=0)
 
 
+# Most neighborhood run positions (or candidate distances) one block of
+# ``_sorted_kernel`` lays out at once: about 64 bytes each over the arrays
+# that hold them.
+BLOCK = 4096
+
 # Segments longer than this are summed one by one; shorter ones together,
 # one term slot at a time.
 _LONG_SEGMENT = 64
@@ -166,21 +173,78 @@ def _ordered_sums(terms: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return out
 
 
+def _group_runs(
+    value: np.ndarray, size: np.ndarray, bounds: np.ndarray, small: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """k-distance and neighborhood run (first and past-the-end sorted
+    position) of each of the ``small`` groups, which have at most k copies.
+
+    The k-distance is the nearest candidate distance at which the copies of
+    the k+1 nearest distinct values on each side and the group's own other
+    copies add up to k points; the run then takes every distinct value
+    within it, past those candidates too where rounding makes farther
+    values tie."""
+    n_groups = value.shape[0]
+    step = np.arange(1, k + 2)
+    left = small[:, None] - step
+    right = small[:, None] + step
+    has_left, has_right = left >= 0, right < n_groups
+    left, right = np.where(has_left, left, 0), np.where(has_right, right, 0)
+    center = value[small, None]
+    dist_left = np.where(has_left, center - value[left], np.inf)
+    dist_right = np.where(has_right, value[right] - center, np.inf)
+
+    need = k + 1 - size[small]
+    dist = np.concatenate([dist_left, dist_right], axis=1)
+    copies = np.concatenate(
+        [np.where(has_left, size[left], 0), np.where(has_right, size[right], 0)], axis=1
+    )
+    by_dist = np.argsort(dist, axis=1, kind="stable")
+    dist = np.take_along_axis(dist, by_dist, axis=1)
+    reached = np.cumsum(np.take_along_axis(copies, by_dist, axis=1), axis=1)
+    kd = dist[np.arange(small.size), np.argmax(reached >= need[:, None], axis=1)]
+
+    n_left = np.count_nonzero(has_left & (dist_left <= kd[:, None]), axis=1)
+    n_right = np.count_nonzero(has_right & (dist_right <= kd[:, None]), axis=1)
+    for i in np.flatnonzero((n_left > k) | (n_right > k)):
+        g, r = small[i], kd[i]
+        while g - n_left[i] > 0 and value[g] - value[g - n_left[i] - 1] <= r:
+            n_left[i] += 1
+        while g + n_right[i] < n_groups - 1 and value[g + n_right[i] + 1] - value[g] <= r:
+            n_right[i] += 1
+    return kd, bounds[small - n_left], bounds[small + n_right + 1]
+
+
+def _members(
+    order: np.ndarray, points: np.ndarray, run_lo: np.ndarray, run_len: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every neighborhood member of ``points``, point-major, each point's in
+    ascending index with the point itself dropped: the member's point (its
+    position in ``points``), the member's index, and the segment offsets."""
+    seg = np.repeat(np.arange(points.size), run_len)
+    run_start = np.cumsum(run_len) - run_len
+    member = order[run_lo[seg] + np.arange(seg.size) - run_start[seg]]
+    keep = member != points[seg]
+    seg, member = seg[keep], member[keep]
+    by_index = np.lexsort((member, seg))
+    return seg[by_index], member[by_index], np.append(0, np.cumsum(run_len - 1))
+
+
 def _sorted_kernel(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(lrd, lof) arrays for the whole set in O(n log n + n*k) time and
-    O(n*k) memory (more only where many distinct values round to one
-    distance from a point).
+    """(lrd, lof) arrays for the whole set in O(n log n + n*k) time and O(n)
+    memory plus a block of at most BLOCK neighborhood members (more only
+    for a single point whose run is longer).
 
     In 1-D a neighborhood is a run of the sorted values: computed distances
     never shrink moving away from a value, since subtraction rounds
     monotonically.  Points are grouped by value.  A group of more than k
-    copies has k-distance 0, so its points have lrd +inf and score 1.  For
-    a smaller group the k-distance is the k-th smallest distance among its
-    own copies and the k+1 nearest distinct values on each side; the run
-    then widens over every value within it (``abs(x_i - x_j) <= kdist_i``),
-    past those candidates too where rounding makes farther values tie.
-    Sums over a neighborhood take its members in ascending point index,
-    exactly as ``_tables`` does, so both kernels give the same bits.
+    copies has k-distance 0, so its points have lrd +inf and score 1.  The
+    smaller groups get their k-distances and runs a block of groups at a
+    time (``_group_runs``).  Then the lrds, and in a second pass the
+    scores, are computed a block of points at a time, each block's members
+    laid out afresh in each pass.  Sums over a neighborhood take its
+    members in ascending point index, exactly as ``_tables`` does, so both
+    kernels give the same bits however the points are cut into blocks.
     """
     n = x.shape[0]
     _check_k(n, k)
@@ -192,7 +256,7 @@ def _sorted_kernel(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     bounds = np.append(np.flatnonzero(first), n)  # group g is xs[bounds[g]:bounds[g + 1]]
     value = xs[bounds[:-1]]
     size = np.diff(bounds)
-    n_groups = value.shape[0]
+    del xs, first
 
     kdist = np.zeros(n)
     lrd = np.full(n, np.inf)
@@ -201,63 +265,39 @@ def _sorted_kernel(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     if small.size == 0:
         return lrd, lof_arr
 
-    # distances to the k+1 nearest distinct values on each side
-    step = np.arange(1, k + 2)
-    left = small[:, None] - step
-    right = small[:, None] + step
-    has_left, has_right = left >= 0, right < n_groups
-    left, right = np.where(has_left, left, 0), np.where(has_right, right, 0)
-    center = value[small, None]
-    dist_left = np.where(has_left, center - value[left], np.inf)
-    dist_right = np.where(has_right, value[right] - center, np.inf)
+    kd = np.empty(small.size)
+    lo, hi = np.empty(small.size, np.int64), np.empty(small.size, np.int64)
+    per_block = max(1, BLOCK // (2 * k + 2))  # candidate distances per group
+    for start in range(0, small.size, per_block):
+        at = slice(start, start + per_block)
+        kd[at], lo[at], hi[at] = _group_runs(value, size, bounds, small[at], k)
 
-    # k-distance: the nearest candidate distance at which the candidates'
-    # copies and the point's own other copies add up to k points
-    need = k + 1 - size[small]
-    dist = np.concatenate([dist_left, dist_right], axis=1)
-    copies = np.concatenate(
-        [np.where(has_left, size[left], 0), np.where(has_right, size[right], 0)], axis=1
-    )
-    by_dist = np.argsort(dist, axis=1, kind="stable")
-    dist = np.take_along_axis(dist, by_dist, axis=1)
-    reached = np.cumsum(np.take_along_axis(copies, by_dist, axis=1), axis=1)
-    kd = dist[np.arange(small.size), np.argmax(reached >= need[:, None], axis=1)]
-
-    # neighborhood run: every distinct value within kd on either side
-    n_left = np.count_nonzero(has_left & (dist_left <= kd[:, None]), axis=1)
-    n_right = np.count_nonzero(has_right & (dist_right <= kd[:, None]), axis=1)
-    for i in np.flatnonzero((n_left > k) | (n_right > k)):
-        g, r = small[i], kd[i]
-        while g - n_left[i] > 0 and value[g] - value[g - n_left[i] - 1] <= r:
-            n_left[i] += 1
-        while g + n_right[i] < n_groups - 1 and value[g + n_right[i] + 1] - value[g] <= r:
-            n_right[i] += 1
-    lo = bounds[small - n_left]
-    hi = bounds[small + n_right + 1]
-
-    # one row per point of a small group: its run in sorted positions
+    # one entry per point of a small group: its run in sorted positions
     row = np.repeat(np.arange(small.size), size[small])
     points = order[np.repeat(size <= k, size)]
     kdist[points] = kd[row]
     run_lo, run_len = lo[row], (hi - lo)[row]
+    del row, kd, lo, hi, value, size, bounds, small
 
-    # members, point-major, each point's in ascending index, itself dropped
-    seg = np.repeat(np.arange(points.size), run_len)
-    run_start = np.cumsum(run_len) - run_len
-    member = order[run_lo[seg] + np.arange(seg.size) - run_start[seg]]
-    keep = member != points[seg]
-    seg, member = seg[keep], member[keep]
-    by_index = np.lexsort((member, seg))
-    seg, member = seg[by_index], member[by_index]
-    count = run_len - 1
-    offsets = np.append(0, np.cumsum(count))
+    # blocks of points holding at most BLOCK run positions each, or one point
+    run_end = np.cumsum(run_len)
+    cuts = [0]
+    while cuts[-1] < points.size:
+        start = cuts[-1]
+        limit = run_end[start] - run_len[start] + BLOCK
+        cuts.append(max(start + 1, int(np.searchsorted(run_end, limit, side="right"))))
+    del run_end
+    blocks = [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
 
-    center_x = x[points][seg]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        reach = np.maximum(kdist[member], np.abs(center_x - x[member]))
-        lrd[points] = count / _ordered_sums(reach, offsets)
-        member_mean = _ordered_sums(lrd[member], offsets) / count
-        lof_arr[points] = member_mean / lrd[points]
+        for at in blocks:
+            seg, member, offsets = _members(order, points[at], run_lo[at], run_len[at])
+            reach = np.maximum(kdist[member], np.abs(x[points[at]][seg] - x[member]))
+            lrd[points[at]] = (run_len[at] - 1) / _ordered_sums(reach, offsets)
+        for at in blocks:
+            seg, member, offsets = _members(order, points[at], run_lo[at], run_len[at])
+            member_mean = _ordered_sums(lrd[member], offsets) / (run_len[at] - 1)
+            lof_arr[points[at]] = member_mean / lrd[points[at]]
     return lrd, lof_arr
 
 
@@ -339,14 +379,19 @@ def lof_at(windows: np.ndarray, k: int, pos: int) -> np.ndarray:
             return scores
 
         # one distance column per (window, neighbor) pair: window by
-        # window, each window's neighbors in ascending index
+        # window, each window's neighbors in ascending index; two float
+        # tables, each reused in place
         pair_window, nbr = np.nonzero(member[:, general].T)
         src = general[pair_window]
         pair = np.arange(src.size)
-        nd = np.abs(xt[nbr, src] - np.take(xt, src, axis=1))
+        nd = np.take(xt, src, axis=1)
+        np.subtract(xt[nbr, src], nd, out=nd)
+        np.abs(nd, out=nd)
         nd[nbr, pair] = np.inf
         nbr_member = nd <= kdist[nbr, src]
-        nbr_reach = np.where(nbr_member, np.maximum(nd, np.take(kdist, src, axis=1)), 0.0)
+        nbr_reach = np.take(kdist, src, axis=1)
+        np.maximum(nd, nbr_reach, out=nbr_reach)
+        np.copyto(nbr_reach, 0.0, where=~nbr_member)
         nbr_lrd = np.add.reduce(nbr_member, axis=0) / _column_sums(nbr_reach)
 
         # each window's neighbor lrds in slots 0..count-1 of its column,

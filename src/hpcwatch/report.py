@@ -28,6 +28,9 @@ ATTACK_FACTOR_HEADER = ["eval_time", "f", "contributing"]
 ALERTS_HEADER = ["eval_time", "f", "threshold", "counters"]
 OUTLIERS_HEADER = ["event", "tick", "time", "value", "lof", "rank"]
 
+# Rows of a column report converted to Python values at once.
+CHUNK = 4096
+
 
 def fmt(x: float) -> str:
     """9 significant digits; round-trips every value the pipeline emits."""
@@ -54,8 +57,11 @@ def write_attack_factor_csv(
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = _writer(fh)
         w.writerow(ATTACK_FACTOR_HEADER)
-        for tick, f, count in zip(*(column.tolist() for column in series)):
-            w.writerow([fmt(tick * tick_interval), fmt(f), count])
+        for start in range(0, series[0].shape[0], CHUNK):
+            chunk = (column[start:start + CHUNK].tolist() for column in series)
+            w.writerows(
+                [fmt(tick * tick_interval), fmt(f), count] for tick, f, count in zip(*chunk)
+            )
 
 
 def write_alerts_csv(path: str, alerts: Sequence[Alert]) -> None:

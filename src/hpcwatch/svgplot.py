@@ -8,11 +8,19 @@ and circles the same ranked results that ``outliers.csv`` lists.  Circles
 are used for nothing else, so a chart with top_n outliers contains exactly
 top_n circle elements; the marker is the only element with class
 "event-mark".  Identical inputs give identical bytes.
+
+``emit_plot`` writes the document as ``_parts`` makes it: the polyline is
+formatted CHUNK points at a time from the time and value arrays, so a
+chart of an hour-long column never holds a Python float or string for
+every point at once.  ``render_plot`` joins the same parts into one
+string.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .lof import LofResult
 
@@ -28,30 +36,35 @@ OUTLIER_COLOR = "#d62828"
 MARK_COLOR = "#c1121f"
 AXIS_COLOR = "#444444"
 
+# Points of the polyline formatted at once.
+CHUNK = 4096
+
 
 def _coord(v: float) -> str:
     return f"{v:.2f}"
 
 
-def render_plot(
+def _parts(
     name: str,
-    times: Sequence[float],
-    values: Sequence[float],
+    times: np.ndarray | Sequence[float],
+    values: np.ndarray | Sequence[float],
     top: Sequence[LofResult],
     mark_time: float | None = None,
-) -> str:
-    """The SVG document as a string; emit_plot writes it to disk.
+) -> Iterator[str]:
+    """The SVG document in parts; the inputs are checked on the call.
 
     ``times`` (seconds) and ``values`` are the points in order, and each
     result in ``top`` circles the point its ``index`` names.
     """
+    times = np.asarray(times, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
     if len(times) == 0:
         raise ValueError(f"series {name} has no usable samples")
     if len(times) != len(values):
         raise ValueError(f"{len(times)} times for {len(values)} values of {name}")
 
-    t_lo, t_hi = min(times), max(times)
-    v_lo, v_hi = min(values), max(values)
+    t_lo, t_hi = float(times.min()), float(times.max())
+    v_lo, v_hi = float(values.min()), float(values.max())
     if mark_time is not None:
         t_lo, t_hi = min(t_lo, mark_time), max(t_hi, mark_time)
     if t_hi == t_lo:
@@ -62,10 +75,11 @@ def render_plot(
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
-    def x(t: float) -> float:
+    # the same operations in the same order on a float or on an array
+    def x(t):
         return MARGIN_LEFT + (t - t_lo) / (t_hi - t_lo) * plot_w
 
-    def y(v: float) -> float:
+    def y(v):
         return MARGIN_TOP + (v_hi - v) / (v_hi - v_lo) * plot_h
 
     parts = [
@@ -100,37 +114,54 @@ def render_plot(
             f'font-size="11" fill="{AXIS_COLOR}" text-anchor="end">{v_val:.9g}</text>'
         )
 
-    pts = " ".join(f"{_coord(x(t))},{_coord(y(v))}" for t, v in zip(times, values))
-    parts.append(
-        f'<polyline points="{pts}" fill="none" stroke="{SERIES_COLOR}" stroke-width="1.5"/>'
-    )
-
+    tail = [f'" fill="none" stroke="{SERIES_COLOR}" stroke-width="1.5"/>']
     if mark_time is not None:
-        parts.append(
+        tail.append(
             f'<line class="event-mark" x1="{_coord(x(mark_time))}" y1="{y1}" '
             f'x2="{_coord(x(mark_time))}" y2="{y0}" stroke="{MARK_COLOR}" '
             f'stroke-width="1.5" stroke-dasharray="5,3"/>'
         )
 
     for result in top:
-        parts.append(
-            f'<circle cx="{_coord(x(times[result.index]))}" '
-            f'cy="{_coord(y(values[result.index]))}" r="4" '
+        tail.append(
+            f'<circle cx="{_coord(x(float(times[result.index])))}" '
+            f'cy="{_coord(y(float(values[result.index])))}" r="4" '
             f'fill="{OUTLIER_COLOR}"><title>lof={result.lof:.9g}</title></circle>'
         )
+    tail.append("</svg>")
 
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    def document() -> Iterator[str]:
+        yield "\n".join(parts) + '\n<polyline points="'
+        for start in range(0, len(times), CHUNK):
+            xs = x(times[start:start + CHUNK]).tolist()
+            ys = y(values[start:start + CHUNK]).tolist()
+            yield (" " if start else "") + " ".join(
+                f"{_coord(a)},{_coord(b)}" for a, b in zip(xs, ys)
+            )
+        yield "\n".join(tail) + "\n"
+
+    return document()
+
+
+def render_plot(
+    name: str,
+    times: np.ndarray | Sequence[float],
+    values: np.ndarray | Sequence[float],
+    top: Sequence[LofResult],
+    mark_time: float | None = None,
+) -> str:
+    """The SVG document as a string; emit_plot writes the same bytes."""
+    return "".join(_parts(name, times, values, top, mark_time))
 
 
 def emit_plot(
     name: str,
-    times: Sequence[float],
-    values: Sequence[float],
+    times: np.ndarray | Sequence[float],
+    values: np.ndarray | Sequence[float],
     top: Sequence[LofResult],
     out: str,
     mark_time: float | None = None,
 ) -> None:
-    svg = render_plot(name, times, values, top, mark_time)
+    parts = _parts(name, times, values, top, mark_time)
     with open(out, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+        fh.writelines(parts)

@@ -991,19 +991,29 @@ def test_analyze_of_a_delta_near_the_float_limit_prints_no_numpy_warning(tmp_pat
 
 
 def test_detect_and_analyze_plot_leave_numpy_ma_unimported(tmp_path):
-    # numpy.ma costs about 2 MB of peak RSS; a bare np.unique imports it
+    # numpy.ma costs about 2 MB of peak RSS, and a bare np.unique imports
+    # it; the synthesis module and subprocess serve only synth, eval and
+    # capture.  Each command runs first once, so the modules either one
+    # loads alone are seen
     main(synth_args(tmp_path))
     stream = tmp_path / "stream.csv"
     stream.write_text(interleaved(tmp_path))
-    proc = hpcwatch_process(
-        "import io, sys\nfrom hpcwatch.cli import main\n"
-        f"main(['analyze', *{trace_files(tmp_path)!r}, '--out', {str(tmp_path / 'report')!r},"
-        " '--plot'])\n"
-        f"sys.stdin = io.StringIO(open({str(stream)!r}).read())\n"
-        "main(['detect'])\n"
-        "sys.exit(10 if 'numpy.ma' in sys.modules else 0)"
-    )
-    assert proc.returncode == 0, proc.stderr
+    commands = {
+        "analyze": f"main(['analyze', *{trace_files(tmp_path)!r}, "
+                   f"'--out', {str(tmp_path / 'report')!r}, '--plot'])\n",
+        "detect": f"sys.stdin = io.StringIO(open({str(stream)!r}).read())\n"
+                  "main(['detect'])\n",
+    }
+    check = ("print('loaded:', *[m for m in ('numpy.ma', 'hpcwatch.synth', 'subprocess') "
+             "if m in sys.modules])\n")
+    for first, second in (("analyze", "detect"), ("detect", "analyze")):
+        proc = hpcwatch_process(
+            "import io, sys\nfrom hpcwatch.cli import main\n"
+            + commands[first] + check + commands[second] + check
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = [line for line in proc.stdout.splitlines() if line.startswith("loaded:")]
+        assert loaded == ["loaded:", "loaded:"], (first, loaded)
     assert list((tmp_path / "report").glob("*.svg"))
 
 

@@ -6,10 +6,12 @@ import dataclasses
 import math
 import time
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
 
+from hpcwatch import detector as detector_module
 from hpcwatch.detector import (
     Alert,
     AttackFactorPoint,
@@ -24,7 +26,7 @@ from hpcwatch.detector import (
     select_counters,
     threshold_check,
 )
-from hpcwatch.events import EventKind
+from hpcwatch.events import CANDIDATE_KINDS, EventKind
 from hpcwatch.synth import AttackSpec, BaselineSpec, SynthConfig, generate_trace
 from hpcwatch.trace import AlignedTrace, Sample, Trace, align, tick_of
 
@@ -529,6 +531,93 @@ def test_run_offline_result_of_an_hour_holds_three_arrays():
     assert [column.dtype for column in series] == [np.int64, np.float64, np.int64]
     assert len(series[0]) > 35_000 and alerts
     assert retained < 2 * 2**20, retained
+
+
+def one_block_run(trace: AlignedTrace, config: DetectorConfig):
+    """``run_offline``'s points and alerts from a single ``Detector.run``
+    over every value, concatenated and stably sorted by tick."""
+    selected = select_counters(trace, config)
+    ticks = np.concatenate([trace.ticks[c.name] for c in selected])
+    order = np.argsort(ticks, kind="stable")
+    counters = np.repeat([config.counters.index(c) for c in selected],
+                         [trace.ticks[c.name].shape[0] for c in selected])
+    values = np.concatenate([trace.values[c.name] for c in selected])
+    columns = (array("q"), array("d"), array("q"))
+    detector = Detector(config, columns)
+    if order.shape[0]:
+        detector.run(counters[order], ticks[order], values[order])
+    alerts = list(detector.finish())
+    return rows(tuple(np.frombuffer(c, c.typecode) for c in columns)), alerts
+
+
+def fuzzed_trace(rng: np.random.Generator) -> tuple[AlignedTrace, DetectorConfig]:
+    """Up to four counters of jittered deltas with bursts and ties, each
+    dense, with gaps, sparse (one value per 1 000 ticks), starting 10**5
+    ticks late, or empty; sometimes a single counter, sometimes one more
+    that the config does not name."""
+    kinds = list(CANDIDATE_KINDS)
+    rng.shuffle(kinds)
+    n = int(rng.integers(1, 5))
+    k = int(rng.integers(2, 7))
+    config = DetectorConfig(
+        k=k, window=int(rng.integers(k + 2, 41)), counters=tuple(kinds[:n]),
+        coalesce=int(rng.choice([0, 3])),
+    )
+    ticks, values = {}, {}
+    for counter in kinds[:n + int(rng.integers(0, 2))]:
+        shape = rng.choice(["dense", "gaps", "sparse", "late", "empty"], p=[.3, .3, .15, .15, .1])
+        length = 0 if shape == "empty" else int(rng.integers(1, 1500))
+        steps = np.ones(length, np.int64)
+        if shape == "gaps":
+            at = rng.random(length) < 0.01
+            steps[at] = rng.integers(2, 10**4, int(at.sum()))
+        elif shape == "sparse":
+            steps[:] = 1000
+        column = np.cumsum(steps) + int(rng.integers(0, 50))
+        if shape == "late":
+            column += 10**5
+        ticks[counter.name] = column
+        level = float(rng.choice([3.0, 1123.0, 1e8]))
+        deltas = np.rint(rng.lognormal(math.log(level), 0.03, length))
+        deltas[rng.random(length) < 0.003] *= 20
+        values[counter.name] = deltas
+    n_ticks = 1 + max((int(t[-1]) for t in ticks.values() if t.shape[0]), default=0)
+    return AlignedTrace(0.1, n_ticks, ticks, values), config
+
+
+def test_run_offline_blocks_equal_one_block_on_fuzzed_traces(monkeypatch):
+    # however run_offline cuts a trace into blocks, its points and alerts
+    # are those of one block over all of it; every block holds at most
+    # BLOCK lines, and a counter with BLOCK // n values ahead bounds each
+    # block but the last, so the blocks are few
+    rng = np.random.default_rng(19)
+    sizes: list[int] = []
+    run = Detector.run
+
+    def spy(self, counters, ticks, deltas):
+        sizes.append(counters.shape[0])
+        return run(self, counters, ticks, deltas)
+
+    cases = 0
+    while cases < 60:
+        trace, config = fuzzed_trace(rng)
+        selected = select_counters(trace, config)
+        if not selected or not any(trace.ticks[c.name].shape[0] for c in selected):
+            continue
+        cases += 1
+        expected = one_block_run(trace, config)
+        block = int(rng.choice([24, 256, 4096]))
+        monkeypatch.setattr(detector_module, "BLOCK", block)
+        monkeypatch.setattr(Detector, "run", spy)
+        sizes.clear()
+        series, alerts, _ = run_offline(trace, config)
+        monkeypatch.undo()
+        assert (rows(series), alerts) == expected, cases
+        per_counter = block // len(selected)
+        assert max(sizes) <= block
+        assert sum(sizes) == sum(trace.ticks[c.name].shape[0] for c in selected)
+        assert len(sizes) <= sum(-(-trace.ticks[c.name].shape[0] // per_counter)
+                                 for c in selected), (len(sizes), block)
 
 
 # ---------------------------------------------------------------------------

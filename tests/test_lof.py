@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from hpcwatch import lof as lof_module
 from hpcwatch.lof import LofResult, lof_all, lof_at, lof_scores, top_n_outliers
 
 FIXTURE = [0.0, 1.0, 2.0, 10.0]
@@ -374,6 +375,50 @@ def test_lof_all_result_of_an_hour_holds_two_arrays():
             tracemalloc.stop()
         assert len(result[1]) == 36_000
         assert retained < 2**20, (level, retained)
+
+
+def test_lof_all_of_an_hour_of_distinct_values_peaks_below_8_mib():
+    # a counter near 10**8 with 3 % jitter: 36 000 distinct values, k
+    # neighborhood members each.  Laid out all at once, the members took a
+    # 37.5 MiB peak; a block at a time, the O(n) arrays set it
+    rng = np.random.default_rng(36_000)
+    values = rng.lognormal(math.log(1e8), 0.03, 36_000)
+    assert len(set(values.tolist())) == 36_000
+    tracemalloc.start()
+    try:
+        lof_all(values, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+
+
+def test_lof_all_blocks_change_no_bit_where_a_run_outgrows_the_block(monkeypatch):
+    # the points beside a big tie group hold all of it in their
+    # neighborhoods, so one point's run is longer than a whole block; it
+    # gets a block of its own.  With a 256-position block the set is small
+    # enough for lof_scores' n x n tables
+    rng = np.random.default_rng(5000)
+
+    def beside_copies(copies: int) -> np.ndarray:
+        return rng.permutation(np.concatenate([
+            np.full(copies, 100.0),
+            rng.uniform(90.0, 110.0, 40),
+            np.rint(rng.lognormal(math.log(100), 0.2, 400)),
+        ]))
+
+    pts = beside_copies(600)
+    monkeypatch.setattr(lof_module, "BLOCK", 256)
+    for k in (3, 5):
+        assert lof_all(pts, k)[1].tolist() == lof_scores(pts, k).tolist()
+    # 5 000 copies outgrow the default block, where lof_scores would need
+    # about 0.8 GB; one block over the whole set is the reference
+    monkeypatch.undo()
+    pts = beside_copies(5000)
+    blocked = lof_all(pts, 5)
+    monkeypatch.setattr(lof_module, "BLOCK", 10 * pts.shape[0])
+    whole = lof_all(pts, 5)
+    assert [a.tobytes() for a in blocked] == [a.tobytes() for a in whole]
 
 
 # ---------------------------------------------------------------------------

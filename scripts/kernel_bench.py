@@ -1,26 +1,31 @@
-"""Window-kernel benchmark: `lof_at` cost per window on benchmark windows.
+"""Window-kernel benchmark: `lof_at` cost per window on `detect`'s stacks.
 
     python3 scripts/kernel_bench.py --seed 1
 
-Draws the detect-jitter workload's deltas for --seed (the generator in
+Writes the detect-jitter workload's stream for --seed (the generator in
 bench/workloads.py: six counters at their default levels, 3% jitter, one
-burst), cuts every counter's full windows, interleaves them tick-major, as
-both `detect` and `analyze` stack them, and scores each window's lagged
-point with `lof_at`, CHUNK windows per call.  Prints the median and the
-best of --repeat timed passes over all windows, in microseconds per window.
-Exits 1 unless every score equals `lof_scores` at the lagged position, bit
-for bit.
+burst, each tick's lines in name order) and cuts it into the lines each
+`io.DEFAULT_BUFFER_SIZE` read completes, as `detect` reads a file on stdin.
+Each read is one `Detector` run: every counter, in config order, scores the
+full windows its lines of the read complete with `lof_at`, at most CHUNK
+windows per call.  Prints the calls and the windows per call, and the
+median and the best of --repeat timed passes over every call, in
+microseconds per window.  Exits 1 unless every score equals `lof_scores`
+at the lagged position, bit for bit.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -28,20 +33,44 @@ sys.path.insert(0, str(ROOT / "bench"))
 
 from hpcwatch.detector import CHUNK, DetectorConfig, lag  # noqa: E402
 from hpcwatch.lof import lof_at, lof_scores  # noqa: E402
-from workloads import WORKLOADS, generate_deltas  # noqa: E402
+from workloads import WORKLOADS, generate_deltas, write_inputs  # noqa: E402
 
 
-def timed(windows: np.ndarray, k: int, pos: int, repeat: int) -> tuple[np.ndarray, list[float]]:
-    """Scores of every window, cut into stacks of CHUNK, and the µs per
-    window of each pass."""
+def stacks_of(deltas: dict[str, np.ndarray], config: DetectorConfig) -> list[np.ndarray]:
+    """The stacks of full windows `detect` hands `lof_at`, in call order."""
+    names = sorted(deltas)  # each tick's lines, in stream order
+    with tempfile.TemporaryDirectory() as tmp:
+        stream = Path(write_inputs(deltas, 0, tmp).stream_file).read_bytes()
+    # the read that completes each line: line i * len(names) + p is tick
+    # i's line of names[p]
+    ends = np.flatnonzero(np.frombuffer(stream, np.uint8) == ord("\n"))
+    read_of = (ends // io.DEFAULT_BUFFER_SIZE).reshape(-1, len(names))
+    reads = int(read_of[-1, -1]) + 1
+    window = config.window
+    per_counter = []
+    for name in config.counters:
+        windows = sliding_window_view(deltas[name].astype(np.float64), window)
+        # full window j ends with sample j + window - 1
+        cuts = np.searchsorted(read_of[window - 1:, names.index(name)], np.arange(reads + 1))
+        per_counter.append((windows, cuts))
+    stacks = []
+    for read in range(reads):
+        for windows, cuts in per_counter:
+            start, end = cuts[read], cuts[read + 1]
+            stacks += [windows[i:min(i + CHUNK, end)] for i in range(start, end, CHUNK)]
+    return stacks
+
+
+def timed(
+    stacks: list[np.ndarray], k: int, pos: int, repeat: int
+) -> tuple[np.ndarray, list[float]]:
+    """Scores of every stack, in order, and the µs per window of each pass."""
+    count = sum(stack.shape[0] for stack in stacks)
     passes = []
     for _ in range(repeat):
         started = time.perf_counter()
-        scores = np.concatenate([
-            lof_at(windows[start:start + CHUNK], k, pos)
-            for start in range(0, windows.shape[0], CHUNK)
-        ])
-        passes.append((time.perf_counter() - started) / windows.shape[0] * 1e6)
+        scores = np.concatenate([lof_at(stack, k, pos) for stack in stacks])
+        passes.append((time.perf_counter() - started) / count * 1e6)
     return scores, passes
 
 
@@ -56,22 +85,18 @@ def main(argv: list[str] | None = None) -> int:
     config = DetectorConfig()
     k, pos = config.k, config.window - 1 - lag(config)
     deltas, _ = generate_deltas(WORKLOADS["detect-jitter"], args.seed)
-    # full[c][s] is counter c's window after push s + window, and the
-    # stream carries each tick's lines in name order
-    names = sorted(deltas)
-    full = [
-        np.lib.stride_tricks.sliding_window_view(deltas[name].astype(np.float64), config.window)
-        for name in names
-    ]
-    windows = np.stack(full, axis=1).reshape(-1, config.window)
-    expected = np.array([lof_scores(w, k)[pos] for w in windows])
+    stacks = stacks_of(deltas, config)
+    sizes = [stack.shape[0] for stack in stacks]
+    expected = np.array([lof_scores(w, k)[pos] for stack in stacks for w in stack])
 
-    print(f"seed {args.seed}: {len(names)} counters, {full[0].shape[0]} full windows each, "
-          f"{CHUNK} per lof_at call, k={k}, window={config.window}")
-    scores, passes = timed(windows, k, pos, args.repeat)
+    print(f"seed {args.seed}: {len(deltas)} counters, {sum(sizes)} full windows in "
+          f"{len(sizes)} lof_at calls, {statistics.mean(sizes):.1f} per call "
+          f"(median {statistics.median(sizes):g}, at most {CHUNK}), k={k}, "
+          f"window={config.window}")
+    scores, passes = timed(stacks, k, pos, args.repeat)
     ok = scores.tobytes() == expected.tobytes()
-    print(f"interleaved: {scores.shape[0]} windows, median {statistics.median(passes):.2f} "
-          f"us/window, best {min(passes):.2f} of {args.repeat} passes; "
+    print(f"detect stacks: median {statistics.median(passes):.2f} us/window, best "
+          f"{min(passes):.2f} of {args.repeat} passes; "
           f"{'equals' if ok else 'DIFFERS FROM'} lof_scores")
     return 0 if ok else 1
 

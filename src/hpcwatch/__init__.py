@@ -6,7 +6,7 @@ from .detector import (
     DetectorConfig,
     run_offline,
 )
-from .events import CANDIDATE_EVENTS, KNOWN_EVENTS, EventKind
+from .events import CANDIDATE_EVENTS
 from .lof import LofResult, lof_all, top_n_outliers
 from .trace import (
     AlignedTrace,
@@ -28,8 +28,6 @@ __all__ = [
     "CANDIDATE_EVENTS",
     "Detector",
     "DetectorConfig",
-    "EventKind",
-    "KNOWN_EVENTS",
     "LofResult",
     "ParseDiagnostics",
     "Sample",

@@ -37,7 +37,6 @@ from .detector import (
     run_offline,
     threshold_check,  # unused here; bench/tracing.py hooks it by this name
 )
-from .events import EventKind
 from .lof import lof_all  # unused here; bench/tracing.py hooks it by this name
 from .report import (
     OutlierRow,
@@ -119,7 +118,7 @@ def _resolve_settings(args: argparse.Namespace) -> dict:
                 raise ValueError(f"{path}: setting {name!r}: {exc}") from None
         return builtin
 
-    events = pick("events", ",".join(c.name for c in _DEFAULTS.counters), str)
+    events = pick("events", ",".join(_DEFAULTS.counters), str)
     return {
         "k": pick("k", _DEFAULTS.k, int),
         "delta": pick("delta", _DEFAULTS.delta_threshold, float),
@@ -137,7 +136,7 @@ def _detector_config(settings: dict) -> DetectorConfig:
         delta_threshold=settings["delta"],
         window=settings["window"],
         tick_interval=settings["interval"],
-        counters=tuple(EventKind(n) for n in settings["events"]),
+        counters=tuple(settings["events"]),
         top_n=settings["top"],
         coalesce=settings["coalesce"],
     )
@@ -258,7 +257,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
         if type(item) is LineError:
             malformed += 1
         else:
-            detector.push(item.event.name, tick_of(item.timestamp, interval), item.delta)
+            detector.push(item.event, tick_of(item.timestamp, interval), item.delta)
     emit(detector.finish())
 
     if malformed:
@@ -281,7 +280,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         seed=args.seed,
         duration=args.duration,
         tick_interval=settings["interval"],
-        counters=tuple(EventKind(n) for n in settings["events"]),
+        counters=tuple(settings["events"]),
         attack=attack,
     )
     trace, truth = generate_trace(config)

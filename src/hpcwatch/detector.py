@@ -32,7 +32,7 @@ from typing import Mapping, MutableSequence, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .events import CANDIDATE_KINDS, EventKind, check_counters
+from .events import CANDIDATE_EVENTS, check_counters
 from .lof import LofResult, lof_all, lof_at, lof_scores, top_n_outliers
 from .trace import AlignedTrace, Sample, tick_of
 
@@ -65,7 +65,7 @@ class DetectorConfig:
     delta_threshold: float = 1.5
     window: int = 50
     tick_interval: float = 0.100
-    counters: tuple[EventKind, ...] = CANDIDATE_KINDS
+    counters: tuple[str, ...] = CANDIDATE_EVENTS
     top_n: int = 5
     coalesce: int = 0
 
@@ -101,7 +101,7 @@ def lag(config: DetectorConfig) -> int:
 class WindowState:
     """Ring of the most recent <= window samples of one counter."""
 
-    event: EventKind
+    event: str
     window: int
     ring: deque = field(init=False)
     count: int = 0
@@ -180,9 +180,9 @@ def evaluate_tick(
     eval_tick = tick - lag(config)
     per: dict[str, float] = {}
     for counter in config.counters:
-        stream = scores.get(counter.name)
+        stream = scores.get(counter)
         if stream is not None and eval_tick in stream:
-            per[counter.name] = stream[eval_tick]
+            per[counter] = stream[eval_tick]
     if not per:
         return None
     f = sum(per.values()) / len(per)
@@ -204,10 +204,9 @@ def threshold_check(point: AttackFactorPoint, config: DetectorConfig) -> Alert |
     )
 
 
-def select_counters(trace: AlignedTrace, config: DetectorConfig) -> list[EventKind]:
+def select_counters(trace: AlignedTrace, config: DetectorConfig) -> list[str]:
     """Configured counters actually present in the trace, in config order."""
-    present = trace.values.keys()
-    return [c for c in config.counters if c.name in present]
+    return [c for c in config.counters if c in trace.values]
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +244,7 @@ class Detector:
         self.config = config
         self._points = points
         self._lag = lag(config)
-        self._index = {c.name: i for i, c in enumerate(config.counters)}
+        self._index = {name: i for i, name in enumerate(config.counters)}
         # per counter: the ticks and deltas of its newest window − 1
         # samples, and how many samples it has had
         self._tails = [(np.empty(0, np.int64), np.empty(0), 0)] * len(config.counters)
@@ -361,14 +360,14 @@ class Detector:
             for column, values in zip(self._points, (ticks, f, contributing)):
                 column.extend(values.tolist())
 
-        names = [c.name for c in config.counters]
         for i in np.flatnonzero(f > config.delta_threshold).tolist():
             tick = int(ticks[i])
             if self._last_alert is not None and tick - self._last_alert <= config.coalesce:
                 continue
             self._last_alert = tick
             at = slice(starts[i], starts[i] + contributing[i])
-            per_counter = dict(zip([names[c] for c in counter[at].tolist()], score[at].tolist()))
+            names = [config.counters[c] for c in counter[at].tolist()]
+            per_counter = dict(zip(names, score[at].tolist()))
             self._alerts.append(Alert(
                 eval_time=tick * config.tick_interval, eval_tick=tick, f=float(f[i]),
                 threshold=config.delta_threshold, per_counter_lof=per_counter,
@@ -379,7 +378,7 @@ class Detector:
 # Offline driver
 # ---------------------------------------------------------------------------
 
-def _run_in_tick_order(detector: Detector, trace: AlignedTrace, selected: list[EventKind]) -> None:
+def _run_in_tick_order(detector: Detector, trace: AlignedTrace, selected: list[str]) -> None:
     """Run every value of the ``selected`` counters, tick by tick and in
     config order within a tick, in blocks of at most BLOCK lines and
     without an array that spans the trace.
@@ -390,9 +389,9 @@ def _run_in_tick_order(detector: Detector, trace: AlignedTrace, selected: list[E
     with fewer values left gives no bound; when none has more, the block
     takes every value left.  The block's slices, joined in config order and
     stably sorted by tick, are its lines in tick order."""
-    ticks = [trace.ticks[counter.name] for counter in selected]
-    values = [trace.values[counter.name] for counter in selected]
-    indices = [detector.config.counters.index(counter) for counter in selected]
+    ticks = [trace.ticks[name] for name in selected]
+    values = [trace.values[name] for name in selected]
+    indices = [detector.config.counters.index(name) for name in selected]
     per_counter = max(1, BLOCK // len(selected))
     at, lengths = [0] * len(selected), [t.shape[0] for t in ticks]
     while at != lengths:
@@ -434,9 +433,9 @@ def run_offline(
     series = tuple(np.frombuffer(column, column.typecode) for column in columns)
 
     ranked: dict[str, list[LofResult]] = {}
-    for counter in selected:
-        values = trace.values[counter.name]
-        ranked[counter.name] = (
+    for name in selected:
+        values = trace.values[name]
+        ranked[name] = (
             top_n_outliers(*lof_all(values, config.k), config.top_n)
             if values.shape[0] >= config.k + 1 else []
         )

@@ -9,16 +9,15 @@ are used for nothing else, so a chart with top_n outliers contains exactly
 top_n circle elements; the marker is the only element with class
 "event-mark".  Identical inputs give identical bytes.
 
-``emit_plot`` writes the document as ``_parts`` makes it: the polyline is
-formatted CHUNK points at a time from the time and value arrays, so a
-chart of an hour-long column never holds a Python float or string for
-every point at once.  ``render_plot`` joins the same parts into one
-string.
+``emit_plot`` writes the document part by part: the polyline is formatted
+CHUNK points at a time from the time and value arrays, so a chart of an
+hour-long column never holds a Python float or string for every point at
+once.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,14 +43,15 @@ def _coord(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _parts(
+def emit_plot(
     name: str,
     times: np.ndarray | Sequence[float],
     values: np.ndarray | Sequence[float],
     top: Sequence[LofResult],
+    out: str,
     mark_time: float | None = None,
-) -> Iterator[str]:
-    """The SVG document in parts; the inputs are checked on the call.
+) -> None:
+    """Write the SVG document to ``out``; bad inputs raise before it opens.
 
     ``times`` (seconds) and ``values`` are the points in order, and each
     result in ``top`` circles the point its ``index`` names.
@@ -130,38 +130,12 @@ def _parts(
         )
     tail.append("</svg>")
 
-    def document() -> Iterator[str]:
-        yield "\n".join(parts) + '\n<polyline points="'
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(parts) + '\n<polyline points="')
         for start in range(0, len(times), CHUNK):
             xs = x(times[start:start + CHUNK]).tolist()
             ys = y(values[start:start + CHUNK]).tolist()
-            yield (" " if start else "") + " ".join(
+            fh.write((" " if start else "") + " ".join(
                 f"{_coord(a)},{_coord(b)}" for a, b in zip(xs, ys)
-            )
-        yield "\n".join(tail) + "\n"
-
-    return document()
-
-
-def render_plot(
-    name: str,
-    times: np.ndarray | Sequence[float],
-    values: np.ndarray | Sequence[float],
-    top: Sequence[LofResult],
-    mark_time: float | None = None,
-) -> str:
-    """The SVG document as a string; emit_plot writes the same bytes."""
-    return "".join(_parts(name, times, values, top, mark_time))
-
-
-def emit_plot(
-    name: str,
-    times: np.ndarray | Sequence[float],
-    values: np.ndarray | Sequence[float],
-    top: Sequence[LofResult],
-    out: str,
-    mark_time: float | None = None,
-) -> None:
-    parts = _parts(name, times, values, top, mark_time)
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.writelines(parts)
+            ))
+        fh.write("\n".join(tail) + "\n")

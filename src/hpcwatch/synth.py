@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .detector import Alert
-from .events import CANDIDATE_KINDS, EventKind, check_counters
+from .events import CANDIDATE_EVENTS, check_counters
 from .trace import Trace, tick_of
 
 
@@ -88,7 +88,7 @@ class SynthConfig:
     seed: int
     duration: float
     tick_interval: float = 0.100
-    counters: tuple[EventKind, ...] = CANDIDATE_KINDS
+    counters: tuple[str, ...] = CANDIDATE_EVENTS
     baseline: Mapping[str, BaselineSpec] | None = None
     attack: AttackSpec | None = None
 
@@ -146,7 +146,7 @@ def generate_trace(config: SynthConfig) -> tuple[Trace, GroundTruth]:
     if config.attack is not None:
         attack_tick = tick_of(config.attack.at, config.tick_interval)
         if config.attack.affected is None:
-            affected = tuple(c.name for c in config.counters)
+            affected = tuple(config.counters)
         else:
             affected = tuple(config.attack.affected)
 
@@ -154,19 +154,19 @@ def generate_trace(config: SynthConfig) -> tuple[Trace, GroundTruth]:
     stamps = (np.arange(n_ticks) + 1) * config.tick_interval
     columns: dict[str, np.ndarray] = {}
 
-    for counter in config.counters:
-        spec = config.baseline_for(counter.name)
+    for name in config.counters:
+        spec = config.baseline_for(name)
         draws = rng.lognormal(mean=spec.mu, sigma=spec.sigma, size=n_ticks)
         deltas = np.maximum(np.rint(draws), 0.0)
 
-        if attack_tick is not None and counter.name in affected:
+        if attack_tick is not None and name in affected:
             # sample i carries aligned tick i+1
             lo = max(attack_tick - 1, 0)
             hi = min(attack_tick - 1 + config.attack.width, n_ticks)
             if lo < hi:
                 deltas[lo:hi] = np.rint(deltas[lo:hi] * config.attack.magnitude)
 
-        columns[counter.name] = deltas
+        columns[name] = deltas
 
     trace = Trace({name: stamps for name in columns}, columns)
     return trace, GroundTruth(attack_tick=attack_tick, affected=affected)

@@ -32,16 +32,11 @@ counts the errors, so its memory stays flat however many lines are malformed.
 ``align`` snaps every event onto one tick grid, keeping per counter only
 the ticks with a counted sample and their summed deltas: an ``AlignedTrace``
 grows with the samples, so a gap in a capture costs nothing.
-
-A parsed ``Sample`` is a named tuple, and every sample of one event shares
-one ``EventKind`` (from a bounded cache, so a stream of ever-new names
-cannot grow it).
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import sys
 from array import array
@@ -50,8 +45,6 @@ from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, NamedTuple
 
 import numpy as np
-
-from .events import EventKind
 
 MISSING_DELTA_TOKEN = "<not counted>"
 # perf's delta for an event the host cannot count; read as missing too
@@ -71,7 +64,7 @@ class Sample(NamedTuple):
 
     timestamp: float
     delta: int | None
-    event: EventKind
+    event: str
 
 
 @dataclass
@@ -140,10 +133,6 @@ class LineError:
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
-
-# Each event name's kind, shared by every sample of that event.  Bounded,
-# so a stream that names ever-new events cannot grow it without end.
-_event_kind = functools.lru_cache(maxsize=1024)(EventKind)
 
 # A delta must convert to a finite float.
 _MAX_DELTA = int(sys.float_info.max)
@@ -235,7 +224,7 @@ def parse_line(line: str, line_no: int) -> Sample | SkippedLine | LineError:
             name = fields[3].strip()
         if not name:
             return LineError(line_no, "empty event name")
-    return Sample(timestamp, delta, _event_kind(name))
+    return Sample(timestamp, delta, name)
 
 
 def read_samples(
@@ -257,7 +246,7 @@ def read_samples(
         parsed = parse_line(raw.rstrip("\r\n"), line_no)
         kind = type(parsed)
         if kind is Sample:
-            name = parsed.event.name
+            name = parsed.event
             last = last_ts.get(name)
             if last is not None and parsed.timestamp <= last:
                 # series timestamps must strictly increase; a stale line is
@@ -289,7 +278,7 @@ def parse_stream(reader: Iterable[str] | IO[str]) -> tuple[Trace, ParseDiagnosti
         if type(item) is LineError:
             diags.malformed.append((item.line_no, item.reason))
         else:
-            stamps, deltas = columns[item.event.name]
+            stamps, deltas = columns[item.event]
             stamps.append(item.timestamp)
             deltas.append(math.nan if item.delta is None else float(item.delta))
     return Trace(

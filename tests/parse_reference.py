@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 
-from hpcwatch.events import EventKind
 from hpcwatch.trace import MISSING_DELTA_TOKEN, LineError, ParseDiagnostics, Sample, SkippedLine
 
 
-def parse_line(line: str, line_no: int, event_hint: EventKind | None = None):
+def parse_line(line: str, line_no: int):
     stripped = line.strip()
     if not stripped:
         return SkippedLine.BLANK
@@ -23,7 +22,7 @@ def parse_line(line: str, line_no: int, event_hint: EventKind | None = None):
         return SkippedLine.COMMENT
 
     fields = [f.strip() for f in line.split(",")]
-    if len(fields) < 3 and not (len(fields) == 2 and event_hint is not None):
+    if len(fields) < 3:
         return LineError(line_no, f"expected 3 fields, got {len(fields)}")
 
     try:
@@ -45,31 +44,28 @@ def parse_line(line: str, line_no: int, event_hint: EventKind | None = None):
         if delta < 0:
             return LineError(line_no, f"negative delta {fields[1]!r}")
 
-    if len(fields) >= 3:
-        event = EventKind(fields[2])
-        if not event.name:
-            return LineError(line_no, "empty event name")
-    else:
-        event = event_hint
+    event = fields[2]
+    if not event:
+        return LineError(line_no, "empty event name")
     return Sample(timestamp=timestamp, delta=delta, event=event)
 
 
-def read_samples(reader, diags: ParseDiagnostics, event_hint: EventKind | None = None):
+def read_samples(reader, diags: ParseDiagnostics):
     last_ts: dict[str, float] = {}
     for line_no, raw in enumerate(reader, start=1):
         diags.lines_read += 1
-        parsed = parse_line(raw.rstrip("\r\n"), line_no, event_hint)
+        parsed = parse_line(raw.rstrip("\r\n"), line_no)
         if parsed is SkippedLine.COMMENT:
             diags.comments_skipped += 1
         elif parsed is SkippedLine.BLANK:
             diags.blank_lines += 1
         elif isinstance(parsed, LineError):
             yield parsed
-        elif parsed.event.name in last_ts and parsed.timestamp <= last_ts[parsed.event.name]:
-            yield LineError(line_no, f"non-increasing timestamp for {parsed.event.name}")
+        elif parsed.event in last_ts and parsed.timestamp <= last_ts[parsed.event]:
+            yield LineError(line_no, f"non-increasing timestamp for {parsed.event}")
         else:
             diags.samples_parsed += 1
-            last_ts[parsed.event.name] = parsed.timestamp
+            last_ts[parsed.event] = parsed.timestamp
             if parsed.delta is None:
                 diags.not_counted += 1
             yield parsed

@@ -25,7 +25,7 @@ from hpcwatch.detector import (
     run_offline,
 )
 from hpcwatch.lof import lof_all, lof_scores
-from hpcwatch.svgplot import render_plot
+from hpcwatch.svgplot import emit_plot
 from hpcwatch.synth import AttackSpec, SynthConfig, evaluate, generate_trace
 from hpcwatch.trace import (
     AlignedTrace,
@@ -33,7 +33,6 @@ from hpcwatch.trace import (
     iter_serialized,
     parse_stream,
 )
-from hpcwatch.events import EventKind
 
 INF = float("inf")
 
@@ -167,7 +166,7 @@ def test_streaming_score_equals_batch_score_100_streams():
     for seed in range(100):
         rng = np.random.default_rng(seed)
         stream = rng.lognormal(5.0, 0.7, config.window + 40)
-        state = WindowState(event=EventKind("LLC-loads"), window=config.window)
+        state = WindowState(event="LLC-loads", window=config.window)
         mirror: list[float] = []
         for tick, value in enumerate(stream.tolist()):
             result = push_value(state, tick, value, config)
@@ -296,7 +295,7 @@ def test_synth_analyze_byte_determinism(tmp_path):
 # Criterion: plot contract
 # ---------------------------------------------------------------------------
 
-def test_plot_contract_circles_and_marker():
+def test_plot_contract_circles_and_marker(tmp_path):
     """top_n=5 draws exactly 5 outlier circles; mark_time draws exactly one
     vertical marker element."""
     values = [50, 51, 52, 50, 53, 400, 52, 51, 390, 50, 52, 51, 49, 50, 52]
@@ -306,10 +305,12 @@ def test_plot_contract_circles_and_marker():
     top = top_n_outliers(*lof_all([float(v) for v in values], 5), 5)
     assert len(top) == 5
 
-    unmarked = render_plot("LLC-loads", times, values, top)
+    emit_plot("LLC-loads", times, values, top, str(tmp_path / "unmarked.svg"))
+    unmarked = (tmp_path / "unmarked.svg").read_text(encoding="utf-8")
     assert unmarked.count("<circle") == 5
     assert unmarked.count('class="event-mark"') == 0
 
-    marked = render_plot("LLC-loads", times, values, top, mark_time=0.6)
+    emit_plot("LLC-loads", times, values, top, str(tmp_path / "marked.svg"), mark_time=0.6)
+    marked = (tmp_path / "marked.svg").read_text(encoding="utf-8")
     assert marked.count("<circle") == 5
     assert marked.count('class="event-mark"') == 1

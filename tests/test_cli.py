@@ -25,8 +25,8 @@ from hpcwatch.cli import (
     main,
 )
 from hpcwatch.detector import Detector, DetectorConfig
-from hpcwatch.events import EventKind
 from hpcwatch.report import read_alerts_csv, read_attack_factor_csv, read_outliers_csv
+from reference import replay_detect
 
 
 def synth_args(tmp_path, *extra: str) -> list[str]:
@@ -123,7 +123,7 @@ def test_events_setting_splits_and_strips():
 def test_coalesce_keeps_first_of_each_run():
     def raised(coalesce: int) -> list[int]:
         # each lone burst on a flat line scores +inf, so each one alerts
-        detector = Detector(DetectorConfig(counters=(EventKind("LLC-loads"),), coalesce=coalesce))
+        detector = Detector(DetectorConfig(counters=("LLC-loads",), coalesce=coalesce))
         for tick in range(130):
             burst = tick in (100, 101, 103, 120, 121)
             detector.push("LLC-loads", tick, 5000.0 if burst else 1000.0)
@@ -430,7 +430,7 @@ def test_detect_retains_bounded_memory(tmp_path, monkeypatch, capsys):
     # fed as detect feeds it, a Detector holds as much after 10**5 ticks
     # with gaps and <not counted> readouts as after 10**4, where keeping one
     # score a tick would take 8 bytes a tick more
-    config = DetectorConfig(counters=(EventKind("LLC-loads"), EventKind("bus-cycles")))
+    config = DetectorConfig(counters=("LLC-loads", "bus-cycles"))
 
     def retained(n_ticks: int) -> int:
         rng = np.random.default_rng(n_ticks)
@@ -455,77 +455,6 @@ def test_detect_retains_bounded_memory(tmp_path, monkeypatch, capsys):
 
     small, large = retained(10**4), retained(10**5)
     assert small < 64 * 2**10 and abs(large - small) < 4 * 2**10, (small, large)
-
-
-def replay_detect(
-    lines: list[str], config: DetectorConfig = DetectorConfig(), points: list | None = None
-) -> tuple[list[tuple[str, int]], int]:
-    """Alert rows, each with the count of lines read when it fired, and the
-    malformed count, from one push and one evaluation at a time.  Before a
-    line is pushed, every tick its tick passes is evaluated once, in order;
-    a tick with no score at its eval tick gives no point, so only those
-    with one are visited.  ``points``, if given, receives the (eval tick, f,
-    contributing) of each point."""
-    from hpcwatch.detector import (
-        WindowState, evaluate_tick, lag, push_sample, threshold_check,
-    )
-    from hpcwatch.report import alert_row
-    from hpcwatch.trace import LineError, Sample, parse_line, tick_of
-
-    wanted = {c.name for c in config.counters}
-    states: dict[str, WindowState] = {}
-    scores: dict[str, dict[int, float]] = {name: {} for name in wanted}
-    waiting: set[int] = set()  # ticks that read a landed score
-    last_ts: dict[str, float] = {}
-    rows: list[tuple[str, int]] = []
-    malformed = 0
-    next_eval = clock = None  # oldest tick not evaluated, newest tick pushed
-    last_alert = None
-    read = 0
-
-    def evaluate_until(tick: int) -> None:
-        nonlocal next_eval, last_alert
-        due = sorted(t for t in waiting if t < tick)
-        waiting.difference_update(due)
-        for t in due:
-            if t < next_eval:
-                continue  # evaluated before its score landed
-            point = evaluate_tick(scores, t, config)
-            if points is not None:
-                points.append((point.eval_tick, point.f, point.contributing))
-            alert = threshold_check(point, config)
-            if alert is None or (
-                last_alert is not None and alert.eval_tick - last_alert <= config.coalesce
-            ):
-                continue
-            last_alert = alert.eval_tick
-            rows.append((",".join(alert_row(alert)), read))
-        next_eval = max(next_eval, tick)
-
-    for read, raw in enumerate(lines, start=1):
-        parsed = parse_line(raw, read)
-        if not isinstance(parsed, Sample):
-            malformed += isinstance(parsed, LineError)
-            continue
-        name = parsed.event.name
-        if name in last_ts and parsed.timestamp <= last_ts[name]:
-            malformed += 1
-            continue
-        last_ts[name] = parsed.timestamp
-        if name not in wanted or parsed.delta is None:
-            continue  # align gives it no tick, so it does not move the clock
-        tick = tick_of(parsed.timestamp, config.tick_interval)
-        next_eval = tick if next_eval is None else next_eval
-        clock = tick if clock is None else max(clock, tick)
-        evaluate_until(tick)
-        state = states.setdefault(name, WindowState(event=parsed.event, window=config.window))
-        result = push_sample(state, parsed, config)
-        if result is not None:
-            scores[name][result[0]] = result[1]
-            waiting.add(result[0] + lag(config))
-    if clock is not None:
-        evaluate_until(clock + 1)
-    return rows, malformed
 
 
 def paced_stream() -> tuple[list[str], int]:
@@ -703,7 +632,7 @@ def polled_rows(
     for item in read_samples(polled(), ParseDiagnostics()):
         if not isinstance(item, LineError):
             tick = tick_of(item.timestamp, config.tick_interval)
-            detector.push(item.event.name, tick, item.delta)
+            detector.push(item.event, tick, item.delta)
     rows.extend((",".join(alert_row(alert)), len(lines)) for alert in detector.finish())
     return rows, list(zip(*points))
 
@@ -732,7 +661,7 @@ def fuzz_stream(seed: int) -> tuple[list[str], DetectorConfig]:
     names = ("LLC-loads", "bus-cycles", "LLC-store-misses")
     config = DetectorConfig(
         k=k, window=int(rng.integers(k + 2, 4 * k + 4)), coalesce=int(rng.choice([0, 3])),
-        counters=tuple(EventKind(name) for name in names),
+        counters=names,
     )
     levels = {"LLC-loads": 1123, "bus-cycles": 23917, "LLC-store-misses": 47, "cpu-cycles": 10**6}
     late = {name: rng.uniform(0.0, 0.35) for name in levels}  # each counter's lines lag this much
@@ -770,6 +699,62 @@ def test_detector_equals_the_reference_replay_on_fuzzed_streams():
         alerting += bool(expected)
         coalescing += bool(expected) and config.coalesce > 0
     assert alerting > 50 and coalescing > 20, (alerting, coalescing)
+
+
+def time_ordered_stream(seed: int) -> tuple[list[str], DetectorConfig]:
+    """A random config, and a stream written in time order with no two
+    readouts of a counter in one tick: gaps of up to 10**4 ticks,
+    ``<not counted>``, a counter no setting names, stale repeated lines,
+    malformed lines, integer ties and bursts."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 6))
+    config = DetectorConfig(
+        k=k, window=int(rng.integers(k + 2, 4 * k + 4)), coalesce=int(rng.choice([0, 3])),
+        counters=("LLC-loads", "bus-cycles", "LLC-store-misses"),
+    )
+    levels = {"LLC-loads": 1123, "bus-cycles": 23917, "LLC-store-misses": 47, "cpu-cycles": 10**6}
+    sigma = float(rng.choice([0.03, 0.3]))
+    arrivals = []
+    tick = 0
+    for _ in range(int(rng.integers(30, 90))):
+        tick += int(rng.integers(2, 10**4)) if rng.random() < 0.03 else 1
+        for name, level in levels.items():
+            if rng.random() < 0.1:
+                continue  # no readout this tick
+            burst = 20 if rng.random() < 0.02 else 1
+            value = round(rng.lognormal(math.log(level), sigma) * burst)
+            value = "<not counted>" if rng.random() < 0.05 else value
+            ts = tick * 0.1 + rng.uniform(-0.03, 0.03)
+            arrivals.append((ts, len(arrivals), f"{ts:.3f},{value},{name}"))
+            if rng.random() < 0.03:  # stale: repeats its timestamp, 50 times as large
+                stale = value if isinstance(value, str) else value * 50
+                arrivals.append((ts, len(arrivals), f"{ts:.3f},{stale},{name}"))
+        if rng.random() < 0.02:
+            arrivals.append((tick * 0.1, len(arrivals), "garbage"))
+    return [line for _, _, line in sorted(arrivals)], config
+
+
+def test_detect_equals_analyze_on_time_ordered_streams():
+    # detect's Detector, fed line by line and polled at any cadence, gives
+    # analyze's points and alert rows whenever no counter shares a tick and
+    # lines arrive in time order
+    from hpcwatch.detector import run_offline
+    from hpcwatch.report import alert_row
+    from hpcwatch.trace import align, parse_stream
+
+    alerting = 0
+    for seed in range(100):
+        lines, config = time_ordered_stream(seed)
+        trace, _ = parse_stream(lines)
+        series, alerts, _ = run_offline(align(trace, config.tick_interval), config)
+        points = list(zip(*(column.tolist() for column in series)))
+        expected = [",".join(alert_row(alert)) for alert in alerts]
+        for every in (1, 7, 97, None):
+            rows, got_points = polled_rows(lines, config, every)
+            assert got_points == points, (seed, every)
+            assert [row for row, _ in rows] == expected, (seed, every)
+        alerting += bool(expected)
+    assert alerting > 90, alerting
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -857,7 +842,7 @@ def test_detect_decodes_a_character_split_across_pipe_reads(monkeypatch, capsys)
     whole = capsys.readouterr().out.splitlines()
 
     # the line that fires the first alert
-    detector = Detector(DetectorConfig(counters=(EventKind(name),)))
+    detector = Detector(DetectorConfig(counters=(name,)))
     for fired_at, line in enumerate(lines, start=1):
         ts, delta, _ = line.split(",")
         detector.push(name, tick_of(float(ts), 0.1), int(delta))

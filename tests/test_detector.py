@@ -13,7 +13,6 @@ import pytest
 
 from hpcwatch import detector as detector_module
 from hpcwatch.detector import (
-    Alert,
     AttackFactorPoint,
     Detector,
     DetectorConfig,
@@ -26,12 +25,13 @@ from hpcwatch.detector import (
     select_counters,
     threshold_check,
 )
-from hpcwatch.events import CANDIDATE_KINDS, EventKind
+from hpcwatch.events import CANDIDATE_EVENTS
 from hpcwatch.synth import AttackSpec, BaselineSpec, SynthConfig, generate_trace
-from hpcwatch.trace import AlignedTrace, Sample, Trace, align, tick_of
+from hpcwatch.trace import AlignedTrace, Sample, Trace, align, iter_serialized, tick_of
+from reference import replay_detect
 
 INF = float("inf")
-EV = EventKind("LLC-loads")
+EV = "LLC-loads"
 
 
 def make_trace(columns: dict[str, list[float | None]], interval: float = 0.1) -> Trace:
@@ -50,53 +50,6 @@ def rows(series) -> list[tuple[int, float, int]]:
     return list(zip(*(column.tolist() for column in series)))
 
 
-def stream_run(trace: Trace, config: DetectorConfig):
-    """Feed raw samples in time order through the incremental primitives.
-
-    Evaluation of a tick happens once a strictly newer sample arrives (all
-    grid peers are then in), with a final flush at end of stream.  Assumes
-    at most one sample per counter per tick, which every fixture here has.
-    Returns the attack factor as ``rows`` gives it, and the alerts.
-    """
-    ordered = sorted(
-        (
-            Sample(t, None if math.isnan(d) else int(d), EventKind(name))
-            for name, stamps in trace.timestamps.items()
-            for t, d in zip(stamps.tolist(), trace.deltas[name].tolist())
-        ),
-        key=lambda s: (s.timestamp, s.event.name),
-    )
-    names = {c.name for c in config.counters}
-    states = {n: WindowState(event=EventKind(n), window=config.window) for n in names}
-    scores: dict[str, dict[int, float]] = {n: {} for n in names}
-    points: list[tuple[int, float, int]] = []
-    alerts: list[Alert] = []
-    next_eval = 0
-    max_tick = -1
-
-    def eval_until(limit: int) -> None:
-        nonlocal next_eval
-        while next_eval < limit:
-            point = evaluate_tick(scores, next_eval, config)
-            if point is not None:
-                points.append((point.eval_tick, point.f, point.contributing))
-                alert = threshold_check(point, config)
-                if alert is not None:
-                    alerts.append(alert)
-            next_eval += 1
-
-    for sample in ordered:
-        tick = tick_of(sample.timestamp, config.tick_interval)
-        max_tick = max(max_tick, tick)
-        eval_until(tick)
-        if sample.event.name in states:
-            result = push_sample(states[sample.event.name], sample, config)
-            if result is not None:
-                scores[sample.event.name][result[0]] = result[1]
-    eval_until(max_tick + 1)
-    return points, alerts
-
-
 # ---------------------------------------------------------------------------
 # Configuration and lag
 # ---------------------------------------------------------------------------
@@ -106,7 +59,7 @@ def test_config_defaults():
     assert (config.k, config.delta_threshold, config.window) == (5, 1.5, 50)
     assert config.tick_interval == 0.100
     assert config.warmup == 12
-    assert [c.name for c in config.counters] == [
+    assert list(config.counters) == [
         "iTLB-load-misses",
         "dTLB-loads",
         "bus-cycles",
@@ -136,6 +89,7 @@ def test_replaced_config_warmup_follows_k():
         {"counters": ()},
         {"coalesce": -1},
         {"top_n": 0},
+        {"counters": "LLC-loads"},  # one bare name, not a tuple of names
     ],
 )
 def test_config_rejects_bad_parameters(kwargs):
@@ -197,7 +151,7 @@ def test_push_sample_missing_delta_is_a_noop():
 def test_push_sample_rejects_foreign_event():
     config = DetectorConfig()
     state = WindowState(event=EV, window=config.window)
-    sample = Sample(timestamp=0.1, delta=3, event=EventKind("bus-cycles"))
+    sample = Sample(timestamp=0.1, delta=3, event="bus-cycles")
     with pytest.raises(ValueError):
         push_sample(state, sample, config)
 
@@ -262,7 +216,7 @@ def test_select_counters_keeps_config_order():
     )
     aligned = align(trace, 0.1)
     picked = select_counters(aligned, DetectorConfig())
-    assert [c.name for c in picked] == ["bus-cycles", "LLC-loads"]
+    assert picked == ["bus-cycles", "LLC-loads"]
 
 
 # ---------------------------------------------------------------------------
@@ -352,15 +306,16 @@ def test_streaming_matches_offline_on_noisy_traces(detector):
         config = SynthConfig(
             seed=seed,
             duration=12.0,
-            counters=(EventKind("LLC-loads"), EventKind("bus-cycles")),
+            counters=("LLC-loads", "bus-cycles"),
             baseline=noisy,
             attack=attack,
         )
         trace, _ = generate_trace(config)
         offline = run_offline(align(trace, config.tick_interval), detector)
-        streamed = stream_run(trace, detector)
-        assert streamed[0] == rows(offline[0]), f"seed {seed}: attack factor diverged"
-        assert streamed[1] == offline[1], f"seed {seed}: alerts diverged"
+        points, alerts = [], []
+        replay_detect(list(iter_serialized(trace)), detector, points, alerts)
+        assert points == rows(offline[0]), f"seed {seed}: attack factor diverged"
+        assert alerts == offline[1], f"seed {seed}: alerts diverged"
 
 
 def test_streaming_matches_offline_with_gaps():
@@ -372,9 +327,10 @@ def test_streaming_matches_offline_with_gaps():
     trace = make_trace({"LLC-loads": with_gap, "bus-cycles": [9.0] * 45})
     detector = DetectorConfig()
     offline = run_offline(align(trace, 0.1), detector)
-    streamed = stream_run(trace, detector)
-    assert streamed[0] == rows(offline[0])
-    assert streamed[1] == offline[1]
+    points, alerts = [], []
+    replay_detect(list(iter_serialized(trace)), detector, points, alerts)
+    assert points == rows(offline[0])
+    assert alerts == offline[1]
 
 
 def gap_deltas() -> dict[str, np.ndarray]:
@@ -483,12 +439,14 @@ def test_detector_retains_bounded_memory():
     config = DetectorConfig()
     series, alerts, _ = run_offline(align(trace, 0.1), config)
     assert len(series[0]) > 4800 and alerts
-    assert (rows(series), alerts) == stream_run(trace, config)
+    points, replayed = [], []
+    replay_detect(list(iter_serialized(trace)), config, points, replayed)
+    assert (rows(series), alerts) == (points, replayed)
 
     # run in blocks as run_offline runs it, a Detector holds as much after
     # 10**5 ticks with gaps as after 10**4, where keeping one score a tick
     # would take 8 bytes a tick more
-    config = DetectorConfig(counters=(EV, EventKind("bus-cycles")))
+    config = DetectorConfig(counters=(EV, "bus-cycles"))
 
     def retained(n_ticks: int) -> int:
         rng = np.random.default_rng(n_ticks)
@@ -537,11 +495,11 @@ def one_block_run(trace: AlignedTrace, config: DetectorConfig):
     """``run_offline``'s points and alerts from a single ``Detector.run``
     over every value, concatenated and stably sorted by tick."""
     selected = select_counters(trace, config)
-    ticks = np.concatenate([trace.ticks[c.name] for c in selected])
+    ticks = np.concatenate([trace.ticks[c] for c in selected])
     order = np.argsort(ticks, kind="stable")
     counters = np.repeat([config.counters.index(c) for c in selected],
-                         [trace.ticks[c.name].shape[0] for c in selected])
-    values = np.concatenate([trace.values[c.name] for c in selected])
+                         [trace.ticks[c].shape[0] for c in selected])
+    values = np.concatenate([trace.values[c] for c in selected])
     columns = (array("q"), array("d"), array("q"))
     detector = Detector(config, columns)
     if order.shape[0]:
@@ -555,16 +513,16 @@ def fuzzed_trace(rng: np.random.Generator) -> tuple[AlignedTrace, DetectorConfig
     dense, with gaps, sparse (one value per 1 000 ticks), starting 10**5
     ticks late, or empty; sometimes a single counter, sometimes one more
     that the config does not name."""
-    kinds = list(CANDIDATE_KINDS)
-    rng.shuffle(kinds)
+    names = list(CANDIDATE_EVENTS)
+    rng.shuffle(names)
     n = int(rng.integers(1, 5))
     k = int(rng.integers(2, 7))
     config = DetectorConfig(
-        k=k, window=int(rng.integers(k + 2, 41)), counters=tuple(kinds[:n]),
+        k=k, window=int(rng.integers(k + 2, 41)), counters=tuple(names[:n]),
         coalesce=int(rng.choice([0, 3])),
     )
     ticks, values = {}, {}
-    for counter in kinds[:n + int(rng.integers(0, 2))]:
+    for counter in names[:n + int(rng.integers(0, 2))]:
         shape = rng.choice(["dense", "gaps", "sparse", "late", "empty"], p=[.3, .3, .15, .15, .1])
         length = 0 if shape == "empty" else int(rng.integers(1, 1500))
         steps = np.ones(length, np.int64)
@@ -576,11 +534,11 @@ def fuzzed_trace(rng: np.random.Generator) -> tuple[AlignedTrace, DetectorConfig
         column = np.cumsum(steps) + int(rng.integers(0, 50))
         if shape == "late":
             column += 10**5
-        ticks[counter.name] = column
+        ticks[counter] = column
         level = float(rng.choice([3.0, 1123.0, 1e8]))
         deltas = np.rint(rng.lognormal(math.log(level), 0.03, length))
         deltas[rng.random(length) < 0.003] *= 20
-        values[counter.name] = deltas
+        values[counter] = deltas
     n_ticks = 1 + max((int(t[-1]) for t in ticks.values() if t.shape[0]), default=0)
     return AlignedTrace(0.1, n_ticks, ticks, values), config
 
@@ -602,7 +560,7 @@ def test_run_offline_blocks_equal_one_block_on_fuzzed_traces(monkeypatch):
     while cases < 60:
         trace, config = fuzzed_trace(rng)
         selected = select_counters(trace, config)
-        if not selected or not any(trace.ticks[c.name].shape[0] for c in selected):
+        if not selected or not any(trace.ticks[c].shape[0] for c in selected):
             continue
         cases += 1
         expected = one_block_run(trace, config)
@@ -615,8 +573,8 @@ def test_run_offline_blocks_equal_one_block_on_fuzzed_traces(monkeypatch):
         assert (rows(series), alerts) == expected, cases
         per_counter = block // len(selected)
         assert max(sizes) <= block
-        assert sum(sizes) == sum(trace.ticks[c.name].shape[0] for c in selected)
-        assert len(sizes) <= sum(-(-trace.ticks[c.name].shape[0] // per_counter)
+        assert sum(sizes) == sum(trace.ticks[c].shape[0] for c in selected)
+        assert len(sizes) <= sum(-(-trace.ticks[c].shape[0] // per_counter)
                                  for c in selected), (len(sizes), block)
 
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from hpcwatch.detector import Alert
-from hpcwatch.events import EventKind
 from hpcwatch.synth import (
     AttackSpec,
     BaselineSpec,
@@ -59,7 +58,9 @@ def test_counters_are_nonempty_and_each_named_once():
     with pytest.raises(ValueError, match="counters must be nonempty"):
         SynthConfig(seed=1, duration=10.0, counters=())
     with pytest.raises(ValueError, match="counter LLC-loads is named twice"):
-        SynthConfig(seed=1, duration=10.0, counters=(EventKind("LLC-loads"),) * 2)
+        SynthConfig(seed=1, duration=10.0, counters=("LLC-loads",) * 2)
+    with pytest.raises(ValueError, match="got the name 'LLC-loads'"):
+        SynthConfig(seed=1, duration=10.0, counters="LLC-loads")
 
 
 def test_duration_must_cover_a_tick():
@@ -87,7 +88,7 @@ def test_generation_is_deterministic():
 def test_different_seeds_differ():
     # needs a baseline wide enough that draws do not all round to one level
     wide = {"LLC-loads": BaselineSpec(mu=math.log(500), sigma=0.5)}
-    counters = (EventKind("LLC-loads"),)
+    counters = ("LLC-loads",)
     a, _ = generate_trace(
         SynthConfig(seed=1, duration=10.0, counters=counters, baseline=wide)
     )
@@ -137,7 +138,7 @@ def test_attack_tick_snaps_attack_time_to_grid():
     _, truth = generate_trace(config)
     assert truth.attack_tick == 500
     assert truth.attack_tick == tick_of(50.0, config.tick_interval)
-    assert truth.affected == tuple(c.name for c in config.counters)
+    assert truth.affected == tuple(config.counters)
 
 
 def test_attack_affects_only_named_counters():
@@ -190,7 +191,7 @@ def test_lognormal_baseline_is_right_skewed():
     config = SynthConfig(
         seed=31,
         duration=60.0,
-        counters=(EventKind("LLC-loads"),),
+        counters=("LLC-loads",),
         baseline={"LLC-loads": BaselineSpec(mu=math.log(500), sigma=1.0)},
     )
     trace, _ = generate_trace(config)

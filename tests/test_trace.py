@@ -13,9 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import align_reference
-import hpcwatch.trace as trace_module
 import parse_reference
-from hpcwatch.events import CANDIDATE_EVENTS, KNOWN_EVENTS, EventKind
+from hpcwatch.events import CANDIDATE_EVENTS
 from hpcwatch.trace import (
     MISSING_DELTA_TOKEN,
     UNSUPPORTED_DELTA_TOKEN,
@@ -46,14 +45,7 @@ LISTING = """\
 
 
 def test_event_tables():
-    assert len(KNOWN_EVENTS) == 24
     assert len(CANDIDATE_EVENTS) == 6
-    assert set(CANDIDATE_EVENTS) <= set(KNOWN_EVENTS)
-    ev = EventKind("iTLB-load-misses")
-    assert ev.known and ev.candidate
-    assert EventKind("cpu-cycles").known
-    assert not EventKind("cpu-cycles").candidate
-    assert not EventKind("made-up-event").known
 
 
 def test_parse_line_sample():
@@ -61,7 +53,7 @@ def test_parse_line_sample():
     assert isinstance(s, Sample)
     assert s.timestamp == 0.001225993
     assert s.delta == 1621
-    assert s.event.name == "branch-load-misses"
+    assert s.event == "branch-load-misses"
 
 
 def test_parse_line_classification():
@@ -81,7 +73,7 @@ def test_parse_line_extra_trailing_fields_ignored():
     s = parse_line("0.1,42,cpu-cycles,100.00,extra", 1)
     assert isinstance(s, Sample)
     assert s.delta == 42
-    assert s.event.name == "cpu-cycles"
+    assert s.event == "cpu-cycles"
 
 
 def test_parse_line_errors():
@@ -298,25 +290,6 @@ def test_parser_equals_the_reference_on_hostile_lines(lines):
     assert got_diags == want_diags
 
 
-def test_samples_of_one_event_share_one_kind():
-    name = "LLC-loads"
-    samples = [parse_line(f"{i * 0.1:.1f},{i}, {name} ", i) for i in range(1, 10_001)]
-    assert all(type(s) is Sample for s in samples)
-    kind = samples[0].event
-    assert kind == EventKind(name)
-    assert all(s.event is kind for s in samples)
-
-
-def test_event_kind_cache_stays_bounded():
-    bound = trace_module._event_kind.cache_info().maxsize
-    names = [f"event-{i}" for i in range(bound + 100)]
-    for line_no, name in enumerate(names + names[:10], start=1):
-        sample = parse_line(f"0.1,1,{name}", line_no)
-        assert sample.event == EventKind(name)
-        assert sample.event.known == EventKind(name).known
-    assert trace_module._event_kind.cache_info().currsize == bound
-
-
 @pytest.mark.parametrize(
     "timestamps, deltas, reason",
     [
@@ -501,7 +474,7 @@ def test_serialize_sample_round_trip_missing():
     trace = Trace({"LLC-loads": np.array([1.25])}, {"LLC-loads": np.array([math.nan])})
     (line,) = iter_serialized(trace)
     assert line == "1.25,<not counted>,LLC-loads"
-    assert parse_line(line, 1) == Sample(1.25, None, EventKind("LLC-loads"))
+    assert parse_line(line, 1) == Sample(1.25, None, "LLC-loads")
 
 
 @given(

@@ -4,14 +4,17 @@
 
 Pipes a synthetic stream (six counters at their synth baseline levels, 3%
 log-normal jitter, one line per counter per 100 ms tick) into one
-`hpcwatch detect` process.  At each quarter of the stream it prints the
-lines written so far, the quarter's lines/s and the child's resident set
-size (VmRSS from /proc/<pid>/status, so Linux only).  Exits 1 if the RSS at
-the last quarter exceeds the first quarter's by more than 10%, or if
-`detect` fails.  `detect` reads the pipe one block of at most 8 KiB at a
-time and scores each block's windows in stacks of at most 64, so a bounded
-detector holds its windows, score maps, window stack and partial line at a
-fixed size however long the stream runs.
+`hpcwatch detect` process.  Each tick also brings three hostile lines: an
+event named in no other line, a `<not counted>` readout of a counter half
+a tick later, and a line that does not parse.  At each quarter of the
+stream it prints the lines written so far, the quarter's lines/s and the
+child's resident set size (VmRSS from /proc/<pid>/status, so Linux only).
+Exits 1 if the RSS at the last quarter exceeds the first quarter's by more
+than 10%, or if `detect` fails.  `detect` reads the pipe one block of at
+most 8 KiB at a time and scores each block's windows in stacks of at most
+64, so a bounded detector holds its windows, score maps, window stack and
+partial line at a fixed size however long the stream runs, and keeps
+nothing of an event it does not score.
 """
 
 from __future__ import annotations
@@ -56,11 +59,16 @@ def blocks(n_lines: int, seed: int):
     tick = 1
     while written < n_lines:
         deltas = np.rint(rng.lognormal(logs, 0.03, (BLOCK_TICKS, len(names)))).astype(np.int64)
-        lines = [
-            f"{(tick + i) * TICK_S:.1f},{delta},{name}\n"
-            for i, row in enumerate(deltas.tolist())
-            for name, delta in zip(names, row)
-        ][: n_lines - written]
+        lines = []
+        for i, row in enumerate(deltas.tolist()):
+            t = tick + i
+            lines += [f"{t * TICK_S:.1f},{delta},{name}\n" for name, delta in zip(names, row)]
+            lines += [
+                f"{t * TICK_S:.1f},{row[0]},uncore_{t}/clockticks/\n",
+                f"{(t + 0.5) * TICK_S:.2f},<not counted>,{names[t % len(names)]}\n",
+                f"garbage {t}\n",
+            ]
+        lines = lines[: n_lines - written]
         written += len(lines)
         tick += BLOCK_TICKS
         yield lines

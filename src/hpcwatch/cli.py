@@ -27,6 +27,7 @@ import io
 import os
 import sys
 from typing import Iterator, Sequence
+from urllib.parse import quote
 
 from .detector import (
     Alert,
@@ -159,6 +160,13 @@ def _align_inputs(paths: Sequence[str], tick_interval: float) -> tuple[AlignedTr
     return align(merge_traces(traces), tick_interval), malformed
 
 
+def _chart_file(name: str) -> str:
+    """A counter's chart file name: perf names events such as ``cpu/cycles/``,
+    so every character outside [A-Za-z0-9._-] is percent-encoded, and the
+    chart lands in the report directory whatever the name holds."""
+    return quote(name, safe="").replace("~", "%7E") + ".svg"
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     settings = _resolve_settings(args)
     config = _detector_config(settings)
@@ -186,7 +194,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 value=float(values[index]), lof=lof, rank=rank,
             ))
         if args.plot and top:
-            emit_plot(name, times, values, top, os.path.join(outdir, f"{name}.svg"), args.mark)
+            emit_plot(name, times, values, top, os.path.join(outdir, _chart_file(name)), args.mark)
     write_outliers_csv(os.path.join(outdir, "outliers.csv"), rows)
 
     if malformed:
@@ -251,9 +259,10 @@ def cmd_detect(args: argparse.Namespace) -> int:
             yield from block
             emit(detector.poll())
 
-    # errors are counted, not kept: a live stream may be malformed for days
+    # errors are counted, not kept, and only the counters' order is
+    # checked: a live stream may be malformed, or name new events, for days
     interval = config.tick_interval
-    for item in read_samples(lines(), diags):
+    for item in read_samples(lines(), diags, config.counters):
         if type(item) is LineError:
             malformed += 1
         else:

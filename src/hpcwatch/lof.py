@@ -33,13 +33,16 @@ Three kernels compute the same numbers:
   for both drivers: a warm-up window alone, and a counter's full windows
   in stacks of up to 64, cut from a sliding view of its newest samples in
   a block of lines.
-* ``_sorted_kernel`` sorts once and walks runs of the sorted values:
-  O(n log n + n*k) time, and O(n) memory plus one block of at most BLOCK
-  neighborhood members, laid out afresh for each pass instead of all n*k
-  at once.  It serves ``lof_all``, which scores whole series (36 000
-  points for an hour at 100 ms) as two arrays; ``top_n_outliers`` ranks
-  those and builds a ``LofResult`` only for each of the n points it
-  returns.
+* ``_sorted_kernel`` sorts once, bisects each point's neighborhood as a
+  run of the sorted values, and walks those runs: O(n log n + n*k) time,
+  and O(n) memory plus one block of at most BLOCK neighborhood members,
+  laid out afresh for each pass instead of all n*k at once.  It serves
+  ``lof_all``, which scores whole series (36 000 points for an hour at
+  100 ms) as two arrays; ``top_n_outliers`` ranks those and builds a
+  ``LofResult`` only for each of the n points it returns.
+
+The two fast kernels take their k-distances from one step,
+``_kdist_sorted``, over values sorted once.
 
 All three add every neighborhood sum's terms one at a time in ascending
 point index, the order the brute-force definition uses, so they agree bit
@@ -136,9 +139,8 @@ def _column_sums(table: np.ndarray) -> np.ndarray:
     return np.add.reduce(table, axis=0)
 
 
-# Most neighborhood run positions (or candidate distances) one block of
-# ``_sorted_kernel`` lays out at once: about 64 bytes each over the arrays
-# that hold them.
+# Most neighborhood run positions one block of ``_sorted_kernel`` lays out
+# at once: about 64 bytes each over the arrays that hold them.
 BLOCK = 4096
 
 # Segments longer than this are summed one by one; shorter ones together,
@@ -173,46 +175,50 @@ def _ordered_sums(terms: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return out
 
 
-def _group_runs(
-    value: np.ndarray, size: np.ndarray, bounds: np.ndarray, small: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """k-distance and neighborhood run (first and past-the-end sorted
-    position) of each of the ``small`` groups, which have at most k copies.
+def _kdist_sorted(xs: np.ndarray, k: int) -> np.ndarray:
+    """k-distance of every position of ``xs``, sorted along axis 0.
 
-    The k-distance is the nearest candidate distance at which the copies of
-    the k+1 nearest distinct values on each side and the group's own other
-    copies add up to k points; the run then takes every distinct value
-    within it, past those candidates too where rounding makes farther
-    values tie."""
-    n_groups = value.shape[0]
-    step = np.arange(1, k + 2)
-    left = small[:, None] - step
-    right = small[:, None] + step
-    has_left, has_right = left >= 0, right < n_groups
-    left, right = np.where(has_left, left, 0), np.where(has_right, right, 0)
-    center = value[small, None]
-    dist_left = np.where(has_left, center - value[left], np.inf)
-    dist_right = np.where(has_right, value[right] - center, np.inf)
+    The k nearest neighbors of a sorted position are a run of it, so the
+    k-distance is the smallest, over the k+1 ways to split the run, of its
+    farther end.  padded[k:k + n] is ``xs`` with k infinities on each
+    side; for sorted position i, the run that splits at j has its left
+    end at padded[i + j] and its right end at padded[i + j + k].
+    """
+    n = xs.shape[0]
+    padded = np.empty((n + 2 * k, *xs.shape[1:]))
+    padded[:k] = -np.inf
+    padded[k + n:] = np.inf
+    padded[k:k + n] = xs
+    xs = padded[k:k + n]
+    kdist = np.full(xs.shape, np.inf)
+    left, right = np.empty(xs.shape), np.empty(xs.shape)
+    for j in range(k + 1):
+        np.subtract(xs, padded[j:j + n], out=left)
+        np.subtract(padded[j + k:j + k + n], xs, out=right)
+        np.maximum(left, right, out=left)
+        np.minimum(kdist, left, out=kdist)
+    return kdist
 
-    need = k + 1 - size[small]
-    dist = np.concatenate([dist_left, dist_right], axis=1)
-    copies = np.concatenate(
-        [np.where(has_left, size[left], 0), np.where(has_right, size[right], 0)], axis=1
-    )
-    by_dist = np.argsort(dist, axis=1, kind="stable")
-    dist = np.take_along_axis(dist, by_dist, axis=1)
-    reached = np.cumsum(np.take_along_axis(copies, by_dist, axis=1), axis=1)
-    kd = dist[np.arange(small.size), np.argmax(reached >= need[:, None], axis=1)]
 
-    n_left = np.count_nonzero(has_left & (dist_left <= kd[:, None]), axis=1)
-    n_right = np.count_nonzero(has_right & (dist_right <= kd[:, None]), axis=1)
-    for i in np.flatnonzero((n_left > k) | (n_right > k)):
-        g, r = small[i], kd[i]
-        while g - n_left[i] > 0 and value[g] - value[g - n_left[i] - 1] <= r:
-            n_left[i] += 1
-        while g + n_right[i] < n_groups - 1 and value[g + n_right[i] + 1] - value[g] <= r:
-            n_right[i] += 1
-    return kd, bounds[small - n_left], bounds[small + n_right + 1]
+def _runs(xs: np.ndarray, at: np.ndarray, kdist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and past-the-end position of the run of sorted values ``xs``
+    within ``kdist`` of each position ``at``.
+
+    Computed distances never shrink moving away from a value, since
+    subtraction rounds monotonically, so each end is found by bisection on
+    the computed distance: steps of halving length, from the largest power
+    of two not above n down to 1, each taken where its new end is still in
+    the run.
+    """
+    n = xs.shape[0]
+    center = xs[at]
+    lo = last = at
+    for step in [1 << b for b in reversed(range(n.bit_length()))]:
+        down = np.maximum(lo - step, 0)
+        lo = np.where(center - xs[down] <= kdist, down, lo)
+        up = np.minimum(last + step, n - 1)
+        last = np.where(xs[up] - center <= kdist, up, last)
+    return lo, last + 1
 
 
 def _members(
@@ -237,47 +243,33 @@ def _sorted_kernel(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
     In 1-D a neighborhood is a run of the sorted values: computed distances
     never shrink moving away from a value, since subtraction rounds
-    monotonically.  Points are grouped by value.  A group of more than k
-    copies has k-distance 0, so its points have lrd +inf and score 1.  The
-    smaller groups get their k-distances and runs a block of groups at a
-    time (``_group_runs``).  Then the lrds, and in a second pass the
-    scores, are computed a block of points at a time, each block's members
-    laid out afresh in each pass.  Sums over a neighborhood take its
-    members in ascending point index, exactly as ``_tables`` does, so both
-    kernels give the same bits however the points are cut into blocks.
+    monotonically.  The k-distances come from ``_kdist_sorted``.  A point
+    with k-distance 0 has more than k copies, so it has lrd +inf and
+    scores 1; every other point's run is bisected on the computed distance
+    (``_runs``).  Then the lrds, and in a second pass the scores, are
+    computed a block of points at a time, each block's members laid out
+    afresh in each pass.  Sums over a neighborhood take its members in
+    ascending point index, exactly as ``_tables`` does, so both kernels
+    give the same bits however the points are cut into blocks.
     """
     n = x.shape[0]
     _check_k(n, k)
 
     order = np.argsort(x, kind="stable")
     xs = x[order]
-    first = np.ones(n, dtype=bool)
-    first[1:] = xs[1:] != xs[:-1]
-    bounds = np.append(np.flatnonzero(first), n)  # group g is xs[bounds[g]:bounds[g + 1]]
-    value = xs[bounds[:-1]]
-    size = np.diff(bounds)
-    del xs, first
-
-    kdist = np.zeros(n)
+    sorted_kdist = _kdist_sorted(xs, k)
+    kdist = np.empty(n)
+    kdist[order] = sorted_kdist
     lrd = np.full(n, np.inf)
     lof_arr = np.ones(n)
-    small = np.flatnonzero(size <= k)
-    if small.size == 0:
+    # a point with k-distance 0 has more than k copies: lrd +inf, score 1
+    at = np.flatnonzero(sorted_kdist > 0.0)
+    if at.size == 0:
         return lrd, lof_arr
-
-    kd = np.empty(small.size)
-    lo, hi = np.empty(small.size, np.int64), np.empty(small.size, np.int64)
-    per_block = max(1, BLOCK // (2 * k + 2))  # candidate distances per group
-    for start in range(0, small.size, per_block):
-        at = slice(start, start + per_block)
-        kd[at], lo[at], hi[at] = _group_runs(value, size, bounds, small[at], k)
-
-    # one entry per point of a small group: its run in sorted positions
-    row = np.repeat(np.arange(small.size), size[small])
-    points = order[np.repeat(size <= k, size)]
-    kdist[points] = kd[row]
-    run_lo, run_len = lo[row], (hi - lo)[row]
-    del row, kd, lo, hi, value, size, bounds, small
+    points = order[at]
+    run_lo, run_hi = _runs(xs, at, sorted_kdist[at])
+    run_len = run_hi - run_lo
+    del xs, sorted_kdist, at, run_hi
 
     # blocks of points holding at most BLOCK run positions each, or one point
     run_end = np.cumsum(run_len)
@@ -316,9 +308,7 @@ def lof_at(windows: np.ndarray, k: int, pos: int) -> np.ndarray:
     bit-identical to ``lof_scores(row, k)[pos]`` row by row.
 
     A point's score reads only its two-hop neighborhood.  Every k-distance
-    comes from one sort per row: the k nearest neighbors of a sorted
-    position are a run of it, so the k-distance is the smallest, over the
-    k+1 ways to split the run, of its farther end.  Two cases then close
+    comes from one sort per row (``_kdist_sorted``).  Two cases then close
     exactly: a point with k-distance 0 has more than k copies, so it and
     its neighbors have lrd +inf and it scores 1; a finite-density point
     with a neighbor of k-distance 0 has an infinitely dense neighbor and
@@ -341,25 +331,10 @@ def lof_at(windows: np.ndarray, k: int, pos: int) -> np.ndarray:
     # point index
     row = np.arange(n_rows)
 
-    # k-distances: padded[k:k + n] is each window sorted, with k infinities
-    # on each side; for sorted position i, the run that splits at j has its
-    # left end at padded[i + j] and its right end at padded[i + j + k]
-    padded = np.empty((n + 2 * k, n_rows))
-    padded[:k] = -np.inf
-    padded[k + n:] = np.inf
     # copies of a value share its k-distance, so any order of ties will do
     order = np.argsort(x, axis=1)
-    xs = padded[k:k + n]
-    xs[...] = x[row[:, None], order].T
-    sorted_kdist = np.full((n, n_rows), np.inf)
-    left, right = np.empty((n, n_rows)), np.empty((n, n_rows))
-    for j in range(k + 1):
-        np.subtract(xs, padded[j:j + n], out=left)
-        np.subtract(padded[j + k:j + k + n], xs, out=right)
-        np.maximum(left, right, out=left)
-        np.minimum(sorted_kdist, left, out=sorted_kdist)
     kdist = np.empty((n, n_rows))
-    kdist[order.T, row] = sorted_kdist
+    kdist[order.T, row] = _kdist_sorted(x[row[:, None], order].T, k)
     xt = np.ascontiguousarray(x.T)
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

@@ -43,6 +43,10 @@ def _coord(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _xml_text(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def emit_plot(
     name: str,
     times: np.ndarray | Sequence[float],
@@ -87,7 +91,7 @@ def emit_plot(
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
         f'<text x="{MARGIN_LEFT}" y="18" font-family="sans-serif" font-size="13" '
-        f'fill="{AXIS_COLOR}">{name}</text>',
+        f'fill="{AXIS_COLOR}">{_xml_text(name)}</text>',
     ]
 
     # axes

@@ -228,7 +228,9 @@ def parse_line(line: str, line_no: int) -> Sample | SkippedLine | LineError:
 
 
 def read_samples(
-    reader: Iterable[str] | IO[str], diags: ParseDiagnostics
+    reader: Iterable[str] | IO[str],
+    diags: ParseDiagnostics,
+    events: Iterable[str] | None = None,
 ) -> Iterator[Sample | LineError]:
     """Yield each usable sample, or the error of a malformed line, as read.
 
@@ -236,9 +238,13 @@ def read_samples(
     malformed lines are left to the caller, which may keep or count the
     errors.  A line whose timestamp does not increase on its event's last
     usable one is malformed too, so each event's samples strictly increase
-    in time.
+    in time.  Given ``events``, only those events are held to that order:
+    a caller that drops every other event, as ``detect`` does, then keeps
+    no state for each new name a stream brings.
     """
-    last_ts: dict[str, float] = {}
+    # timestamps are never negative, so -inf lets any first one through
+    last_ts: dict[str, float] = {} if events is None else dict.fromkeys(events, -math.inf)
+    every_event = events is None
     for line_no, raw in enumerate(reader, start=1):
         diags.lines_read += 1
         # through the module global, not a local alias, so a wrapper put on
@@ -254,7 +260,8 @@ def read_samples(
                 yield LineError(line_no, f"non-increasing timestamp for {name}")
                 continue
             diags.samples_parsed += 1
-            last_ts[name] = parsed.timestamp
+            if every_event or last is not None:
+                last_ts[name] = parsed.timestamp
             if parsed.delta is None:
                 diags.not_counted += 1
             yield parsed

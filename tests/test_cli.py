@@ -259,6 +259,38 @@ def test_analyze_plot_circles_the_outliers_csv_rows(tmp_path):
     assert circles == [(*points[present.index(r.tick)], f"lof={r.lof:.9g}") for r in rows]
 
 
+@pytest.mark.parametrize(
+    "event, chart",
+    [
+        ("cpu/cycles/", "cpu%2Fcycles%2F.svg"),
+        ("cpu_core/instructions/", "cpu_core%2Finstructions%2F.svg"),
+        ("../x", "..%2Fx.svg"),
+        ("a&b<c>~%", "a%26b%3Cc%3E%7E%25.svg"),
+    ],
+    ids=["pmu", "hybrid-pmu", "parent-dir", "xml-and-percent"],
+)
+def test_analyze_plot_keeps_each_chart_in_out(event, chart, tmp_path, capsys):
+    # perf qualifies events with their PMU, so a name may hold a slash, or
+    # anything else a file name or an XML text node cannot
+    import xml.etree.ElementTree as ET
+
+    rng = np.random.default_rng(300)
+    path = tmp_path / "trace.csv"
+    path.write_text("".join(
+        f"{tick * 0.1:.1f},{round(rng.lognormal(math.log(4000), 0.03))},{event}\n"
+        for tick in range(1, 301)
+    ))
+    out = tmp_path / "report"
+    rc = main(["analyze", str(path), "--out", str(out), "--plot", "--events", event])
+    assert rc in (EXIT_OK, EXIT_ALERTS), capsys.readouterr().err
+    assert sorted(os.listdir(out)) == sorted(
+        ["alerts.csv", "attack_factor.csv", "outliers.csv", chart]
+    )
+    assert sorted(os.listdir(tmp_path)) == ["report", "trace.csv"]
+    svg = ET.parse(out / chart).getroot()
+    assert svg.find("{http://www.w3.org/2000/svg}text").text == event
+
+
 def test_analyze_plot_ranks_each_counter_once(tmp_path, monkeypatch):
     from hpcwatch import cli, detector
 
@@ -390,6 +422,31 @@ def test_detect_counts_malformed_lines_without_keeping_them(monkeypatch, capsys)
     assert rc == EXIT_OK
     assert f"{n} malformed" in capsys.readouterr().err
     # keeping each line's number and reason would take about 7 MB
+    assert peak < 1_000_000
+
+
+def test_detect_keeps_no_state_for_unconfigured_event_names(monkeypatch, capsys):
+    """A profiler that labels events per thread, cgroup or CPU names a new
+    event in every line: detect drops them all and keeps nothing of
+    them, so its memory stays flat however many names a stream holds."""
+    import tracemalloc
+
+    n = 50_000
+
+    def stream():
+        for i in range(n):
+            yield f"{i * 0.1 + 0.05:.3f},{100 + i % 7},uncore_cbox_{i}/clockticks/\n"
+
+    monkeypatch.setattr("sys.stdin", stream())
+    tracemalloc.start()
+    try:
+        rc = main(["detect"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == EXIT_OK
+    assert capsys.readouterr() == ("", "")
+    # a last timestamp for each name would take about 7 MB
     assert peak < 1_000_000
 
 

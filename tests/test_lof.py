@@ -28,24 +28,28 @@ def _sum_left_to_right(terms):
 @pytest.fixture
 def exact_oracle(monkeypatch):
     """The oracle with its sums pinned to left-to-right order and
-    kth_distance memoised per point set.
+    kth_distance and lrd memoised per point set.
 
     Python 3.12's built-in sum() compensates rounding, so the oracle's own
     order would depend on the interpreter; here it adds one term at a time
-    on every version.  kth_distance is pure, so the cache changes no value;
-    it turns the oracle's rescans into something a 300-point set can
-    afford.  Call the returned ``reset()`` before each new set.
+    on every version.  Both functions are pure, so the caches change no
+    value; they turn the oracle's rescans into something a 300-point set
+    with wide tie groups can afford.  Call the returned ``reset()`` before
+    each new set.
     """
-    memo: dict[tuple[int, int], float] = {}
-    raw = oracle.kth_distance
+    memo: dict[tuple[str, int, int], float] = {}
 
-    def kth_distance(points, i, k):
-        if (i, k) not in memo:
-            memo[(i, k)] = raw(points, i, k)
-        return memo[(i, k)]
+    def memoised(raw):
+        def cached(points, i, k):
+            key = (raw.__name__, i, k)
+            if key not in memo:
+                memo[key] = raw(points, i, k)
+            return memo[key]
+        return cached
 
     monkeypatch.setattr(oracle, "sum", _sum_left_to_right, raising=False)
-    monkeypatch.setattr(oracle, "kth_distance", kth_distance)
+    monkeypatch.setattr(oracle, "kth_distance", memoised(oracle.kth_distance))
+    monkeypatch.setattr(oracle, "lrd", memoised(oracle.lrd))
     return memo.clear
 
 
@@ -296,19 +300,26 @@ def test_reachability_lower_bound(exact_oracle):
 def test_lof_all_equals_oracle_bit_for_bit(exact_oracle):
     rng = np.random.default_rng(20261018)
     shapes = {
-        "normal": lambda n: rng.normal(0.0, 50.0, n),
-        "lognormal": lambda n: rng.lognormal(4.0, 1.0, n),
-        "integer ties": lambda n: rng.integers(0, int(rng.integers(2, 15)), n).astype(float),
-        "all duplicates": lambda n: np.full(n, 42.0),
-        "far outlier": lambda n: np.append(rng.normal(0.0, 1.0, n - 1), 500.0),
+        "normal": lambda rng, n: rng.normal(0.0, 50.0, n),
+        "lognormal": lambda rng, n: rng.lognormal(4.0, 1.0, n),
+        "integer ties": lambda rng, n: rng.integers(0, int(rng.integers(2, 15)), n).astype(float),
+        "all duplicates": lambda rng, n: np.full(n, 42.0),
+        "far outlier": lambda rng, n: np.append(rng.normal(0.0, 1.0, n - 1), 500.0),
+        **{name: WINDOW_SHAPES[name]
+           for name in ("rounding ties", "rounding ties at 1e16", "integer ties near 18")},
     }
     for name, draw in shapes.items():
         for n_max in (20, 65, 300):
             k = int(rng.integers(1, 9))
-            pts = draw(int(rng.integers(k + 1, n_max + 1))).tolist()
+            pts = draw(rng, int(rng.integers(k + 1, n_max + 1))).tolist()
             exact_oracle()
             expected = oracle.lof_all(pts, k)
             assert lof_all(pts, k)[1].tolist() == expected, (name, len(pts), k)
+
+    # with k = n - 1 every run is the whole sorted order: the two end
+    # points' runs reach more than half of it away, the others' both ends
+    pts = rng.permutation([0.0, *[2.0] * 40, 3.0]).tolist()
+    assert_lof_all_is_oracle(pts, len(pts) - 1, exact_oracle)
 
 
 @pytest.mark.parametrize(

@@ -15,8 +15,13 @@ Exit codes: 0 clean, 3 one or more alerts raised, 1 usage or data error,
 analyze and detect load only the modules they run: synth and eval import
 the synthesis module, and capture imports subprocess, when they are called.
 
-Settings resolve in one order: built-in defaults, then a key=value config
-file (--config flag or HPCWATCH_CONFIG env var), then explicit flags.
+Every setting is a ``DetectorConfig`` field, listed once in ``_SETTINGS``
+with its flag and config-file key.  analyze and detect take every setting
+as a flag; synth, eval and capture take --interval and --events.  Each
+subcommand resolves all of them in one order, built-in defaults, then a
+key=value config file (--config flag or HPCWATCH_CONFIG env var), then
+explicit flags, and ``DetectorConfig`` validates the result before any
+input is read or any process is launched.
 """
 
 from __future__ import annotations
@@ -24,9 +29,10 @@ from __future__ import annotations
 import argparse
 import codecs
 import io
+import math
 import os
 import sys
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 from urllib.parse import quote
 
 from .detector import (
@@ -67,10 +73,30 @@ EXIT_ERROR = 1
 EXIT_CAPTURE = 2
 EXIT_ALERTS = 3
 
-_CONFIG_KEYS = ("k", "delta", "window", "interval", "events", "top", "coalesce")
-
 # the built-in settings, which a config file and then the flags override
 _DEFAULTS = DetectorConfig()
+
+
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(name.strip() for name in text.split(",") if name.strip())
+
+
+# Every setting once, by its flag and config-file key: its DetectorConfig
+# field, the conversion of its text, its help, and whether synth, eval and
+# capture take it too (analyze and detect take them all).
+_SETTINGS: dict[str, tuple[str, Callable[[str], object], str, bool]] = {
+    "k": ("k", int, f"neighbor count (default {_DEFAULTS.k})", False),
+    "delta": ("delta_threshold", float,
+              f"alert threshold on f (default {_DEFAULTS.delta_threshold})", False),
+    "window": ("window", int, f"samples per counter window (default {_DEFAULTS.window})", False),
+    "top": ("top_n", int, f"outliers to mark per counter (default {_DEFAULTS.top_n})", False),
+    "coalesce": ("coalesce", int,
+                 f"suppress alerts within N ticks of the last one (default {_DEFAULTS.coalesce})",
+                 False),
+    "interval": ("tick_interval", float,
+                 f"tick interval in seconds (default {_DEFAULTS.tick_interval})", True),
+    "events": ("counters", _names, "comma-separated counter names", True),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,49 +124,28 @@ def load_config_file(path: str) -> dict[str, str]:
                 raise ValueError(f"{path}:{line_no}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in _SETTINGS:
                 raise ValueError(f"{path}:{line_no}: unknown setting {key!r}")
             out[key] = value.strip()
     return out
 
 
-def _resolve_settings(args: argparse.Namespace) -> dict:
+def _resolve_config(args: argparse.Namespace) -> DetectorConfig:
+    """Each setting from its flag, else the config file (--config, else
+    HPCWATCH_CONFIG), else the built-in default, validated together."""
     path = getattr(args, "config", None) or os.environ.get("HPCWATCH_CONFIG")
     file_cfg = load_config_file(path) if path else {}
-
-    def pick(name: str, builtin, cast):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        if name in file_cfg:
+    resolved = {}
+    for key, (field, convert, _, _) in _SETTINGS.items():
+        value = getattr(args, key, None)
+        if value is None and key in file_cfg:
             try:
-                return cast(file_cfg[name])
+                value = convert(file_cfg[key])
             except ValueError as exc:
-                raise ValueError(f"{path}: setting {name!r}: {exc}") from None
-        return builtin
-
-    events = pick("events", ",".join(_DEFAULTS.counters), str)
-    return {
-        "k": pick("k", _DEFAULTS.k, int),
-        "delta": pick("delta", _DEFAULTS.delta_threshold, float),
-        "window": pick("window", _DEFAULTS.window, int),
-        "interval": pick("interval", _DEFAULTS.tick_interval, float),
-        "events": [e.strip() for e in events.split(",") if e.strip()],
-        "top": pick("top", _DEFAULTS.top_n, int),
-        "coalesce": pick("coalesce", _DEFAULTS.coalesce, int),
-    }
-
-
-def _detector_config(settings: dict) -> DetectorConfig:
-    return DetectorConfig(
-        k=settings["k"],
-        delta_threshold=settings["delta"],
-        window=settings["window"],
-        tick_interval=settings["interval"],
-        counters=tuple(settings["events"]),
-        top_n=settings["top"],
-        coalesce=settings["coalesce"],
-    )
+                raise ValueError(f"{path}: setting {key!r}: {exc}") from None
+        if value is not None:
+            resolved[field] = value
+    return DetectorConfig(**resolved)
 
 
 # ---------------------------------------------------------------------------
@@ -160,16 +165,34 @@ def _align_inputs(paths: Sequence[str], tick_interval: float) -> tuple[AlignedTr
     return align(merge_traces(traces), tick_interval), malformed
 
 
-def _chart_file(name: str) -> str:
-    """A counter's chart file name: perf names events such as ``cpu/cycles/``,
-    so every character outside [A-Za-z0-9._-] is percent-encoded, and the
-    chart lands in the report directory whatever the name holds."""
-    return quote(name, safe="").replace("~", "%7E") + ".svg"
+def _chart_file(outdir: str, name: str) -> str:
+    """The path of a counter's chart in ``outdir``.  perf names events such
+    as ``cpu/cycles/``, so every character outside [A-Za-z0-9._-] is
+    percent-encoded, and the chart lands in the report directory whatever
+    the name holds.  A file name past the directory's name limit is cut at
+    a %XX boundary and ends in ``~`` and 16 hex digits of the name's sha256;
+    ``~`` itself is always encoded, so a cut name never equals an uncut one.
+    """
+    stem = quote(name, safe="").replace("~", "%7E")
+    try:
+        limit = os.pathconf(outdir, "PC_NAME_MAX")
+    except (AttributeError, OSError, ValueError):
+        limit = 255
+    if len(stem) + len(".svg") > limit:
+        import hashlib
+
+        digest = hashlib.sha256(name.encode()).hexdigest()[:16]
+        stem = stem[:limit - len(".svg") - len(digest) - 1]
+        # a "%" among the last two characters starts an escape the cut split
+        escape = stem.find("%", len(stem) - 2)
+        if escape >= 0:
+            stem = stem[:escape]
+        stem += "~" + digest
+    return os.path.join(outdir, stem + ".svg")
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    settings = _resolve_settings(args)
-    config = _detector_config(settings)
+    config = _resolve_config(args)
 
     aligned, malformed = _align_inputs(args.inputs, config.tick_interval)
     series, alerts, ranked = run_offline(aligned, config)
@@ -193,9 +216,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 event=name, tick=int(present[index]), time=float(times[index]),
                 value=float(values[index]), lof=lof, rank=rank,
             ))
-        if args.plot and top:
-            emit_plot(name, times, values, top, os.path.join(outdir, _chart_file(name)), args.mark)
     write_outliers_csv(os.path.join(outdir, "outliers.csv"), rows)
+    if args.plot:
+        for name, top in ranked.items():
+            if top:
+                times = aligned.ticks[name] * config.tick_interval
+                emit_plot(name, times, aligned.values[name], top, _chart_file(outdir, name),
+                          args.mark)
 
     if malformed:
         print(f"warning: {malformed} malformed input lines skipped", file=sys.stderr)
@@ -236,8 +263,7 @@ def _read_blocks(stream) -> Iterator[list[str]]:
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
-    settings = _resolve_settings(args)
-    config = _detector_config(settings)
+    config = _resolve_config(args)
     detector = Detector(config)
     diags = ParseDiagnostics()
     alert_count = 0
@@ -281,15 +307,15 @@ def cmd_detect(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     from .synth import AttackSpec, SynthConfig, generate_trace, write_ground_truth
 
-    settings = _resolve_settings(args)
+    detector_config = _resolve_config(args)
     attack = None
     if args.attack_at is not None:
         attack = AttackSpec(at=args.attack_at, magnitude=args.magnitude, width=args.width)
     config = SynthConfig(
         seed=args.seed,
         duration=args.duration,
-        tick_interval=settings["interval"],
-        counters=tuple(settings["events"]),
+        tick_interval=detector_config.tick_interval,
+        counters=detector_config.counters,
         attack=attack,
     )
     trace, truth = generate_trace(config)
@@ -312,9 +338,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     from .synth import evaluate, read_ground_truth
 
-    settings = _resolve_settings(args)
+    config = _resolve_config(args)
     truth, sidecar_interval = read_ground_truth(args.truth)
-    interval = sidecar_interval if sidecar_interval is not None else settings["interval"]
+    interval = sidecar_interval if sidecar_interval is not None else config.tick_interval
     alerts = read_alerts_csv(args.alerts, interval)
     metrics = evaluate(alerts, truth, args.tolerance)
     print(f"TP={metrics.true_positives}")
@@ -332,18 +358,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_capture(args: argparse.Namespace) -> int:
     import subprocess
 
-    settings = _resolve_settings(args)
+    config = _resolve_config(args)
     if args.pid is None and not args.command:
         raise ValueError("capture needs --pid or a command after --")
 
-    interval_ms = max(1, int(round(settings["interval"] * 1000)))
+    interval_ms = max(1, int(round(config.tick_interval * 1000)))
     cmd = [
         args.profiler,
         "stat",
         "-o", args.out,
         "-x", ",",
         "-I", str(interval_ms),
-        "-e", ",".join(settings["events"]),
+        "-e", ",".join(config.counters),
     ]
     if args.pid is not None:
         cmd += ["-p", str(args.pid)]
@@ -380,22 +406,14 @@ def cmd_capture(args: argparse.Namespace) -> int:
 # Parser assembly
 # ---------------------------------------------------------------------------
 
-def _add_detector_flags(p: argparse.ArgumentParser) -> None:
-    d = _DEFAULTS
-    p.add_argument("--k", type=int, help=f"neighbor count (default {d.k})")
-    p.add_argument("--delta", type=float,
-                   help=f"alert threshold on f (default {d.delta_threshold})")
-    p.add_argument("--window", type=int, help=f"samples per counter window (default {d.window})")
-    p.add_argument("--top", type=int, help=f"outliers to mark per counter (default {d.top_n})")
-    p.add_argument("--coalesce", type=int,
-                   help=f"suppress alerts within N ticks of the last one (default {d.coalesce})")
-
-
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--interval", type=float,
-                   help=f"tick interval in seconds (default {_DEFAULTS.tick_interval})")
-    p.add_argument("--events", type=str, help="comma-separated counter names")
-    p.add_argument("--config", type=str, help="key=value settings file")
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"invalid finite float value: {text!r}")
+    return value
 
 
 def build_parser() -> _Parser:
@@ -406,14 +424,10 @@ def build_parser() -> _Parser:
     p.add_argument("inputs", nargs="+", help="trace files in ingest format")
     p.add_argument("--out", type=str, help="report directory (default .)")
     p.add_argument("--plot", action="store_true", help="emit per-counter SVG charts")
-    p.add_argument("--mark", type=float, help="vertical marker time for plots, seconds")
-    _add_detector_flags(p)
-    _add_common_flags(p)
+    p.add_argument("--mark", type=_finite_float, help="vertical marker time for plots, seconds")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("detect", help="streaming alerts from stdin")
-    _add_detector_flags(p)
-    _add_common_flags(p)
     p.set_defaults(func=cmd_detect, stream=sys.stdin)
 
     p = sub.add_parser("synth", help="generate a seeded synthetic trace")
@@ -424,7 +438,6 @@ def build_parser() -> _Parser:
                    help="attack delta multiplier (default 20)")
     p.add_argument("--width", type=int, default=2, help="attack width in ticks (default 2)")
     p.add_argument("--out", type=str, help="output directory (default .)")
-    _add_common_flags(p)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("eval", help="score an alerts CSV against ground truth")
@@ -432,7 +445,6 @@ def build_parser() -> _Parser:
     p.add_argument("truth", help="ground-truth sidecar from synth")
     p.add_argument("--tolerance", type=int, default=5,
                    help="ticks around the attack that count as detection (default 5)")
-    _add_common_flags(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("capture", help="wrap an external interval profiler")
@@ -442,9 +454,13 @@ def build_parser() -> _Parser:
     p.add_argument("--out", type=str, default="capture.csv", help="output trace file")
     p.add_argument("--profiler", type=str, default="perf",
                    help="interval profiler executable (default perf)")
-    _add_common_flags(p)
     p.set_defaults(func=cmd_capture)
 
+    for name, p in sub.choices.items():
+        for key, (_, convert, text, everywhere) in _SETTINGS.items():
+            if everywhere or name in ("analyze", "detect"):
+                p.add_argument(f"--{key}", type=convert, help=text)
+        p.add_argument("--config", type=str, help="key=value settings file")
     return parser
 
 

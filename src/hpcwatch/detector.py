@@ -24,6 +24,7 @@ by the lag; nothing can alert on the newest sample.
 
 from __future__ import annotations
 
+import math
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
@@ -54,11 +55,11 @@ class DetectorConfig:
 
     ``k`` is the LOF neighbourhood (MinPts), ``window`` the samples in each
     counter's window, and ``delta_threshold`` the bound f must exceed to
-    alert.  ``tick_interval`` is the grid spacing in seconds.  ``counters``
-    are the counters whose scores are averaged into f, in that order, each
-    named once; ``top_n`` is how many whole-series outliers are ranked per
-    counter.  An alert within ``coalesce`` ticks after the last alert raised
-    is dropped; 0 keeps every alert.
+    alert.  ``tick_interval`` is the grid spacing in seconds, finite and
+    positive.  ``counters`` are the counters whose scores are averaged into
+    f, in that order, each named once; ``top_n`` is how many whole-series
+    outliers are ranked per counter.  An alert within ``coalesce`` ticks
+    after the last alert raised is dropped; 0 keeps every alert.
     """
 
     k: int = 5
@@ -78,6 +79,8 @@ class DetectorConfig:
             raise ValueError(f"delta_threshold must be > 1, got {self.delta_threshold}")
         if not self.tick_interval > 0:
             raise ValueError(f"tick_interval must be > 0, got {self.tick_interval}")
+        if self.tick_interval == math.inf:
+            raise ValueError(f"tick_interval must be finite, got {self.tick_interval}")
         check_counters(self.counters)
         if self.top_n < 1:
             raise ValueError(f"top_n must be >= 1, got {self.top_n}")

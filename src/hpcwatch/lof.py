@@ -42,7 +42,11 @@ Three kernels compute the same numbers:
   ``LofResult`` only for each of the n points it returns.
 
 The two fast kernels take their k-distances from one step,
-``_kdist_sorted``, over values sorted once.
+``_kdist_sorted``, over values sorted once.  The rest of them stays apart:
+``lof_at`` built from ``_sorted_kernel``'s run walk gives the same bits on
+``detect``'s stacks of 50-point windows at about 2.5x the time per window,
+because numpy's per-call overhead in ``_ordered_sums``, ``_runs`` and
+``_members`` dominates at that size.
 
 All three add every neighborhood sum's terms one at a time in ascending
 point index, the order the brute-force definition uses, so they agree bit

@@ -1,7 +1,11 @@
-"""The package root exports only what the program, a demo or the README uses."""
+"""The package root exports only what the program, a demo or the README uses,
+and every name the traced benchmark hooks still exists."""
 
 import ast
+import importlib
+import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import hpcwatch
@@ -43,3 +47,17 @@ def test_every_root_export_has_a_user_outside_its_module():
         and not re.search(rf"\b{re.escape(name)}\b", readme)
     ]
     assert not unused, f"exported, but used only by tests or their own module: {unused}"
+
+
+def test_every_benchmark_hook_target_is_callable(monkeypatch):
+    # the traced benchmark wraps these names; a refactor that drops one
+    # passes the package's tests and breaks only the benchmark's own
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look it up
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"{module}.{attr}" for _, module, attr, _ in tracing.HOOKS
+        if not callable(getattr(importlib.import_module(module), attr, None))
+    ]
+    assert not missing, f"bench/tracing.py hooks names that are gone: {missing}"

@@ -1,5 +1,8 @@
 """Command-line behavior: settings resolution, subcommands, exit codes."""
 
+import argparse
+import dataclasses
+import hashlib
 import io
 import math
 import os
@@ -18,8 +21,8 @@ from hpcwatch.cli import (
     EXIT_CAPTURE,
     EXIT_ERROR,
     EXIT_OK,
-    _detector_config,
-    _resolve_settings,
+    _SETTINGS,
+    _resolve_config,
     build_parser,
     load_config_file,
     main,
@@ -75,11 +78,11 @@ def test_flags_beat_config_file_beats_builtin(tmp_path):
     args = build_parser().parse_args(
         ["detect", "--k", "7", "--config", str(path)]
     )
-    settings = _resolve_settings(args)
-    assert settings["k"] == 7  # flag wins
-    assert settings["delta"] == 2.5  # file beats builtin
-    assert settings["window"] == 50  # builtin
-    assert settings["coalesce"] == 0
+    config = _resolve_config(args)
+    assert config.k == 7  # flag wins
+    assert config.delta_threshold == 2.5  # file beats builtin
+    assert config.window == 50  # builtin
+    assert config.coalesce == 0
 
 
 def test_env_var_names_the_config_file(tmp_path, monkeypatch):
@@ -87,7 +90,7 @@ def test_env_var_names_the_config_file(tmp_path, monkeypatch):
     path.write_text("window=64\n")
     monkeypatch.setenv("HPCWATCH_CONFIG", str(path))
     args = build_parser().parse_args(["detect"])
-    assert _resolve_settings(args)["window"] == 64
+    assert _resolve_config(args).window == 64
 
 
 def test_config_flag_beats_env_var(tmp_path, monkeypatch):
@@ -97,27 +100,53 @@ def test_config_flag_beats_env_var(tmp_path, monkeypatch):
     flag_cfg.write_text("window=32\n")
     monkeypatch.setenv("HPCWATCH_CONFIG", str(env_cfg))
     args = build_parser().parse_args(["detect", "--config", str(flag_cfg)])
-    assert _resolve_settings(args)["window"] == 32
+    assert _resolve_config(args).window == 32
 
 
 def test_builtin_settings_are_the_config_defaults(monkeypatch):
     monkeypatch.delenv("HPCWATCH_CONFIG", raising=False)
     args = build_parser().parse_args(["detect"])
-    assert _detector_config(_resolve_settings(args)) == DetectorConfig()
+    assert _resolve_config(args) == DetectorConfig()
 
 
 def test_config_value_that_does_not_parse_names_file_and_key(tmp_path, monkeypatch, capsys):
     path = tmp_path / "cfg"
     path.write_text("k=abc\n")
     with pytest.raises(ValueError, match=re.escape(f"{path}: setting 'k': invalid literal")):
-        _resolve_settings(build_parser().parse_args(["detect", "--config", str(path)]))
+        _resolve_config(build_parser().parse_args(["detect", "--config", str(path)]))
     assert detect_on("", monkeypatch, "--config", str(path)) == EXIT_ERROR
     assert f"{path}: setting 'k'" in capsys.readouterr().err
 
 
 def test_events_setting_splits_and_strips():
     args = build_parser().parse_args(["detect", "--events", "LLC-loads, bus-cycles"])
-    assert _resolve_settings(args)["events"] == ["LLC-loads", "bus-cycles"]
+    assert _resolve_config(args).counters == ("LLC-loads", "bus-cycles")
+
+
+def test_the_settings_table_names_each_config_field_once():
+    assert sorted(field for field, *_ in _SETTINGS.values()) == sorted(
+        f.name for f in dataclasses.fields(DetectorConfig)
+    )
+
+
+def test_each_subcommand_keeps_its_option_strings():
+    detector = ["--k", "--delta", "--window", "--top", "--coalesce"]
+    shared = ["--interval", "--events", "--config"]
+    subparsers = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert {
+        name: [s for action in p._actions for s in action.option_strings]
+        for name, p in subparsers.choices.items()
+    } == {
+        "analyze": ["-h", "--help", "--out", "--plot", "--mark", *detector, *shared],
+        "detect": ["-h", "--help", *detector, *shared],
+        "synth": ["-h", "--help", "--seed", "--duration", "--attack-at", "--magnitude",
+                  "--width", "--out", *shared],
+        "eval": ["-h", "--help", "--tolerance", *shared],
+        "capture": ["-h", "--help", "--pid", "--duration", "--out", "--profiler", *shared],
+    }
 
 
 def test_coalesce_keeps_first_of_each_run():
@@ -266,8 +295,12 @@ def test_analyze_plot_circles_the_outliers_csv_rows(tmp_path):
         ("cpu_core/instructions/", "cpu_core%2Finstructions%2F.svg"),
         ("../x", "..%2Fx.svg"),
         ("a&b<c>~%", "a%26b%3Cc%3E%7E%25.svg"),
+        # 781 characters encoded, past a 255-byte name limit: cut, less the
+        # escape the cut split, and marked with the full name's digest
+        ("a" + "/" * 260, "a" + "%2F" * 77
+         + "~" + hashlib.sha256(b"a" + b"/" * 260).hexdigest()[:16] + ".svg"),
     ],
-    ids=["pmu", "hybrid-pmu", "parent-dir", "xml-and-percent"],
+    ids=["pmu", "hybrid-pmu", "parent-dir", "xml-and-percent", "past-name-limit"],
 )
 def test_analyze_plot_keeps_each_chart_in_out(event, chart, tmp_path, capsys):
     # perf qualifies events with their PMU, so a name may hold a slash, or
@@ -289,6 +322,31 @@ def test_analyze_plot_keeps_each_chart_in_out(event, chart, tmp_path, capsys):
     assert sorted(os.listdir(tmp_path)) == ["report", "trace.csv"]
     svg = ET.parse(out / chart).getroot()
     assert svg.find("{http://www.w3.org/2000/svg}text").text == event
+
+
+def test_analyze_writes_outliers_csv_before_the_charts(tmp_path, monkeypatch, capsys):
+    from hpcwatch import cli
+
+    def refuse(*args):
+        raise OSError("chart refused")
+
+    monkeypatch.setattr(cli, "emit_plot", refuse)
+    main(["synth", "--seed", "4", "--duration", "5", "--out", str(tmp_path / "trace")])
+    out = tmp_path / "report"
+    assert main(["analyze", *trace_files(tmp_path), "--out", str(out), "--plot"]) == EXIT_ERROR
+    assert capsys.readouterr().err == "error: chart refused\n"
+    assert sorted(os.listdir(out)) == ["alerts.csv", "attack_factor.csv", "outliers.csv"]
+
+
+@pytest.mark.parametrize("mark", ["inf", "nan"])
+def test_analyze_mark_must_be_finite(mark, tmp_path, capsys):
+    main(["synth", "--seed", "4", "--duration", "5", "--out", str(tmp_path / "trace")])
+    out = tmp_path / "report"
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", *trace_files(tmp_path), "--out", str(out), "--plot", "--mark", mark])
+    assert exc.value.code == EXIT_ERROR
+    assert not out.exists()
+    assert f"argument --mark: invalid finite float value: '{mark}'" in capsys.readouterr().err
 
 
 def test_analyze_plot_ranks_each_counter_once(tmp_path, monkeypatch):
@@ -972,6 +1030,41 @@ def test_counter_named_twice_exits_one(tmp_path, monkeypatch, capsys):
     assert captured.out.count("\n") == 1  # synth's line only: detect printed no row
 
 
+@pytest.mark.parametrize("interval", ["0", "-0.1", "nan", "inf"])
+def test_eval_rejects_an_interval_that_is_not_finite_and_positive(interval, tmp_path, capsys):
+    # the sidecar names no interval, so the alert times would be read on the flag's
+    truth = tmp_path / "truth.txt"
+    truth.write_text("attack_tick=150\naffected=LLC-loads\n")
+    alerts = tmp_path / "alerts.csv"
+    alerts.write_text("eval_time,f,threshold,counters\n15,2,1.5,LLC-loads\n")
+    assert main(["eval", str(alerts), str(truth), "--interval", interval]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: tick_interval must be (> 0|finite), got \S+\n", captured.err)
+
+
+def test_an_infinite_interval_exits_one(tmp_path, monkeypatch, capsys):
+    main(["synth", "--seed", "4", "--duration", "30", "--attack-at", "15",
+          "--out", str(tmp_path / "trace")])
+    out = tmp_path / "report"
+    infinite = ["--interval", "inf"]
+    assert main(["analyze", *trace_files(tmp_path), "--out", str(out), *infinite]) == EXIT_ERROR
+    assert not out.exists()
+    assert detect_on(interleaved(tmp_path), monkeypatch, *infinite) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == "error: tick_interval must be finite, got inf\n" * 2
+    assert captured.out.count("\n") == 1  # synth's line only: detect printed no row
+
+
+def test_a_config_analyze_rejects_fails_synth_too(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("k=1\n")
+    out = tmp_path / "trace"
+    assert main(["synth", "--config", str(cfg), "--out", str(out)]) == EXIT_ERROR
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: k must be >= 2, got 1\n"
+
+
 def test_synth_counter_named_twice_exits_one_and_writes_nothing(tmp_path, capsys):
     out = tmp_path / "trace"
     rc = main(["synth", "--events", "LLC-loads,LLC-loads", "--out", str(out)])
@@ -1130,6 +1223,20 @@ def test_analyze_no_samples_exits_one(tmp_path, capsys):
 def test_capture_needs_target(capsys):
     assert main(["capture"]) == EXIT_ERROR
     assert "needs --pid or a command" in capsys.readouterr().err
+
+
+def test_capture_rejects_a_zero_interval_before_launching(tmp_path, capsys):
+    record = tmp_path / "launched"
+    profiler = tmp_path / "profiler"
+    profiler.write_text(f'#!/bin/sh\necho "$@" > {record}\n')
+    profiler.chmod(0o755)
+    capture = ["capture", "--profiler", str(profiler), "--out", str(tmp_path / "cap.csv")]
+    assert main([*capture, "--interval", "0.05", "--", "true"]) == EXIT_OK
+    assert " -I 50 " in record.read_text()
+    record.unlink()
+    assert main([*capture, "--interval", "0", "--", "true"]) == EXIT_ERROR
+    assert not record.exists()
+    assert capsys.readouterr().err == "error: tick_interval must be > 0, got 0.0\n"
 
 
 def test_capture_missing_profiler_exits_two(tmp_path, capsys):

@@ -86,6 +86,7 @@ def test_replaced_config_warmup_follows_k():
         {"delta_threshold": 1.0},
         {"delta_threshold": 0.5},
         {"tick_interval": 0.0},
+        {"tick_interval": math.inf},
         {"counters": ()},
         {"coalesce": -1},
         {"top_n": 0},

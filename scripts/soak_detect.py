@@ -4,26 +4,35 @@
 
 Pipes a synthetic stream (six counters at their synth baseline levels, 3%
 log-normal jitter, one line per counter per 100 ms tick) into one
-`hpcwatch detect` process.  Each tick also brings three hostile lines: an
-event named in no other line, a `<not counted>` readout of a counter half
-a tick later, and a line that does not parse.  At each quarter of the
-stream it prints the lines written so far, the quarter's lines/s and the
-child's resident set size (VmRSS from /proc/<pid>/status, so Linux only).
-Exits 1 if the RSS at the last quarter exceeds the first quarter's by more
-than 10%, or if `detect` fails.  `detect` reads the pipe one block of at
-most 8 KiB at a time and scores each block's windows in stacks of at most
-64, so a bounded detector holds its windows, score maps, window stack and
-partial line at a fixed size however long the stream runs, and keeps
-nothing of an event it does not score.
+`hpcwatch detect` process, in blocks of 1000 ticks with a gap of 10**4
+ticks before each.  Every other block is hostile: each of its ticks also
+brings three lines, an event named in no other line, a `<not counted>`
+readout of a counter half a tick later, and a line that does not parse.
+`detect` reads a clean block's reads as columns and a hostile one's line
+by line.  At each quarter of the stream it prints the lines written so
+far, the quarter's lines/s and the child's resident set size (VmRSS from
+/proc/<pid>/status, so Linux only); at the end, the lines/s of the clean
+and of the hostile blocks.  After each block the writer waits until the
+child has read the whole pipe and sleeps for more (its state in
+/proc/<pid>/stat), so a block's time is that of its own lines.  Exits 1 if the RSS at
+the last quarter exceeds the first quarter's by more than 10%, or if
+`detect` fails.  `detect` reads the pipe one block of at most 8 KiB at a
+time, runs its windows at least every 4096 lines and scores them in
+stacks of at most 64, so a bounded detector holds its windows, score
+maps, pending lines, window stack and partial line at a fixed size however
+long the stream runs, and keeps nothing of an event it does not score.
 """
 
 from __future__ import annotations
 
 import argparse
+import fcntl
 import math
 import os
+import struct
 import subprocess
 import sys
+import termios
 import time
 from pathlib import Path
 
@@ -41,6 +50,7 @@ LEVELS = {
 }
 GROWTH_LIMIT = 1.10
 BLOCK_TICKS = 1000  # ticks generated and written at a time
+GAP_TICKS = 10**4  # ticks with no line before each block
 
 
 def vm_rss_kib(pid: int) -> int:
@@ -50,28 +60,46 @@ def vm_rss_kib(pid: int) -> int:
     raise RuntimeError(f"no VmRSS for pid {pid}")
 
 
+def settle(child: subprocess.Popen) -> None:
+    """Wait until ``child`` has read every byte written to its stdin and
+    sleeps, waiting for more, or has exited."""
+    fd = child.stdin.fileno()
+    stat = Path(f"/proc/{child.pid}/stat")
+    while child.poll() is None:
+        unread = struct.unpack("i", fcntl.ioctl(fd, termios.FIONREAD, b"\0" * 4))[0]
+        # the state follows the parenthesized command name
+        if not unread and stat.read_text().rpartition(")")[2].split()[0] == "S":
+            return
+        time.sleep(0.0005)
+
+
 def blocks(n_lines: int, seed: int):
-    """Text blocks of the stream, BLOCK_TICKS ticks each, n_lines in all."""
+    """Text blocks of the stream, BLOCK_TICKS ticks each, n_lines in all,
+    each with whether it is hostile."""
     rng = np.random.default_rng(seed)
     names = list(LEVELS)
     logs = np.log([LEVELS[name] for name in names])
     written = 0
     tick = 1
+    hostile = False
     while written < n_lines:
+        tick += GAP_TICKS
         deltas = np.rint(rng.lognormal(logs, 0.03, (BLOCK_TICKS, len(names)))).astype(np.int64)
         lines = []
         for i, row in enumerate(deltas.tolist()):
             t = tick + i
             lines += [f"{t * TICK_S:.1f},{delta},{name}\n" for name, delta in zip(names, row)]
-            lines += [
-                f"{t * TICK_S:.1f},{row[0]},uncore_{t}/clockticks/\n",
-                f"{(t + 0.5) * TICK_S:.2f},<not counted>,{names[t % len(names)]}\n",
-                f"garbage {t}\n",
-            ]
+            if hostile:
+                lines += [
+                    f"{t * TICK_S:.1f},{row[0]},uncore_{t}/clockticks/\n",
+                    f"{(t + 0.5) * TICK_S:.2f},<not counted>,{names[t % len(names)]}\n",
+                    f"garbage {t}\n",
+                ]
         lines = lines[: n_lines - written]
         written += len(lines)
         tick += BLOCK_TICKS
-        yield lines
+        yield lines, hostile
+        hostile = not hostile
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -91,11 +119,19 @@ def main(argv: list[str] | None = None) -> int:
     marks = [math.ceil(args.lines * q / 4) for q in (1, 2, 3, 4)]
     rss: list[int] = []
     written = 0
+    settle(child)  # imported, and waiting for input
     started = last = time.perf_counter()
     last_written = 0
+    # per kind of block, clean and hostile: lines written and seconds taken
+    kinds = {False: [0, 0.0], True: [0, 0.0]}
     try:
-        for block in blocks(args.lines, args.seed):
+        for block, hostile in blocks(args.lines, args.seed):
+            block_started = time.perf_counter()
             child.stdin.writelines(block)
+            child.stdin.flush()
+            settle(child)
+            kinds[hostile][0] += len(block)
+            kinds[hostile][1] += time.perf_counter() - block_started
             written += len(block)
             while len(rss) < 4 and written >= marks[len(rss)]:
                 child.stdin.flush()
@@ -114,6 +150,10 @@ def main(argv: list[str] | None = None) -> int:
         raise
     elapsed = time.perf_counter() - started
     print(f"total: {written} lines in {elapsed:.1f} s, {written / elapsed:.0f} lines/s")
+    for hostile, (lines, seconds) in kinds.items():
+        if seconds:
+            print(f"{'hostile' if hostile else 'clean'} blocks: {lines} lines, "
+                  f"{lines / seconds:.0f} lines/s")
     if code not in (0, 3):
         print(f"detect exited {code}: {stderr.strip()}", file=sys.stderr)
         return 1

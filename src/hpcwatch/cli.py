@@ -4,9 +4,14 @@ Subcommands: analyze (offline report over trace files), detect (streaming
 alerts from stdin), synth (seeded trace generation), eval (score alerts
 against ground truth), capture (wrap an external interval profiler).
 
-detect reads stdin one read at a time: the lines of each read are pushed
-into the ``Detector``, which is polled once, and the rows it returns are
-written and flushed as one block before the next read.
+detect reads stdin one read at a time and hands each read's lines to the
+``Detector`` as columns (``parse_block``), or, if the block parser declines
+the read, line by line.  It polls the detector, and writes and flushes the
+rows it returns as one block, once stdin has nothing more waiting or once
+BLOCK lines have come since the last poll; a stream that ``select`` cannot
+watch is polled after every read.  A live ``perf stat -I`` pipe is idle
+after each interval, so its rows print as soon as that read is processed;
+a backlog, such as a file replay, is scored BLOCK lines at a time.
 
 Exit codes: 0 clean, 3 one or more alerts raised, 1 usage or data error,
 2 capture environment error.  Code 3 keeps "detection" distinguishable from
@@ -36,6 +41,7 @@ from typing import Callable, Iterator, Sequence
 from urllib.parse import quote
 
 from .detector import (
+    BLOCK,
     Alert,
     Detector,
     DetectorConfig,
@@ -61,6 +67,7 @@ from .trace import (
     Trace,
     align,
     merge_traces,
+    parse_block,
     parse_file,
     parse_line,  # unused here; bench/tracing.py hooks it by this name
     read_samples,
@@ -262,15 +269,33 @@ def _read_blocks(stream) -> Iterator[list[str]]:
         yield [tail]
 
 
+def _input_waiting(stream) -> Callable[[], bool]:
+    """A check whether more of ``stream`` can be read at once: ``select``
+    with a zero timeout on its file descriptor.  A stream without one that
+    ``select`` takes never has input waiting."""
+    import select
+
+    try:
+        fd = stream.fileno()
+        select.select([fd], [], [], 0)
+    except (AttributeError, OSError, ValueError):
+        return lambda: False
+    return lambda: bool(select.select([fd], [], [], 0)[0])
+
+
 def cmd_detect(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     detector = Detector(config)
     diags = ParseDiagnostics()
+    # errors are counted, not kept, and only the counters' order is
+    # checked: a live stream may be malformed, or name new events, for days
+    last_ts: dict[str, float] = {}
+    interval = config.tick_interval
     alert_count = 0
     malformed = 0
 
     def emit(alerts: Sequence[Alert]) -> None:
-        # one write per read: an unbuffered stdout makes a syscall of each
+        # one write per poll: an unbuffered stdout makes a syscall of each
         nonlocal alert_count
         if not alerts:
             return
@@ -278,21 +303,35 @@ def cmd_detect(args: argparse.Namespace) -> int:
         sys.stdout.write("".join(",".join(alert_row(alert)) + "\n" for alert in alerts))
         sys.stdout.flush()
 
-    def lines() -> Iterator[str]:
-        # a block's rows print once all its lines are pushed, before the
-        # next read
-        for block in _read_blocks(args.stream):
-            yield from block
+    waiting = _input_waiting(args.stream)
+    reads = _read_blocks(args.stream)
+    unpolled = 0  # lines read since the last poll
+    while True:
+        try:
+            lines = next(reads, None)
+        except (ValueError, OSError):
+            # an unreadable read ends the stream after the rows of every
+            # read before it
             emit(detector.poll())
-
-    # errors are counted, not kept, and only the counters' order is
-    # checked: a live stream may be malformed, or name new events, for days
-    interval = config.tick_interval
-    for item in read_samples(lines(), diags, config.counters):
-        if type(item) is LineError:
-            malformed += 1
+            raise
+        if lines is None:
+            break
+        block = parse_block(lines, diags, last_ts, config.counters, interval)
+        if block is not None:
+            detector.extend(block.events, block.codes, block.ticks, block.deltas)
         else:
-            detector.push(item.event, tick_of(item.timestamp, interval), item.delta)
+            # line by line, after the rows of every read before it, so that
+            # a line that ends the stream leaves them printed
+            emit(detector.poll())
+            for item in read_samples(lines, diags, config.counters, last_ts):
+                if type(item) is LineError:
+                    malformed += 1
+                else:
+                    detector.push(item.event, tick_of(item.timestamp, interval), item.delta)
+        unpolled += len(lines)
+        if unpolled >= BLOCK or not waiting():
+            emit(detector.poll())
+            unpolled = 0
     emit(detector.finish())
 
     if malformed:

@@ -7,12 +7,13 @@ computed.  The scores for one evaluated tick are averaged into a single
 attack factor f, and f above the configured threshold raises an alert.
 
 One ``Detector`` runs that tick loop for both drivers, on blocks of lines:
-``detect`` pushes every parsed sample into it, ``run_offline`` runs every
-aligned value in tick order and keeps f as arrays.  One rule says which
-scores count: a score counts iff it is computed before the clock passes
-the tick that reads it (its eval tick + lag); of two scores for one counter
-and tick, the later counts.  ``run_offline`` also ranks each counter's
-whole aligned column once, for ``outliers.csv`` and the charts.
+``detect`` hands it each read's parsed lines, as columns or one at a time,
+``run_offline`` runs every aligned value in tick order and keeps f as
+arrays.  One rule says which scores count: a score counts iff it is
+computed before the clock passes the tick that reads it (its eval tick +
+lag); of two scores for one counter and tick, the later counts.
+``run_offline`` also ranks each counter's whole aligned column once, for
+``outliers.csv`` and the charts.
 ``push_value`` (through ``lof_scores``), ``evaluate_tick`` and
 ``threshold_check`` score, average and threshold one window and one tick
 at a time; they are the reference the ``Detector`` is tested against.
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Mapping, MutableSequence, Sequence
 
@@ -38,14 +39,15 @@ from .lof import LofResult, lof_all, lof_at, lof_scores, top_n_outliers
 from .trace import AlignedTrace, Sample, tick_of
 
 # Most windows per lof_at call.  Stacking 64 50-point windows cuts the cost
-# per window about tenfold against one at a time.  Past 128 the stacked
-# tables outgrow the cache: on a 2-core x86 host, interleaved benchmark
-# windows cost 5.9, 4.6, 3.9, 5.8 and 5.6 us each at 32, 64, 128, 256 and
-# 512 windows per call.
+# per window about tenfold against one at a time.  Larger stacks cost less
+# per window still, but lof_at's tables grow with the stack: on a 2-core
+# x86 host, detect's runs of the benchmark stream (scripts/kernel_bench.py)
+# cost 5.3, 4.2, 3.6 and 3.4 us a window at 32, 64, 128 and 256 windows per
+# call, and detect's peak RSS rises 0.6 MB at 128 and 1.5 MB at 256.
 CHUNK = 64
 
-# Lines ``Detector.push`` gathers before it runs them, and most lines per
-# ``Detector.run`` call in ``run_offline``.
+# Lines the ``Detector`` gathers from ``push`` and ``extend`` before it runs
+# them, and most lines per ``Detector.run`` call in ``run_offline``.
 BLOCK = 4096
 
 
@@ -231,14 +233,20 @@ class Detector:
     follows the last alert raised within ``coalesce`` ticks.  So how the
     lines are cut into blocks changes no point and no alert.
 
+    A run stacks the windows its lines complete across counters, those of
+    one length together (the full ones, and the warm-up ones of each
+    length), at most CHUNK to a ``lof_at`` call; a score depends only on its
+    own window, so the stacking changes no bit.
+
     ``push`` takes one parsed line, or one aligned value: its event name,
-    tick and delta.  A line of an unconfigured event or with an uncounted
-    delta is ignored, as ``align`` gives it no tick: it neither scores nor
-    moves the clock.  Pushed lines are run BLOCK at a time.  ``poll`` runs
-    them and hands over the alerts raised since the last call; ``finish``
-    also evaluates the newest tick at end of input.  ``points``, if given,
-    is three columns that receive the eval tick, f and contributing count
-    of every evaluated tick with a score, in tick order.
+    tick and delta; ``extend`` takes a block of parsed lines as columns.
+    A line of an unconfigured event or with an uncounted delta is ignored,
+    as ``align`` gives it no tick: it neither scores nor moves the clock.
+    Both gather lines into one buffer, run once BLOCK lines are pending.
+    ``poll`` runs them and hands over the alerts raised since the last call;
+    ``finish`` also evaluates the newest tick at end of input.  ``points``,
+    if given, is three columns that receive the eval tick, f and
+    contributing count of every evaluated tick with a score, in tick order.
     """
 
     def __init__(
@@ -267,7 +275,23 @@ class Detector:
         counters.append(counter)
         ticks.append(tick)
         deltas.append(delta)
-        if len(counters) == BLOCK:
+        if len(counters) >= BLOCK:
+            self._run_pushed()
+
+    def extend(
+        self, events: Sequence[str], codes: np.ndarray, ticks: np.ndarray, deltas: np.ndarray
+    ) -> None:
+        """A block of parsed lines as columns, as ``push`` takes them one at
+        a time: each line's event as its index into ``events``, its tick
+        and its delta, every one counted.  Ticks must be integers: a float
+        column, such as timestamps, is a ``TypeError``."""
+        lookup = np.array([self._index.get(name, -1) for name in events], dtype=np.int64)
+        counters = lookup[codes]
+        kept = counters >= 0
+        for column, values in zip(self._pushed, (counters, ticks, deltas)):
+            # in the column's own type; a cast that could lose a value raises
+            column.frombytes(values[kept].astype(column.typecode, casting="safe", copy=False).tobytes())
+        if len(self._pushed[0]) >= BLOCK:
             self._run_pushed()
 
     def poll(self) -> Sequence[Alert]:
@@ -297,41 +321,72 @@ class Detector:
         clock = np.maximum.accumulate(ticks)
         if self._clock is not None:
             np.maximum(clock, self._clock, out=clock)
-        landed = [self._pending]
+        window, lagged = self.config.window, self._lag
+        # per counter, in counter order: its samples to score from, the
+        # first of them past warm-up and the first that ends a full window,
+        # and the eval ticks of the scores that count by the rule: eval
+        # tick + lag, the tick that reads a score, is not behind the clock
+        # at the line that computed it
+        samples, counted = [], []
         for counter in np.flatnonzero(np.bincount(counters)).tolist():
             lines = np.flatnonzero(counters == counter)
-            eval_ticks, scores = self._score(counter, ticks[lines], deltas[lines])
-            scored = lines[lines.shape[0] - scores.shape[0]:]  # the lines past warm-up
-            # the rule: eval tick + lag, the tick that reads the score, is
-            # not behind the clock at the line that computed it
-            on_time = eval_ticks >= clock[scored] - self._lag
-            landed.append((np.full(np.count_nonzero(on_time), counter), eval_ticks[on_time],
-                           scores[on_time]))
+            tail_ticks, tail_values, count = self._tails[counter]
+            held = tail_values.shape[0]  # values[0] is sample count - held
+            c_ticks = np.concatenate((tail_ticks, ticks[lines]))
+            values = np.concatenate((tail_values, deltas[lines]))
+            self._tails[counter] = (
+                c_ticks[1 - window:].copy(), values[1 - window:].copy(), count + lines.shape[0]
+            )
+            start = max(held, self.config.warmup - 1 - count + held)
+            ends = np.arange(start, values.shape[0])
+            eval_ticks = c_ticks[ends - lagged]
+            on_time = eval_ticks >= clock[lines[ends - held]] - lagged
+            samples.append((values, start, max(start, window - 1 - count + held)))
+            counted.append((counter, eval_ticks[on_time], on_time))
+        landed = [self._pending]
+        for (counter, eval_ticks, on_time), scores in zip(counted, self._score(samples)):
+            landed.append((np.full(eval_ticks.shape[0], counter), eval_ticks, scores[on_time]))
         self._clock = int(clock[-1])
         self._evaluate(landed)
 
-    def _score(
-        self, counter: int, new_ticks: np.ndarray, new_deltas: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Eval ticks and scores of the windows that the counter's new
-        samples past warm-up complete, in sample order."""
+    def _score(self, samples: list[tuple[np.ndarray, int, int]]) -> list[np.ndarray]:
+        """Per counter, the scores of the windows that its samples from the
+        first to score on end, in sample order.
+
+        ``samples`` holds per counter its samples, the first of them to
+        score and the first that ends a full window; before that one, a
+        window holds every sample so far, as the tail holds them all then.
+        Windows of one length, the full ones and the warm-up ones of each
+        length, are stacked across counters, at most CHUNK per ``lof_at``
+        call.
+        """
         k, window, lagged = self.config.k, self.config.window, self._lag
-        tail_ticks, tail_values, count = self._tails[counter]
-        ticks = np.concatenate((tail_ticks, new_ticks))
-        values = np.concatenate((tail_values, new_deltas))
-        self._tails[counter] = (
-            ticks[1 - window:].copy(), values[1 - window:].copy(), count + new_ticks.shape[0]
-        )
-        n, first = values.shape[0], count - tail_values.shape[0]  # values[0] is sample `first`
-        start = max(tail_values.shape[0], self.config.warmup - 1 - first)  # first one to score
-        full = max(start, window - 1 - first)  # first full window
-        # a warm-up window, shorter, is scored alone
-        parts = [lof_at(values[None, :end + 1], k, end - lagged)
-                 for end in range(start, min(full, n))]
-        windows = sliding_window_view(values, window)[full - window + 1:] if full < n else ()
-        parts += [lof_at(windows[i:i + CHUNK], k, window - 1 - lagged)
-                  for i in range(0, len(windows), CHUNK)]
-        return ticks[start - lagged:n - lagged], np.concatenate(parts) if parts else np.empty(0)
+        scores = [np.empty(max(0, values.shape[0] - start)) for values, start, _ in samples]
+        # per window length, each counter's windows and where their scores go
+        by_size: defaultdict[int, list[tuple[np.ndarray, np.ndarray]]] = defaultdict(list)
+        for (values, start, full), out in zip(samples, scores):
+            for end in range(start, min(full, values.shape[0])):
+                by_size[end + 1].append((values[None, :end + 1], out[end - start:][:1]))
+            if full < values.shape[0]:
+                by_size[window].append(
+                    (sliding_window_view(values, window)[full + 1 - window:], out[full - start:])
+                )
+        for size, parts in by_size.items():
+            stacks, room = [[]], CHUNK
+            for windows, out in parts:
+                while windows.shape[0]:
+                    take = min(room, windows.shape[0])
+                    stacks[-1].append((windows[:take], out[:take]))
+                    windows, out, room = windows[take:], out[take:], room - take
+                    if not room:
+                        stacks.append([])
+                        room = CHUNK
+            for stack in filter(None, stacks):
+                got = lof_at(np.concatenate([windows for windows, _ in stack]), k,
+                             size - 1 - lagged)
+                for _, out in stack:
+                    out[:], got = got[:out.shape[0]], got[out.shape[0]:]
+        return scores
 
     def _evaluate(self, landed: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> None:
         """Keep the later of two scores for one counter and tick, and turn

@@ -30,9 +30,9 @@ Three kernels compute the same numbers:
   cases in form, and builds one distance row for the point and one for
   each of its m neighbors (O(n*m) per window, however wide the stack's
   other neighborhoods are).  It serves the ``Detector``'s window scoring
-  for both drivers: a warm-up window alone, and a counter's full windows
-  in stacks of up to 64, cut from a sliding view of its newest samples in
-  a block of lines.
+  for both drivers: the full windows a run of lines completes, across
+  counters, in stacks of up to 64, and the warm-up windows of one length
+  across counters in one stack.
 * ``_sorted_kernel`` sorts once, bisects each point's neighborhood as a
   run of the sorted values, and walks those runs: O(n log n + n*k) time,
   and O(n) memory plus one block of at most BLOCK neighborhood members,

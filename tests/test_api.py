@@ -61,3 +61,48 @@ def test_every_benchmark_hook_target_is_callable(monkeypatch):
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert not missing, f"bench/tracing.py hooks names that are gone: {missing}"
+
+
+# Regular-expression syntax that ``re`` reads only from Python 3.11 on.
+NEWER_REGEX_SYNTAX = {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"}
+
+
+def regex_opcodes(pattern: str) -> set[str]:
+    """The names of the opcodes ``re`` parses a pattern into."""
+    parser = getattr(re, "_parser", None) or importlib.import_module("sre_parse")
+
+    def walk(node):
+        if isinstance(node, parser.SubPattern):
+            node = node.data
+        if isinstance(node, (list, tuple)):
+            for item in node:
+                yield from walk(item)
+        elif isinstance(node, int) and type(node) is not int:  # a named opcode
+            yield str(node)
+
+    return set(walk(parser.parse(pattern)))
+
+
+def test_no_regex_needs_a_newer_python_than_the_package_declares():
+    # pyproject.toml declares Python 3.10, where a possessive quantifier or
+    # an atomic group fails to compile, and the module holding it to import
+    declared = re.search(r'requires-python = ">=3\.(\d+)"',
+                         (ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    assert declared and int(declared[1]) < 11, "3.11 syntax is allowed now; drop this test"
+    if sys.version_info >= (3, 11):
+        assert NEWER_REGEX_SYNTAX <= regex_opcodes(r"(?:a)*+(?>b)")  # the check sees them
+    calls = {"compile", "search", "match", "fullmatch", "findall", "finditer", "split", "sub",
+             "subn"}
+    found = []
+    for path in [*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in calls and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "re" and node.args
+                    and isinstance(node.args[0], ast.Constant)
+                    and isinstance(node.args[0].value, str)):
+                found.append((path.name, node.lineno, node.args[0].value))
+    assert any(name == "trace.py" for name, _, _ in found)  # the block parser's own
+    newer = [(name, line) for name, line, pattern in found
+             if regex_opcodes(pattern) & NEWER_REGEX_SYNTAX]
+    assert not newer, f"regexes that need Python 3.11: {newer}"

@@ -27,7 +27,7 @@ from hpcwatch.cli import (
     load_config_file,
     main,
 )
-from hpcwatch.detector import Detector, DetectorConfig
+from hpcwatch.detector import BLOCK, Detector, DetectorConfig
 from hpcwatch.report import read_alerts_csv, read_attack_factor_csv, read_outliers_csv
 from reference import replay_detect
 
@@ -709,6 +709,88 @@ def test_detect_writes_each_reads_rows_at_once(monkeypatch):
     assert len(out.writes) == Out.flushes == polls_with_rows
 
 
+@pytest.mark.parametrize("waiting", [True, False], ids=["continuous", "idle"])
+def test_detect_holds_rows_back_at_most_a_block_of_lines(waiting, monkeypatch):
+    """stdin read one line per read, with more input always waiting, or
+    never: detect polls once BLOCK lines have come since its last poll, or
+    when input pauses, so a row prints at most BLOCK lines after the line
+    that completes it, or at that line, and the rows stay the same."""
+    lines, _ = jittered_stream()
+    # and again 70 s on, so rows fire on both sides of line BLOCK; every
+    # read is taken as columns
+    lines += [f"{float(ts) + 70:.1f},{rest}" for ts, rest in
+              (line.split(",", 1) for line in lines)]
+    expected, _ = replay_detect(lines)
+    assert expected[0][1] < BLOCK < expected[-1][1]
+
+    class OneLinePerRead:
+        read = 0
+
+        def read1(self, size: int) -> bytes:
+            if self.read == len(lines):
+                return b""
+            self.read += 1
+            return (lines[self.read - 1] + "\n").encode()
+
+    class Stdin:
+        buffer, encoding, errors = OneLinePerRead(), "utf-8", "strict"
+
+        def fileno(self) -> int:
+            return 0
+
+    class Recorder(io.StringIO):
+        printed: list[tuple[str, int]] = []
+
+        def write(self, text: str) -> int:
+            self.printed.extend((row, Stdin.buffer.read) for row in text.splitlines())
+            return len(text)
+
+    monkeypatch.setattr(select, "select", lambda r, w, x, timeout: (r if waiting else [], w, x))
+    monkeypatch.setattr("sys.stdin", Stdin())
+    monkeypatch.setattr("sys.stdout", Recorder())
+    assert main(["detect"]) == EXIT_ALERTS
+    printed = Recorder.printed
+    assert [row for row, _ in printed] == [row for row, _ in expected]
+    held_back = [at - fired for (_, at), (_, fired) in zip(printed, expected)]
+    if waiting:
+        assert 0 <= min(held_back) and 0 < max(held_back) < BLOCK, held_back
+    else:
+        assert set(held_back) == {0}
+
+
+@pytest.mark.parametrize("bad, error", [
+    (b"1e30,5,LLC-loads\n", "error: timestamp 1e+30 is past the int64 ticks"),
+    (b"\xff\n", "error: 'utf-8' codec can't decode byte 0xff"),
+], ids=["tick-past-int64", "undecodable"])
+def test_detect_ending_on_a_bad_read_prints_the_rows_of_every_read_before_it(
+    bad, error, monkeypatch, capsys
+):
+    # with more input always waiting, rows are held back, but a read that
+    # ends the stream prints them first, as polling after every read did
+    lines, _ = paced_stream()
+    at = 3000
+    expected, _ = replay_detect(lines)
+    reads = [(line + "\n").encode() for line in lines[:at]] + [bad]
+    assert [row for row, fired in expected if fired <= at]
+
+    class OneLinePerRead:
+        def read1(self, size: int) -> bytes:
+            return reads.pop(0) if reads else b""
+
+    class Stdin:
+        buffer, encoding, errors = OneLinePerRead(), "utf-8", "strict"
+
+        def fileno(self) -> int:
+            return 0
+
+    monkeypatch.setattr(select, "select", lambda r, w, x, timeout: (r, w, x))
+    monkeypatch.setattr("sys.stdin", Stdin())
+    assert main(["detect"]) == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [row for row, fired in expected if fired <= at]
+    assert err.startswith(error)
+
+
 def jittered_stream() -> tuple[list[str], int]:
     """Lines, and how many of them are malformed."""
     # the six default counters at their synth levels with 3% jitter, so a
@@ -723,6 +805,36 @@ def jittered_stream() -> tuple[list[str], int]:
             value = round(rng.lognormal(math.log(level), 0.03) * burst)
             lines.append(f"{tick * 0.1:.1f},{value},{name}")
     return lines, 0
+
+
+def test_detect_reads_perfs_own_capture_as_columns_after_its_header(monkeypatch, capsys):
+    # the file `capture` writes: perf's header, then its -x, -I layout,
+    # an empty unit field with the event fourth and run time and
+    # percentage after; only the read with the header goes line by line
+    import hpcwatch.cli as cli_module
+    from hpcwatch.trace import parse_block
+
+    lines, _ = jittered_stream()
+    expected, _ = replay_detect(lines)
+    perf = ["# started on Sun Apr 19 01:23:16 2015", ""] + [
+        f"{float(ts):16.9f},{delta},,{name},100104{i % 10},100.00,,"
+        for i, (ts, delta, name) in enumerate(line.split(",") for line in lines)
+    ]
+    taken = []
+
+    def spy(*args):
+        block = parse_block(*args)
+        taken.append(block is not None)
+        return block
+
+    monkeypatch.setattr(cli_module, "parse_block", spy)
+    data = "".join(line + "\n" for line in perf).encode()
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    assert main(["detect"]) == EXIT_ALERTS
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [row for row, _ in expected]
+    assert err == ""
+    assert taken[0] is False and all(taken[1:]) and len(taken) > 20, taken
 
 
 def polled_rows(
@@ -814,6 +926,41 @@ def test_detector_equals_the_reference_replay_on_fuzzed_streams():
         alerting += bool(expected)
         coalescing += bool(expected) and config.coalesce > 0
     assert alerting > 50 and coalescing > 20, (alerting, coalescing)
+
+
+def test_detect_reads_in_blocks_as_the_reference_replay_on_fuzzed_streams(monkeypatch, capsys):
+    # stdin read in pieces of random size, with input waiting at random,
+    # so reads are taken as columns or declined and polls come at any
+    # cadence: the rows and the malformed count stay the replay's
+    rng = np.random.default_rng(11)
+    for seed in range(60):
+        lines, config = fuzz_stream(seed)
+        expected, malformed = replay_detect(lines, config)
+        data = "".join(line + "\n" for line in lines).encode()
+
+        class Pieces:
+            at = 0
+
+            def read1(self, size: int) -> bytes:
+                piece = data[self.at:self.at + int(rng.integers(1, 400))]
+                self.at += len(piece)
+                return piece
+
+        class Stdin:
+            buffer, encoding, errors = Pieces(), "utf-8", "strict"
+
+            def fileno(self) -> int:
+                return 0
+
+        monkeypatch.setattr(select, "select",
+                            lambda r, w, x, timeout: (r if rng.random() < 0.7 else [], w, x))
+        monkeypatch.setattr("sys.stdin", Stdin())
+        flags = ["--k", str(config.k), "--window", str(config.window),
+                 "--coalesce", str(config.coalesce), "--events", ",".join(config.counters)]
+        assert main(["detect", *flags]) == (EXIT_ALERTS if expected else EXIT_OK)
+        out, err = capsys.readouterr()
+        assert out.splitlines() == [row for row, _ in expected], seed
+        assert err == (f"warning: {malformed} malformed lines skipped\n" if malformed else ""), seed
 
 
 def time_ordered_stream(seed: int) -> tuple[list[str], DetectorConfig]:

@@ -157,6 +157,36 @@ def test_push_sample_rejects_foreign_event():
         push_sample(state, sample, config)
 
 
+def test_extend_takes_columns_as_push_takes_lines():
+    # a spiky run of three configured counters and one that is not, fed
+    # line by line and as one block of columns
+    config = DetectorConfig()
+    rng = np.random.default_rng(5)
+    names = [*config.counters[:3], "cpu-cycles"]
+    codes = rng.integers(len(names), size=900)
+    ticks = np.arange(900) // 4
+    deltas = np.rint(rng.lognormal(5, 0.1, 900))
+    deltas[rng.random(900) < 0.01] *= 30
+
+    def run(feed):
+        points: tuple[list, list, list] = ([], [], [])
+        detector = Detector(config, points=points)
+        feed(detector)
+        alerts = list(detector.finish())
+        return list(zip(*points)), alerts
+
+    def push(detector):
+        for code, tick, delta in zip(codes.tolist(), ticks.tolist(), deltas.tolist()):
+            detector.push(names[code], tick, delta)
+
+    points, alerts = run(push)
+    assert points and alerts
+    assert run(lambda detector: detector.extend(names, codes, ticks, deltas)) == (points, alerts)
+    # timestamps are not ticks: a float column is refused, not read as int64
+    with pytest.raises(TypeError):
+        Detector(config).extend(names, codes, ticks * 0.1, deltas)
+
+
 def test_ring_is_bounded_by_window():
     config = DetectorConfig(window=20)
     state = WindowState(event=EV, window=config.window)

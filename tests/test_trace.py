@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import align_reference
+import hpcwatch.trace as trace_module
 import parse_reference
 from hpcwatch.events import CANDIDATE_EVENTS
 from hpcwatch.trace import (
@@ -27,6 +28,7 @@ from hpcwatch.trace import (
     align,
     iter_serialized,
     merge_traces,
+    parse_block,
     parse_line,
     parse_stream,
     read_samples,
@@ -533,3 +535,209 @@ def test_parsed_hour_of_one_event_holds_two_arrays():
     assert diags.samples_parsed == 36_000
     assert trace.deltas["LLC-loads"].tolist() == deltas.tolist()
     assert retained < 2**20, retained
+
+
+# ---------------------------------------------------------------------------
+# The block parser against the line reader
+# ---------------------------------------------------------------------------
+
+def read_by_line(lines, diags, last_ts, events=None, tick_interval=None):
+    """What ``parse_block`` must give for a block it takes, from
+    ``read_samples``: the events in order of first appearance, each line's
+    code, timestamp, delta and tick, or None if a line is not a counted
+    sample."""
+    names: dict[str, int] = {}
+    codes, stamps, deltas, ticks = [], [], [], []
+    for item in read_samples(lines, diags, events, last_ts):
+        if type(item) is not Sample or item.delta is None:
+            return None
+        codes.append(names.setdefault(item.event, len(names)))
+        stamps.append(item.timestamp)
+        deltas.append(float(item.delta))
+        if tick_interval is not None:
+            ticks.append(tick_of(item.timestamp, tick_interval))
+    return list(names), codes, stamps, deltas, ticks
+
+
+def assert_block_equals_lines(lines, last_ts, events=None, tick_interval=None):
+    """``parse_block`` declines the block and changes nothing, or takes it
+    as ``read_samples`` reads it; returns whether it took it."""
+    block_diags, line_diags = ParseDiagnostics(lines_read=3), ParseDiagnostics(lines_read=3)
+    block_last, line_last = dict(last_ts), dict(last_ts)
+    block = parse_block(lines, block_diags, block_last, events, tick_interval)
+    if block is None:
+        assert (block_diags, block_last) == (ParseDiagnostics(lines_read=3), last_ts)
+        return False
+    want = read_by_line(lines, line_diags, line_last, events, tick_interval)
+    assert want is not None, lines
+    names, codes, stamps, deltas, ticks = want
+    assert block.events == names
+    assert block.codes.tolist() == codes
+    assert block.stamps.tobytes() == np.array(stamps, dtype=np.float64).tobytes()
+    assert block.deltas.tobytes() == np.array(deltas).tobytes()
+    if tick_interval is None:
+        assert block.ticks is None
+    else:
+        assert block.ticks.tobytes() == np.array(ticks, dtype=np.int64).tobytes()
+    assert (block_diags, block_last) == (line_diags, line_last)
+    return True
+
+
+CLEAN_BLOCK = [
+    "0.1,1123,LLC-loads",
+    "     0.1,23917,bus-cycles",
+    "0.2,1100,LLC-loads\r",
+    "0.2,0023900,bus-cycles",
+    "1.,47, LLC-store-misses ",
+    "  1.5,52,,LLC-store-misses,1001043126,100.00,,",
+    "2.5,999999999999999,LLC-loads",
+]
+
+
+@pytest.mark.parametrize("line", [
+    "3.0,12,LLC-loads", "   3.25,12,LLC-loads", "3.000,12,LLC-loads\r", "3.,12,\x1cLLC-loads\x1c",
+    "0.3,12,cpu-cycles", "003.0,0,LLC-loads", "     3.000000000,12,,LLC-loads,1000,100.00,,",
+    "3.0,12, ,LLC-loads,1000,62.50,0.5,insn per cycle\r", "3.0,12,LLC-loads,1000,,",
+], ids=["plain", "leading-spaces", "crlf", "stripped-name", "new-event", "zeros", "perf-layout",
+        "perf-layout-blank-unit-crlf", "extra-fields"])
+def test_parse_block_takes_plain_data_lines(line):
+    assert assert_block_equals_lines([*CLEAN_BLOCK, line], {})
+    assert assert_block_equals_lines([line], {"LLC-loads": 0.25}, ("LLC-loads", "bus-cycles"),
+                                     0.1)
+
+
+# One case per rule: the clean block with this line appended, after
+# dTLB-loads at 0.05.
+DECLINED = {
+    "comment": "# started on Sun Apr 19 01:23:16 2015",
+    "blank": "",
+    "spaces-only": "   ",
+    "not-counted": f"3.0,{MISSING_DELTA_TOKEN},LLC-loads",
+    "not-supported": f"3.0,{UNSUPPORTED_DELTA_TOKEN},LLC-loads",
+    "perf-not-counted": f"3.0,{MISSING_DELTA_TOKEN},,LLC-loads,0,100.00,,",
+    "perf-empty-name": "3.0,12,,,1000,100.00,,",
+    "perf-unit-delta": "3.0,12.50,msec,task-clock,1000,100.00,,",
+    "two-fields": "3.0,12",
+    "tab-before-timestamp": "\t3.0,12,LLC-loads",
+    "space-after-timestamp": "3.0 ,12,LLC-loads",
+    "x1c-before-timestamp": "\x1c3.0,12,LLC-loads",
+    "space-in-delta": "3.0, 12,LLC-loads",
+    "underscore": "3.0,1_000,LLC-loads",
+    "exponent": "3e0,12,LLC-loads",
+    "sign": "+3.0,12,LLC-loads",
+    "negative-delta": "3.0,-12,LLC-loads",
+    "unicode-digit": "3.0,\u0661\u0662,LLC-loads",
+    "two-points": "3.0.1,12,LLC-loads",
+    "bare-point": ".,12,LLC-loads",
+    "empty-delta": "3.0,,LLC-loads",
+    "non-finite-timestamp": f"{'9' * 400},12,LLC-loads",
+    "delta-of-16-digits": "3.0,1234567890123456,LLC-loads",
+    "empty-name": "3.0,12, \r",
+    "stale": "2.5,12,LLC-loads",
+    "rewound": "2.4,12,LLC-loads",
+    "stale-after-last-block": "0.05,12,dTLB-loads",
+    "line-feed-inside": "3.0,12,LLC-loads\n3.1,13,LLC-loads",
+    "line-feed-after-garbage": "garbage\n3.1,13,LLC-loads",
+}
+
+
+@pytest.mark.parametrize("line", DECLINED.values(), ids=DECLINED.keys())
+def test_parse_block_declines(line):
+    # read as parse_stream reads, and as detect does: with four events
+    # held and ticks of 0.1 s
+    last_ts = {"dTLB-loads": 0.05}
+    held = ("LLC-loads", "bus-cycles", "LLC-store-misses", "dTLB-loads")
+    for events, tick_interval in ((None, None), (held, 0.1)):
+        assert not assert_block_equals_lines([*CLEAN_BLOCK, line], last_ts, events, tick_interval)
+        # the clean block alone is taken
+        assert assert_block_equals_lines(CLEAN_BLOCK, last_ts, events, tick_interval)
+
+
+def test_parse_block_declines_a_tick_past_int64():
+    # for tick_of, which raises on that line after the lines before it
+    lines = [*CLEAN_BLOCK, "1000000000000000000,12,cpu-cycles"]
+    assert not assert_block_equals_lines(lines, {}, ("LLC-loads",), 0.1)
+    assert assert_block_equals_lines(lines, {}, ("LLC-loads",), 1e5)
+    assert assert_block_equals_lines(lines, {})
+
+
+def test_parse_block_holds_only_the_held_events_to_order():
+    # a stale line of an event no one holds reads as a sample
+    lines = [*CLEAN_BLOCK, "2.5,12,cpu-cycles", "2.5,13,cpu-cycles"]
+    assert assert_block_equals_lines(lines, {}, ("LLC-loads",))
+    assert not assert_block_equals_lines(lines, {})
+
+
+def fuzz_lines(rng, n: int, bad: float) -> list[str]:
+    """Data lines of three events in mixed spellings; a ``bad`` share of
+    them are decline cases or repeat their event's last timestamp."""
+    names = ["LLC-loads", "bus-cycles", "cpu-cycles"]
+    last = {name: 0.0 for name in names}
+    lines = []
+    for _ in range(n):
+        name = names[int(rng.integers(3))]
+        roll = rng.random()
+        if roll < bad / 2:
+            lines.append(list(DECLINED.values())[int(rng.integers(len(DECLINED)))])
+            continue
+        stamp = last[name] if roll < bad else last[name] + float(rng.integers(1, 300)) / 1000
+        last[name] = stamp
+        text = f"{stamp:.3f}" if rng.random() < 0.8 else f"{' ' * int(rng.integers(4))}{stamp!r}"
+        delta = str(int(rng.integers(0, 10**int(rng.integers(1, 16)))))
+        # now and then perf's layout: an empty unit field, the event fourth
+        event = f",{name},1000,100.00,," if rng.random() < 0.2 else name
+        end = "\r" if rng.random() < 0.1 else ""
+        lines.append(f"{text},{delta},{event}{end}")
+    return lines
+
+
+def by_line_stream(lines) -> tuple[Trace, ParseDiagnostics]:
+    """``parse_stream`` through ``read_samples`` alone, one line at a time."""
+    diags = ParseDiagnostics()
+    columns: dict[str, tuple[list, list]] = {}
+    for item in read_samples(lines, diags):
+        if type(item) is LineError:
+            diags.malformed.append((item.line_no, item.reason))
+        else:
+            stamps, deltas = columns.setdefault(item.event, ([], []))
+            stamps.append(item.timestamp)
+            deltas.append(math.nan if item.delta is None else float(item.delta))
+    return Trace({name: np.array(s, dtype=np.float64) for name, (s, _) in columns.items()},
+                 {name: np.array(d, dtype=np.float64) for name, (_, d) in columns.items()}), diags
+
+
+def test_parse_block_equals_read_samples_on_fuzzed_blocks():
+    # a stream cut into blocks of random length, each read by parse_block
+    # or, declined, by read_samples, keeps the per-line reading's state
+    rng = np.random.default_rng(2024)
+    taken = declined = 0
+    for _ in range(150):
+        lines = fuzz_lines(rng, 400, 0.06)
+        for events, tick_interval in ((None, None), (("LLC-loads", "bus-cycles"), 0.1)):
+            last_ts: dict[str, float] = {}
+            diags = ParseDiagnostics()
+            at = 0
+            while at < len(lines):
+                block = lines[at:at + int(rng.integers(1, 40))]
+                at += len(block)
+                if assert_block_equals_lines(block, last_ts, events, tick_interval):
+                    taken += 1
+                else:
+                    declined += 1
+                # on with the per-line state
+                for _ in read_samples(block, diags, events, last_ts):
+                    pass
+    assert taken > 2000 and declined > 2000, (taken, declined)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 4096])
+def test_parse_stream_equals_the_line_reader_on_fuzzed_streams(block, monkeypatch):
+    monkeypatch.setattr(trace_module, "BLOCK", block)
+    rng = np.random.default_rng(block)
+    for _ in range(40):
+        lines = fuzz_lines(rng, int(rng.integers(1, 600)), float(rng.choice([0, 0.002, 0.05])))
+        text = "\n".join(lines) + "\n"
+        trace, diags = parse_stream(io.StringIO(text))
+        want_trace, want_diags = by_line_stream(io.StringIO(text))
+        assert_same_columns(trace, want_trace)
+        assert diags == want_diags

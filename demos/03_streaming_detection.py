@@ -5,9 +5,11 @@ Streaming detection, one sample at a time
 The detector never needs the whole trace.  Each counter keeps a bounded
 window; every arriving sample is scored a fixed lag behind the newest one,
 and the per-counter scores for a tick average into the attack factor f.
-This feeds a `Detector` one readout at a time on two counters, with a
-burst planted at tick 60.
+This feeds a `Detector` one tick of readouts at a time on two counters,
+with a burst planted at tick 60.
 """
+
+import numpy as np
 
 from hpcwatch.detector import Detector, DetectorConfig, lag
 
@@ -23,8 +25,10 @@ def readout(name: str, tick: int) -> float:
         return base * 30.0
     return base
 
-# push() only gathers lines; poll() runs them as one block and hands over
-# the alerts raised.  A tick is evaluated once a later one arrives, and it
+# extend() takes a block of lines as columns, as trace.parse_block gives
+# them: the events, each line's index into them, its tick and its delta.
+# It only gathers lines; poll() runs them as one block and hands over the
+# alerts raised.  A tick is evaluated once a later one arrives, and it
 # reads the scores judging the tick `lag` before it: a score counts iff
 # it is computed before the clock passes that tick.  The detector appends
 # each evaluated tick's eval tick, f and contributing count to the three
@@ -49,9 +53,10 @@ def show(alerts) -> None:
         column.clear()
 
 
+names = ["LLC-loads", "bus-cycles"]
 for tick in range(100):
-    for name in ("LLC-loads", "bus-cycles"):
-        detector.push(name, tick, readout(name, tick))
+    deltas = np.array([readout(name, tick) for name in names])
+    detector.extend(names, np.arange(len(names)), np.full(len(names), tick), deltas)
     show(detector.poll())
 show(detector.finish())  # end of input: the last tick is evaluated too
 

@@ -8,8 +8,8 @@ log-normal jitter, one line per counter per 100 ms tick) into one
 ticks before each.  Every other block is hostile: each of its ticks also
 brings three lines, an event named in no other line, a `<not counted>`
 readout of a counter half a tick later, and a line that does not parse.
-`detect` reads a clean block's reads as columns and a hostile one's line
-by line.  At each quarter of the stream it prints the lines written so
+`parse_block` reads a clean block's reads at once and a hostile one's
+through the line reader.  At each quarter of the stream it prints the lines written so
 far, the quarter's lines/s and the child's resident set size (VmRSS from
 /proc/<pid>/status, so Linux only); at the end, the lines/s of the clean
 and of the hostile blocks.  After each block the writer waits until the

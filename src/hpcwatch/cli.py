@@ -5,13 +5,13 @@ alerts from stdin), synth (seeded trace generation), eval (score alerts
 against ground truth), capture (wrap an external interval profiler).
 
 detect reads stdin one read at a time and hands each read's lines to the
-``Detector`` as columns (``parse_block``), or, if the block parser declines
-the read, line by line.  It polls the detector, and writes and flushes the
-rows it returns as one block, once stdin has nothing more waiting or once
-BLOCK lines have come since the last poll; a stream that ``select`` cannot
-watch is polled after every read.  A live ``perf stat -I`` pipe is idle
-after each interval, so its rows print as soon as that read is processed;
-a backlog, such as a file replay, is scored BLOCK lines at a time.
+``Detector`` as columns (``parse_block``).  It polls the detector, and
+writes and flushes the rows it returns as one block, once stdin has
+nothing more waiting or once BLOCK lines have come since the last poll; a
+stream that ``select`` cannot watch is polled after every read.  A live
+``perf stat -I`` pipe is idle after each interval, so its rows print as
+soon as that read is processed; a backlog, such as a file replay, is
+scored BLOCK lines at a time.
 
 Exit codes: 0 clean, 3 one or more alerts raised, 1 usage or data error,
 2 capture environment error.  Code 3 keeps "detection" distinguishable from
@@ -62,7 +62,6 @@ from .report import (
 from .svgplot import emit_plot
 from .trace import (
     AlignedTrace,
-    LineError,
     ParseDiagnostics,
     Trace,
     align,
@@ -70,8 +69,6 @@ from .trace import (
     parse_block,
     parse_file,
     parse_line,  # unused here; bench/tracing.py hooks it by this name
-    read_samples,
-    tick_of,
     write_trace,
 )
 
@@ -249,7 +246,8 @@ def _read_blocks(stream) -> Iterator[list[str]]:
     at most ``io.DEFAULT_BUFFER_SIZE`` bytes per ``read1``, but the lines
     each read completes come out together, without their line feeds.  They
     are decoded with the stream's own encoding and errors and split only at
-    line feeds; a line that spans two reads is joined, and a last line with
+    line feeds; a line that spans reads is joined once its line feed comes,
+    so a long line costs time in step with its length, and a last line with
     no line feed still counts.  Any other line source gives one list per
     line.
     """
@@ -259,12 +257,15 @@ def _read_blocks(stream) -> Iterator[list[str]]:
             yield [line]
         return
     decoder = codecs.getincrementaldecoder(stream.encoding)(stream.errors)
-    tail = ""
+    pieces: list[str] = []  # the line still open, as read
     while data := raw.read1(io.DEFAULT_BUFFER_SIZE):
-        lines = (tail + decoder.decode(data)).split("\n")
-        tail = lines.pop()
+        *lines, last = decoder.decode(data).split("\n")
+        if lines:
+            lines[0] = "".join(pieces) + lines[0]
+            pieces.clear()
+        pieces.append(last)
         yield lines
-    tail += decoder.decode(b"", final=True)
+    tail = "".join(pieces) + decoder.decode(b"", final=True)
     if tail:
         yield [tail]
 
@@ -290,7 +291,6 @@ def cmd_detect(args: argparse.Namespace) -> int:
     # errors are counted, not kept, and only the counters' order is
     # checked: a live stream may be malformed, or name new events, for days
     last_ts: dict[str, float] = {}
-    interval = config.tick_interval
     alert_count = 0
     malformed = 0
 
@@ -309,25 +309,16 @@ def cmd_detect(args: argparse.Namespace) -> int:
     while True:
         try:
             lines = next(reads, None)
+            if lines is None:
+                break
+            block = parse_block(lines, diags, last_ts, config.counters, config.tick_interval)
         except (ValueError, OSError):
-            # an unreadable read ends the stream after the rows of every
-            # read before it
+            # a read that cannot be decoded or ticked ends the stream after
+            # the rows of every read before it
             emit(detector.poll())
             raise
-        if lines is None:
-            break
-        block = parse_block(lines, diags, last_ts, config.counters, interval)
-        if block is not None:
-            detector.extend(block.events, block.codes, block.ticks, block.deltas)
-        else:
-            # line by line, after the rows of every read before it, so that
-            # a line that ends the stream leaves them printed
-            emit(detector.poll())
-            for item in read_samples(lines, diags, config.counters, last_ts):
-                if type(item) is LineError:
-                    malformed += 1
-                else:
-                    detector.push(item.event, tick_of(item.timestamp, interval), item.delta)
+        malformed += len(block.errors)
+        detector.extend(block.events, block.codes, block.ticks, block.deltas)
         unpolled += len(lines)
         if unpolled >= BLOCK or not waiting():
             emit(detector.poll())

@@ -7,11 +7,11 @@ computed.  The scores for one evaluated tick are averaged into a single
 attack factor f, and f above the configured threshold raises an alert.
 
 One ``Detector`` runs that tick loop for both drivers, on blocks of lines:
-``detect`` hands it each read's parsed lines, as columns or one at a time,
-``run_offline`` runs every aligned value in tick order and keeps f as
-arrays.  One rule says which scores count: a score counts iff it is
-computed before the clock passes the tick that reads it (its eval tick +
-lag); of two scores for one counter and tick, the later counts.
+``detect`` hands it each read's parsed lines as columns, ``run_offline``
+runs every aligned value in tick order and keeps f as arrays.  One rule
+says which scores count: a score counts iff it is computed before the
+clock passes the tick that reads it (its eval tick + lag); of two scores
+for one counter and tick, the later counts.
 ``run_offline`` also ranks each counter's whole aligned column once, for
 ``outliers.csv`` and the charts.
 ``push_value`` (through ``lof_scores``), ``evaluate_tick`` and
@@ -46,8 +46,8 @@ from .trace import AlignedTrace, Sample, tick_of
 # call, and detect's peak RSS rises 0.6 MB at 128 and 1.5 MB at 256.
 CHUNK = 64
 
-# Lines the ``Detector`` gathers from ``push`` and ``extend`` before it runs
-# them, and most lines per ``Detector.run`` call in ``run_offline``.
+# Lines the ``Detector`` gathers from ``extend`` before it runs them, and
+# most lines per ``Detector.run`` call in ``run_offline``.
 BLOCK = 4096
 
 
@@ -238,11 +238,11 @@ class Detector:
     length), at most CHUNK to a ``lof_at`` call; a score depends only on its
     own window, so the stacking changes no bit.
 
-    ``push`` takes one parsed line, or one aligned value: its event name,
-    tick and delta; ``extend`` takes a block of parsed lines as columns.
-    A line of an unconfigured event or with an uncounted delta is ignored,
-    as ``align`` gives it no tick: it neither scores nor moves the clock.
-    Both gather lines into one buffer, run once BLOCK lines are pending.
+    ``extend`` takes a block of parsed lines as columns, as
+    ``trace.parse_block`` gives them.  A line of an unconfigured event or
+    with an uncounted delta is ignored, as ``align`` gives it no tick: it
+    neither scores nor moves the clock.  Lines gather in one buffer, run
+    once BLOCK lines are pending.
     ``poll`` runs them and hands over the alerts raised since the last call;
     ``finish`` also evaluates the newest tick at end of input.  ``points``,
     if given, is three columns that receive the eval tick, f and
@@ -259,61 +259,49 @@ class Detector:
         # per counter: the ticks and deltas of its newest window − 1
         # samples, and how many samples it has had
         self._tails = [(np.empty(0, np.int64), np.empty(0), 0)] * len(config.counters)
-        self._pushed = (array("q"), array("q"), array("d"))
+        self._gathered = (array("q"), array("q"), array("d"))
         # the scores that count, for ticks the clock has not passed
         self._pending = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
         self._clock: int | None = None  # newest tick run
         self._last_alert: int | None = None  # evaluated tick of the last alert raised
         self._alerts: list[Alert] = []
 
-    def push(self, name: str, tick: int, delta: float | None) -> None:
-        """One parsed line; a ``None`` delta is a ``<not counted>`` readout."""
-        counter = self._index.get(name)
-        if counter is None or delta is None:
-            return
-        counters, ticks, deltas = self._pushed
-        counters.append(counter)
-        ticks.append(tick)
-        deltas.append(delta)
-        if len(counters) >= BLOCK:
-            self._run_pushed()
-
     def extend(
         self, events: Sequence[str], codes: np.ndarray, ticks: np.ndarray, deltas: np.ndarray
     ) -> None:
-        """A block of parsed lines as columns, as ``push`` takes them one at
-        a time: each line's event as its index into ``events``, its tick
-        and its delta, every one counted.  Ticks must be integers: a float
-        column, such as timestamps, is a ``TypeError``."""
+        """A block of parsed lines as columns: each line's event as its
+        index into ``events``, its tick and its delta, NaN for a
+        ``<not counted>`` readout.  Ticks must be integers: a float column,
+        such as timestamps, is a ``TypeError``."""
         lookup = np.array([self._index.get(name, -1) for name in events], dtype=np.int64)
         counters = lookup[codes]
-        kept = counters >= 0
-        for column, values in zip(self._pushed, (counters, ticks, deltas)):
+        kept = (counters >= 0) & ~np.isnan(deltas)
+        for column, values in zip(self._gathered, (counters, ticks, deltas)):
             # in the column's own type; a cast that could lose a value raises
             column.frombytes(values[kept].astype(column.typecode, casting="safe", copy=False).tobytes())
-        if len(self._pushed[0]) >= BLOCK:
-            self._run_pushed()
+        if len(self._gathered[0]) >= BLOCK:
+            self._run_gathered()
 
     def poll(self) -> Sequence[Alert]:
-        """Run the pushed lines and hand over the alerts raised since the
+        """Run the lines gathered and hand over the alerts raised since the
         last call, in tick order."""
-        self._run_pushed()
+        self._run_gathered()
         alerts, self._alerts = self._alerts, []
         return alerts
 
     def finish(self) -> Sequence[Alert]:
         """End of input: evaluate the newest tick too, then ``poll``."""
-        self._run_pushed()
+        self._run_gathered()
         if self._clock is not None:
             self._clock += 1
             self._evaluate([self._pending])
         return self.poll()
 
-    def _run_pushed(self) -> None:
-        pushed = self._pushed
-        if pushed[0]:
-            self._pushed = (array("q"), array("q"), array("d"))
-            self.run(*(np.frombuffer(column, column.typecode) for column in pushed))
+    def _run_gathered(self) -> None:
+        gathered = self._gathered
+        if gathered[0]:
+            self._gathered = (array("q"), array("q"), array("d"))
+            self.run(*(np.frombuffer(column, column.typecode) for column in gathered))
 
     def run(self, counters: np.ndarray, ticks: np.ndarray, deltas: np.ndarray) -> None:
         """Score the windows a nonempty block of lines completes, keep the

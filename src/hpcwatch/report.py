@@ -96,6 +96,7 @@ def write_outliers_csv(path: str, rows: Iterable[OutlierRow]) -> None:
 # ---------------------------------------------------------------------------
 
 def _read_rows(path: str, expected_header: list[str]) -> list[list[str]]:
+    """The rows after the header, each with the header's field count."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or rows[0] != expected_header:
@@ -103,6 +104,11 @@ def _read_rows(path: str, expected_header: list[str]) -> list[list[str]]:
             f"{path}: expected header {','.join(expected_header)!r}, "
             f"got {rows[0] if rows else 'empty file'!r}"
         )
+    # a row per line: no field the writers write holds a line feed
+    for line_no, row in enumerate(rows[1:], start=2):
+        if len(row) != len(expected_header):
+            raise ValueError(f"{path}:{line_no}: expected {len(expected_header)} fields, "
+                             f"got {len(row)}")
     return rows[1:]
 
 

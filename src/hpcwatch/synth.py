@@ -238,6 +238,8 @@ def read_ground_truth(path: str) -> tuple[GroundTruth, float | None]:
             pairs[key.strip()] = value.strip()
 
     tick_interval = float(pairs["tick_interval"]) if "tick_interval" in pairs else None
+    if tick_interval is not None and not 0 < tick_interval < math.inf:
+        raise ValueError(f"{path}: tick_interval must be finite and > 0, got {tick_interval}")
     attack_tick = int(pairs["attack_tick"]) if "attack_tick" in pairs else None
     affected: tuple[str, ...] = ()
     if attack_tick is not None:

@@ -25,20 +25,12 @@ is recorded with its line number and reason, and the diagnostics identity
 
 holds for ``parse_stream`` on arbitrary input.  ``read_samples`` is the line
 reader, and the reference: it yields each usable sample and each malformed
-line's error as the line arrives.  ``parse_block`` reads a block of lines
-at once into columns (event code, timestamp, delta and, for ``detect``,
-tick), and only a block of data lines that ``read_samples`` would take as
-they are: a timestamp of digits and ``.`` after any leading spaces, a
-delta of 1-15 ASCII digits, a name in the third field or, in perf's
-layout, the fourth, and no stale line.  Anything else, a comment, a
-blank, ``<not counted>``, a delta of ``1_000`` or an exponent, declines
-the whole block, which then goes through ``read_samples`` with the same
-line numbers and reasons; perf's header comment declines only the block
-it starts.  ``parse_stream``
-reads its source BLOCK lines at a time that way, collects the columns into
-a trace of arrays and keeps the errors; the live ``detect`` loop hands each
-read's columns or samples to the detector and only counts the errors, so
-its memory stays flat however many lines are malformed.
+line's error as the line arrives.  ``parse_block`` reads any block of
+lines into columns and the block's errors, a block of plain data lines at
+once and any other through ``read_samples``.  ``parse_stream`` reads its
+source BLOCK lines at a time that way and keeps the errors; the live
+``detect`` loop hands each read's columns to the detector and only counts
+the errors, so its memory stays flat however many lines are malformed.
 
 ``align`` snaps every event onto one tick grid, keeping per counter only
 the ticks with a counted sample and their summed deltas: an ``AlignedTrace``
@@ -306,13 +298,14 @@ def _held(last_ts: dict[str, float] | None, events: Iterable[str] | None) -> dic
 
 
 class ParsedBlock(NamedTuple):
-    """A block of data lines as columns, one entry per line.
+    """A block of lines as columns, one entry per usable sample, and the
+    errors of its malformed lines.
 
     ``events`` are the block's event names in order of first appearance
-    and ``codes`` each line's index into them; ``stamps`` are the lines'
-    timestamps and ``deltas`` their float deltas, every one counted.
-    ``ticks`` are the lines' int64 ticks when the block was parsed for a
-    tick interval, else None.
+    and ``codes`` each sample's index into them; ``stamps`` are the
+    samples' timestamps and ``deltas`` their float deltas, NaN for one not
+    counted.  ``ticks`` are the samples' int64 ticks when the block was
+    parsed for a tick interval, else None.
     """
 
     events: list[str]
@@ -320,9 +313,10 @@ class ParsedBlock(NamedTuple):
     stamps: np.ndarray
     deltas: np.ndarray
     ticks: np.ndarray | None
+    errors: list[LineError]
 
 
-# A data line ``parse_block`` takes: after any leading spaces, a timestamp
+# A data line ``_take_block`` takes: after any leading spaces, a timestamp
 # of digits and ``.``, a delta of 1-15 ASCII digits, and the rest of the
 # line from the event's field on.  Any timestamp of these characters that
 # ``float()`` reads is finite and not negative, unless it overflows, and a
@@ -344,10 +338,38 @@ def parse_block(
     last_ts: dict[str, float],
     events: Iterable[str] | None = None,
     tick_interval: float | None = None,
+) -> ParsedBlock:
+    """The block of lines (without their line feeds) as columns, as
+    ``read_samples`` reads them with these ``diags``, ``last_ts`` and
+    ``events``, and the block's errors, for the caller to keep or count.
+    Given ``tick_interval``, every sample has a tick, and one past the int64
+    ticks is a ``ValueError`` naming the first such timestamp, as
+    ``tick_of`` does.  A block of plain data lines is read at once, any
+    other line by line."""
+    block = _take_block(lines, diags, last_ts, events, tick_interval)
+    if block is not None:
+        return block
+    names: dict[str, int] = {}
+    codes, stamps, deltas, ticks, errors = [], [], [], [], []
+    for item in read_samples(lines, diags, events, last_ts):
+        if type(item) is LineError:
+            errors.append(item)
+            continue
+        codes.append(names.setdefault(item.event, len(names)))
+        stamps.append(item.timestamp)
+        deltas.append(math.nan if item.delta is None else float(item.delta))
+        if tick_interval is not None:
+            ticks.append(tick_of(item.timestamp, tick_interval))
+    return ParsedBlock(list(names), np.array(codes, np.int64), np.array(stamps), np.array(deltas),
+                       None if tick_interval is None else np.array(ticks, np.int64), errors)
+
+
+def _take_block(
+    lines: Sequence[str], diags: ParseDiagnostics, last_ts: dict[str, float],
+    events: Iterable[str] | None, tick_interval: float | None,
 ) -> ParsedBlock | None:
-    """The block of lines (without their line feeds) as columns, or None
-    if the block does not qualify; a declined block changes nothing, and
-    the caller reads it line by line with ``read_samples``.
+    """``parse_block`` of a block of plain data lines, read at once, or
+    None if the block does not qualify; a declined block changes nothing.
 
     A block qualifies only if every line is a data line that
     ``read_samples`` reads as a counted sample: a timestamp of digits and
@@ -359,8 +381,7 @@ def parse_block(
     its last one, and given ``tick_interval``, every line's tick must be
     below 2**63, as ``tick_of`` requires.  Comments, blank lines,
     ``<not counted>``, other spaces, underscores, exponents, stale lines
-    and longer deltas all decline.  A qualifying block gives the columns,
-    diagnostics and last timestamps that ``read_samples`` gives.
+    and longer deltas all decline.
     """
     text = "\n".join(lines)
     if text.count("\n") != len(lines) - 1:
@@ -403,16 +424,15 @@ def parse_block(
     _held(last_ts, events).update(newest)
     diags.lines_read += len(lines)
     diags.samples_parsed += len(lines)
-    return ParsedBlock(names, codes, stamps, np.array(delta_texts, dtype=np.float64), ticks)
+    return ParsedBlock(names, codes, stamps, np.array(delta_texts, dtype=np.float64), ticks, [])
 
 
 def parse_stream(reader: Iterable[str] | IO[str]) -> tuple[Trace, ParseDiagnostics]:
     """Parse a line source into a trace, one pair of columns per event seen.
 
-    The source is read BLOCK lines at a time, each block through
-    ``parse_block`` or, if that declines it, ``read_samples``.  Per-line
-    errors are collected in the diagnostics and parsing continues; only an
-    unreadable source raises.
+    The source is read BLOCK lines at a time through ``parse_block``.
+    Per-line errors are collected in the diagnostics and parsing continues;
+    only an unreadable source raises.
     """
     diags = ParseDiagnostics()
     last_ts: dict[str, float] = {}
@@ -420,20 +440,12 @@ def parse_stream(reader: Iterable[str] | IO[str]) -> tuple[Trace, ParseDiagnosti
     source = iter(reader)
     while lines := [raw.rstrip("\r\n") for raw in islice(source, BLOCK)]:
         block = parse_block(lines, diags, last_ts)
-        if block is not None:
-            for i, name in enumerate(block.events):
-                mine = block.codes == i
-                stamps, deltas = columns[name]
-                stamps.frombytes(block.stamps[mine].tobytes())
-                deltas.frombytes(block.deltas[mine].tobytes())
-            continue
-        for item in read_samples(lines, diags, last_ts=last_ts):
-            if type(item) is LineError:
-                diags.malformed.append((item.line_no, item.reason))
-            else:
-                stamps, deltas = columns[item.event]
-                stamps.append(item.timestamp)
-                deltas.append(math.nan if item.delta is None else float(item.delta))
+        diags.malformed.extend((error.line_no, error.reason) for error in block.errors)
+        for i, name in enumerate(block.events):
+            mine = block.codes == i
+            stamps, deltas = columns[name]
+            stamps.frombytes(block.stamps[mine].tobytes())
+            deltas.frombytes(block.deltas[mine].tobytes())
     return Trace(
         {name: np.frombuffer(stamps) for name, (stamps, _) in columns.items()},
         {name: np.frombuffer(deltas) for name, (_, deltas) in columns.items()},

@@ -4,12 +4,14 @@ Tests hold ``Detector`` (through ``detect`` and ``run_offline``) to this
 replay: it pushes each parsed line through ``push_sample`` and evaluates
 each due tick with ``evaluate_tick`` and ``threshold_check``, the
 one-window, one-tick primitives, without the block arrays of ``Detector``.
+``feed_read`` hands a ``Detector`` one read of lines as ``detect`` does.
 """
 
 from __future__ import annotations
 
 from hpcwatch.detector import (
     Alert,
+    Detector,
     DetectorConfig,
     WindowState,
     evaluate_tick,
@@ -18,7 +20,16 @@ from hpcwatch.detector import (
     threshold_check,
 )
 from hpcwatch.report import alert_row
-from hpcwatch.trace import LineError, Sample, parse_line, tick_of
+from hpcwatch.trace import LineError, ParseDiagnostics, Sample, parse_block, parse_line, tick_of
+
+
+def feed_read(detector: Detector, lines: list[str], last_ts: dict[str, float]) -> None:
+    """Parse ``lines``, one read, through ``parse_block`` for the
+    detector's counters and ticks and hand the columns to ``extend``, as
+    ``detect`` does.  ``last_ts`` is the stream's, passed to every read."""
+    config = detector.config
+    block = parse_block(lines, ParseDiagnostics(), last_ts, config.counters, config.tick_interval)
+    detector.extend(block.events, block.codes, block.ticks, block.deltas)
 
 
 def replay_detect(

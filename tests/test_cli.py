@@ -29,7 +29,7 @@ from hpcwatch.cli import (
 )
 from hpcwatch.detector import BLOCK, Detector, DetectorConfig
 from hpcwatch.report import read_alerts_csv, read_attack_factor_csv, read_outliers_csv
-from reference import replay_detect
+from reference import feed_read, replay_detect
 
 
 def synth_args(tmp_path, *extra: str) -> list[str]:
@@ -153,9 +153,9 @@ def test_coalesce_keeps_first_of_each_run():
     def raised(coalesce: int) -> list[int]:
         # each lone burst on a flat line scores +inf, so each one alerts
         detector = Detector(DetectorConfig(counters=("LLC-loads",), coalesce=coalesce))
-        for tick in range(130):
-            burst = tick in (100, 101, 103, 120, 121)
-            detector.push("LLC-loads", tick, 5000.0 if burst else 1000.0)
+        lines = [f"{tick * 0.1!r},{5000 if tick in (100, 101, 103, 120, 121) else 1000},LLC-loads"
+                 for tick in range(130)]
+        feed_read(detector, lines, {})
         return [a.eval_tick for a in detector.finish()]
 
     assert raised(5) == [100, 120]
@@ -550,16 +550,20 @@ def test_detect_retains_bounded_memory(tmp_path, monkeypatch, capsys):
     def retained(n_ticks: int) -> int:
         rng = np.random.default_rng(n_ticks)
         detector = Detector(config)
-        read = 0
+        lines: list[str] = []
+        last_ts: dict[str, float] = {}
         for tick in range(1, n_ticks + 1):
             if tick % 500 < 40:
                 continue  # both counters pause
             for name, level in (("LLC-loads", 1123), ("bus-cycles", 23917)):
-                delta = None if rng.random() < 0.05 else round(rng.lognormal(math.log(level), 0.05))
-                detector.push(name, tick, delta)
-                read += 1
-                if read % 300 == 0:
-                    detector.poll()  # one read of stdin
+                delta = ("<not counted>" if rng.random() < 0.05
+                         else round(rng.lognormal(math.log(level), 0.05)))
+                lines.append(f"{tick * 0.1!r},{delta},{name}")
+                if len(lines) == 300:  # one read of stdin
+                    feed_read(detector, lines, last_ts)
+                    detector.poll()
+                    lines.clear()
+        feed_read(detector, lines, last_ts)
         tracemalloc.start()
         try:
             held = copy.deepcopy(detector)  # everything it refers to
@@ -758,6 +762,73 @@ def test_detect_holds_rows_back_at_most_a_block_of_lines(waiting, monkeypatch):
         assert set(held_back) == {0}
 
 
+def test_detect_polls_reads_with_not_counted_readouts_once_a_block(monkeypatch):
+    """stdin read two lines per read, a <not counted> readout and a counted
+    one, with more input always waiting: no read is plain data lines, yet
+    detect polls only once BLOCK lines have come since its last poll, and
+    the rows stay the replay's."""
+    readouts, _ = jittered_stream()
+    reads = [
+        (f"{float(line.split(',')[0]) - 0.04:.2f},<not counted>,{line.split(',')[2]}\n"
+         f"{line}\n").encode()
+        for line in readouts
+    ]
+    lines = b"".join(reads).decode().splitlines()
+    expected, malformed = replay_detect(lines)
+    assert expected and malformed == 0
+
+    polls = 0
+    poll = Detector.poll
+
+    def counted(self):
+        nonlocal polls
+        polls += 1
+        return poll(self)
+
+    class TwoLinesPerRead:
+        def read1(self, size: int) -> bytes:
+            return reads.pop(0) if reads else b""
+
+    class Stdin:
+        buffer, encoding, errors = TwoLinesPerRead(), "utf-8", "strict"
+
+        def fileno(self) -> int:
+            return 0
+
+    out = io.StringIO()
+    monkeypatch.setattr(Detector, "poll", counted)
+    monkeypatch.setattr(select, "select", lambda r, w, x, timeout: (r, w, x))
+    monkeypatch.setattr("sys.stdin", Stdin())
+    monkeypatch.setattr("sys.stdout", out)
+    assert main(["detect"]) == EXIT_ALERTS
+    assert out.getvalue().splitlines() == [row for row, _ in expected]
+    assert polls <= len(lines) / BLOCK + 2, polls
+
+
+def test_detect_reads_a_line_spanning_many_reads_in_linear_time(monkeypatch, capsys):
+    # a 4 MiB line with no line feed, 1 KiB a read: joining the open line
+    # anew at every read copies it once per read, 8 GiB in all, which took
+    # 7 s on a 2-core x86 host where joining it once takes 0.1 s
+    class Pieces:
+        left = 4096
+
+        def read1(self, size: int) -> bytes:
+            if not self.left:
+                return b""
+            self.left -= 1
+            return b"x" * 1024
+
+    class Stdin:
+        buffer, encoding, errors = Pieces(), "utf-8", "strict"
+
+    monkeypatch.setattr("sys.stdin", Stdin())
+    started = time.perf_counter()
+    assert main(["detect"]) == EXIT_OK
+    elapsed = time.perf_counter() - started
+    assert capsys.readouterr() == ("", "warning: 1 malformed lines skipped\n")
+    assert elapsed < 2.0, elapsed
+
+
 @pytest.mark.parametrize("bad, error", [
     (b"1e30,5,LLC-loads\n", "error: timestamp 1e+30 is past the int64 ticks"),
     (b"\xff\n", "error: 'utf-8' codec can't decode byte 0xff"),
@@ -811,8 +882,7 @@ def test_detect_reads_perfs_own_capture_as_columns_after_its_header(monkeypatch,
     # the file `capture` writes: perf's header, then its -x, -I layout,
     # an empty unit field with the event fourth and run time and
     # percentage after; only the read with the header goes line by line
-    import hpcwatch.cli as cli_module
-    from hpcwatch.trace import parse_block
+    import hpcwatch.trace as trace_module
 
     lines, _ = jittered_stream()
     expected, _ = replay_detect(lines)
@@ -822,12 +892,14 @@ def test_detect_reads_perfs_own_capture_as_columns_after_its_header(monkeypatch,
     ]
     taken = []
 
+    take_block = trace_module._take_block
+
     def spy(*args):
-        block = parse_block(*args)
+        block = take_block(*args)
         taken.append(block is not None)
         return block
 
-    monkeypatch.setattr(cli_module, "parse_block", spy)
+    monkeypatch.setattr(trace_module, "_take_block", spy)
     data = "".join(line + "\n" for line in perf).encode()
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
     assert main(["detect"]) == EXIT_ALERTS
@@ -840,26 +912,21 @@ def test_detect_reads_perfs_own_capture_as_columns_after_its_header(monkeypatch,
 def polled_rows(
     lines: list[str], config: DetectorConfig, every: int | None
 ) -> tuple[list[tuple[str, int]], list[tuple[int, float, int]]]:
-    """Alert rows from a ``Detector`` fed as ``detect`` feeds it and polled
-    after every ``every`` lines (never if None), each with the count of
-    lines read when it was handed over, and its points."""
+    """Alert rows from a ``Detector`` fed as ``detect`` feeds it, a read of
+    ``every`` lines at a time (of BLOCK lines if None) and polled after
+    each read (never if None), each with the count of lines read when it
+    was handed over, and its points."""
     from hpcwatch.report import alert_row
-    from hpcwatch.trace import LineError, ParseDiagnostics, read_samples, tick_of
 
     points: tuple[list, list, list] = ([], [], [])
     rows: list[tuple[str, int]] = []
     detector = Detector(config, points=points)
-
-    def polled():
-        for read, line in enumerate(lines, start=1):
-            yield line
-            if every is not None and read % every == 0:
-                rows.extend((",".join(alert_row(alert)), read) for alert in detector.poll())
-
-    for item in read_samples(polled(), ParseDiagnostics()):
-        if not isinstance(item, LineError):
-            tick = tick_of(item.timestamp, config.tick_interval)
-            detector.push(item.event, tick, item.delta)
+    last_ts: dict[str, float] = {}
+    for read in range(0, len(lines), every or BLOCK):
+        feed_read(detector, lines[read:read + (every or BLOCK)], last_ts)
+        if every is not None:
+            at = min(read + every, len(lines))
+            rows.extend((",".join(alert_row(alert)), at) for alert in detector.poll())
     rows.extend((",".join(alert_row(alert)), len(lines)) for alert in detector.finish())
     return rows, list(zip(*points))
 
@@ -1091,8 +1158,6 @@ def test_detect_prints_an_alert_before_reading_on():
 
 
 def test_detect_decodes_a_character_split_across_pipe_reads(monkeypatch, capsys):
-    from hpcwatch.trace import tick_of
-
     name = "Ünïcödé-loads"
     rng = np.random.default_rng(8)
     lines = [
@@ -1105,9 +1170,9 @@ def test_detect_decodes_a_character_split_across_pipe_reads(monkeypatch, capsys)
 
     # the line that fires the first alert
     detector = Detector(DetectorConfig(counters=(name,)))
+    last_ts: dict[str, float] = {}
     for fired_at, line in enumerate(lines, start=1):
-        ts, delta, _ = line.split(",")
-        detector.push(name, tick_of(float(ts), 0.1), int(delta))
+        feed_read(detector, [line], last_ts)
         if detector.poll():
             break
     # once that row is out, detect waits on its next read; the next line
@@ -1188,6 +1253,33 @@ def test_eval_rejects_an_interval_that_is_not_finite_and_positive(interval, tmp_
     captured = capsys.readouterr()
     assert captured.out == ""
     assert re.fullmatch(r"error: tick_interval must be (> 0|finite), got \S+\n", captured.err)
+
+
+@pytest.mark.parametrize("interval", ["0", "-0.1", "nan", "inf"])
+def test_eval_rejects_a_sidecar_interval_that_is_not_finite_and_positive(
+    interval, tmp_path, capsys
+):
+    truth = tmp_path / "truth.txt"
+    truth.write_text(f"tick_interval={interval}\nattack_tick=150\naffected=LLC-loads\n")
+    alerts = tmp_path / "alerts.csv"
+    alerts.write_text("eval_time,f,threshold,counters\n15,2,1.5,LLC-loads\n")
+    assert main(["eval", str(alerts), str(truth)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {truth}: tick_interval must be finite and > 0, got {float(interval)}\n"
+    )
+
+
+def test_eval_rejects_an_alerts_row_of_the_wrong_length(tmp_path, capsys):
+    truth = tmp_path / "truth.txt"
+    truth.write_text("tick_interval=0.1\nattack_tick=150\naffected=LLC-loads\n")
+    alerts = tmp_path / "alerts.csv"
+    alerts.write_text("eval_time,f,threshold,counters\n15,2,1.5,LLC-loads\n5.0,2.1\n")
+    assert main(["eval", str(alerts), str(truth)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {alerts}:3: expected 4 fields, got 2\n"
 
 
 def test_an_infinite_interval_exits_one(tmp_path, monkeypatch, capsys):

@@ -28,7 +28,7 @@ from hpcwatch.detector import (
 from hpcwatch.events import CANDIDATE_EVENTS
 from hpcwatch.synth import AttackSpec, BaselineSpec, SynthConfig, generate_trace
 from hpcwatch.trace import AlignedTrace, Sample, Trace, align, iter_serialized, tick_of
-from reference import replay_detect
+from reference import feed_read, replay_detect
 
 INF = float("inf")
 EV = "LLC-loads"
@@ -157,9 +157,10 @@ def test_push_sample_rejects_foreign_event():
         push_sample(state, sample, config)
 
 
-def test_extend_takes_columns_as_push_takes_lines():
-    # a spiky run of three configured counters and one that is not, fed
-    # line by line and as one block of columns
+def test_extend_drops_uncounted_lines_and_refuses_float_ticks():
+    # a spiky run of three configured counters and one that is not, as one
+    # block of columns, and again with <not counted> lines of the
+    # configured counters put in, one at a tick far ahead
     config = DetectorConfig()
     rng = np.random.default_rng(5)
     names = [*config.counters[:3], "cpu-cycles"]
@@ -168,20 +169,21 @@ def test_extend_takes_columns_as_push_takes_lines():
     deltas = np.rint(rng.lognormal(5, 0.1, 900))
     deltas[rng.random(900) < 0.01] *= 30
 
-    def run(feed):
+    def run(codes, ticks, deltas):
         points: tuple[list, list, list] = ([], [], [])
         detector = Detector(config, points=points)
-        feed(detector)
+        detector.extend(names, codes, ticks, deltas)
         alerts = list(detector.finish())
         return list(zip(*points)), alerts
 
-    def push(detector):
-        for code, tick, delta in zip(codes.tolist(), ticks.tolist(), deltas.tolist()):
-            detector.push(names[code], tick, delta)
-
-    points, alerts = run(push)
+    points, alerts = run(codes, ticks, deltas)
     assert points and alerts
-    assert run(lambda detector: detector.extend(names, codes, ticks, deltas)) == (points, alerts)
+    at = np.sort(rng.choice(900, size=30, replace=False))
+    uncounted_ticks = ticks[at]
+    uncounted_ticks[15] = 10**6
+    # a <not counted> line neither scores nor moves the clock
+    assert run(np.insert(codes, at, at % 3), np.insert(ticks, at, uncounted_ticks),
+               np.insert(deltas, at, np.nan)) == (points, alerts)
     # timestamps are not ticks: a float column is refused, not read as int64
     with pytest.raises(TypeError):
         Detector(config).extend(names, codes, ticks * 0.1, deltas)
@@ -407,10 +409,13 @@ def test_detector_crosses_a_long_gap_in_one_step():
     def run(gap: int):
         points: tuple[list, list, list] = ([], [], [])
         detector = Detector(config, points=points)
-        for i in range(600):
-            tick = i + 1 + (gap if i >= 300 else 0)
-            for name, col in deltas.items():
-                detector.push(name, tick, float(col[i]))
+        lines = [
+            f"{(i + 1 + (gap if i >= 300 else 0)) * 0.1!r},{int(col[i])},{name}"
+            for i in range(600) for name, col in deltas.items()
+        ]
+        last_ts: dict[str, float] = {}
+        for read in range(0, len(lines), 300):
+            feed_read(detector, lines[read:read + 300], last_ts)
         alerts = list(detector.finish())
         return list(zip(*points)), alerts
 

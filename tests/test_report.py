@@ -1,6 +1,7 @@
 """Report CSV writers and their matching readers."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -116,6 +117,23 @@ def test_readers_reject_wrong_header(tmp_path):
     ):
         with pytest.raises(ValueError, match="expected header"):
             reader(str(path))
+
+
+@pytest.mark.parametrize("reader, header", [
+    (read_attack_factor_csv, ATTACK_FACTOR_HEADER),
+    (read_outliers_csv, OUTLIERS_HEADER),
+    (lambda path: read_alerts_csv(path, 0.1), ALERTS_HEADER),
+], ids=["attack-factor", "outliers", "alerts"])
+@pytest.mark.parametrize("fields", [1, -1], ids=["long", "short"])
+def test_readers_reject_a_row_of_the_wrong_length(reader, header, fields, tmp_path):
+    path = tmp_path / "bad.csv"
+    good = ",".join("1" for _ in header)
+    row = ",".join("1" for _ in range(len(header) + fields))
+    path.write_text(f"{','.join(header)}\n{good}\n{row}\n")
+    with pytest.raises(ValueError, match=re.escape(
+        f"{path}:3: expected {len(header)} fields, got {len(header) + fields}"
+    )):
+        reader(str(path))
 
 
 def test_readers_reject_empty_file(tmp_path):

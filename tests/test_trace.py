@@ -560,11 +560,11 @@ def read_by_line(lines, diags, last_ts, events=None, tick_interval=None):
 
 
 def assert_block_equals_lines(lines, last_ts, events=None, tick_interval=None):
-    """``parse_block`` declines the block and changes nothing, or takes it
-    as ``read_samples`` reads it; returns whether it took it."""
+    """``parse_block``'s fast path declines the block and changes nothing,
+    or takes it as ``read_samples`` reads it; returns whether it took it."""
     block_diags, line_diags = ParseDiagnostics(lines_read=3), ParseDiagnostics(lines_read=3)
     block_last, line_last = dict(last_ts), dict(last_ts)
-    block = parse_block(lines, block_diags, block_last, events, tick_interval)
+    block = trace_module._take_block(lines, block_diags, block_last, events, tick_interval)
     if block is None:
         assert (block_diags, block_last) == (ParseDiagnostics(lines_read=3), last_ts)
         return False
@@ -579,6 +579,7 @@ def assert_block_equals_lines(lines, last_ts, events=None, tick_interval=None):
         assert block.ticks is None
     else:
         assert block.ticks.tobytes() == np.array(ticks, dtype=np.int64).tobytes()
+    assert block.errors == []
     assert (block_diags, block_last) == (line_diags, line_last)
     return True
 
@@ -661,6 +662,16 @@ def test_parse_block_declines_a_tick_past_int64():
     assert assert_block_equals_lines(lines, {})
 
 
+def test_parse_block_raises_at_the_first_tick_past_int64():
+    # every sample is ticked, one not counted or of an event no one holds
+    # too, and the first past the int64 ticks is named, as tick_of names it
+    for line in (f"1e30,{MISSING_DELTA_TOKEN},LLC-loads", "1e30,12,cpu-cycles"):
+        lines = [*CLEAN_BLOCK, "# a comment", line, "1e40,12,LLC-loads"]
+        with pytest.raises(ValueError, match=r"^timestamp 1e\+30 is past the int64 ticks$"):
+            parse_block(lines, ParseDiagnostics(), {}, ("LLC-loads",), 0.1)
+        assert parse_block(lines, ParseDiagnostics(), {}).errors == []
+
+
 def test_parse_block_holds_only_the_held_events_to_order():
     # a stale line of an event no one holds reads as a sample
     lines = [*CLEAN_BLOCK, "2.5,12,cpu-cycles", "2.5,13,cpu-cycles"]
@@ -728,6 +739,45 @@ def test_parse_block_equals_read_samples_on_fuzzed_blocks():
                 for _ in read_samples(block, diags, events, last_ts):
                     pass
     assert taken > 2000 and declined > 2000, (taken, declined)
+
+
+def test_parse_block_reads_every_block_as_read_samples():
+    # any block, taken at once or not: the same columns, NaN where not
+    # counted, ticks, errors, diagnostics and last timestamps as the line
+    # reader gives
+    rng = np.random.default_rng(25)
+    clean = with_errors = 0
+    for _ in range(40):
+        lines = fuzz_lines(rng, 400, float(rng.choice([0, 0.01, 0.06])))
+        for events, tick_interval in ((None, None), (("LLC-loads", "bus-cycles"), 0.1)):
+            block_last: dict[str, float] = {}
+            line_last: dict[str, float] = {}
+            block_diags, line_diags = ParseDiagnostics(), ParseDiagnostics()
+            at = 0
+            while at < len(lines):
+                cut = lines[at:at + int(rng.integers(1, 40))]
+                at += len(cut)
+                block = parse_block(cut, block_diags, block_last, events, tick_interval)
+                items = list(read_samples(cut, line_diags, events, line_last))
+                samples = [item for item in items if type(item) is Sample]
+                names = list(dict.fromkeys(sample.event for sample in samples))
+                assert block.events == names
+                assert block.codes.tolist() == [names.index(s.event) for s in samples]
+                assert block.stamps.tobytes() == np.array(
+                    [s.timestamp for s in samples], dtype=np.float64).tobytes()
+                assert block.deltas.tobytes() == np.array(
+                    [math.nan if s.delta is None else s.delta for s in samples],
+                    dtype=np.float64).tobytes()
+                if tick_interval is None:
+                    assert block.ticks is None
+                else:
+                    assert block.ticks.tolist() == [
+                        tick_of(s.timestamp, tick_interval) for s in samples]
+                assert block.errors == [item for item in items if type(item) is LineError]
+                assert (block_diags, block_last) == (line_diags, line_last)
+                clean += not block.errors and not np.isnan(block.deltas).any()
+                with_errors += bool(block.errors)
+    assert clean > 100 and with_errors > 100, (clean, with_errors)
 
 
 @pytest.mark.parametrize("block", [1, 7, 64, 4096])

@@ -26,13 +26,14 @@ def readout(name: str, tick: int) -> float:
     return base
 
 # extend() takes a block of lines as columns, as trace.parse_block gives
-# them: the events, each line's index into them, its tick and its delta.
-# It only gathers lines; poll() runs them as one block and hands over the
-# alerts raised.  A tick is evaluated once a later one arrives, and it
-# reads the scores judging the tick `lag` before it: a score counts iff
-# it is computed before the clock passes that tick.  The detector appends
-# each evaluated tick's eval tick, f and contributing count to the three
-# columns of `points`.
+# them: the events, each line's index into them, its timestamp and its
+# delta; it snaps each timestamp to its tick.  It only gathers lines;
+# poll() runs them as one block and hands over the alerts raised.  A
+# tick is evaluated once a later one arrives, and it reads the scores
+# judging the tick `lag` before it: a score counts iff it is computed
+# before the clock passes that tick.  The detector appends each evaluated
+# tick's eval tick, f and contributing count to the three columns of
+# `points`.
 points = ([], [], [])
 detector = Detector(config, points=points)
 
@@ -56,7 +57,8 @@ def show(alerts) -> None:
 names = ["LLC-loads", "bus-cycles"]
 for tick in range(100):
     deltas = np.array([readout(name, tick) for name in names])
-    detector.extend(names, np.arange(len(names)), np.full(len(names), tick), deltas)
+    stamps = np.full(len(names), tick * config.tick_interval)
+    detector.extend(names, np.arange(len(names)), stamps, deltas)
     show(detector.poll())
 show(detector.finish())  # end of input: the last tick is evaluated too
 

@@ -9,7 +9,8 @@ file on stdin: into the lines each `io.DEFAULT_BUFFER_SIZE` read
 completes, and those reads into runs of the `Detector`, each ending with
 the read that brings the lines since the last run to BLOCK.  A run stacks
 the full windows its lines complete across counters, in config order, at
-most a stack size of windows per `lof_at` call.  For stack sizes 32, 64,
+most a stack size of windows per `lof_at` call, as the `Detector` gathers
+them from one view of the run's samples.  For stack sizes 32, 64,
 128 and 256 (the shipped CHUNK marked), it prints the calls, and the
 median and the best of --repeat timed passes over every call in
 microseconds per window; the sizes take turns, pass by pass.  Exits 1

@@ -17,8 +17,10 @@ child has read the whole pipe and sleeps for more (its state in
 /proc/<pid>/stat), so a block's time is that of its own lines.  Exits 1 if the RSS at
 the last quarter exceeds the first quarter's by more than 10%, or if
 `detect` fails.  `detect` reads the pipe one block of at most 8 KiB at a
-time, runs its windows at least every 4096 lines and scores them in
-stacks of at most 64, so a bounded detector holds its windows, score
+time, holds a partial line only up to 65 536 characters, snaps each
+read's timestamps to ticks in the `Detector`, runs its windows at least
+every 4096 lines and scores them in stacks of at most 64 gathered from one
+view of the run's samples, so a bounded detector holds its windows, score
 maps, pending lines, window stack and partial line at a fixed size however
 long the stream runs, and keeps nothing of an event it does not score.
 """

@@ -80,6 +80,10 @@ EXIT_ALERTS = 3
 # the built-in settings, which a config file and then the flags override
 _DEFAULTS = DetectorConfig()
 
+# Longest line detect holds, in characters: a longer one is dropped piece by
+# piece as it comes and counts as one malformed line.
+_MAX_LINE = 1 << 16
+
 
 def _names(text: str) -> tuple[str, ...]:
     return tuple(name.strip() for name in text.split(",") if name.strip())
@@ -239,8 +243,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 # detect
 # ---------------------------------------------------------------------------
 
-def _read_blocks(stream) -> Iterator[list[str]]:
-    """The lines of ``stream``, one list per read.
+def _read_blocks(stream) -> Iterator[tuple[list[str], int]]:
+    """The lines of ``stream``, one list per read, and how many lines
+    longer than ``_MAX_LINE`` ended in that read, before those listed.
 
     A text stream over a binary buffer is read as its text layer reads it,
     at most ``io.DEFAULT_BUFFER_SIZE`` bytes per ``read1``, but the lines
@@ -248,26 +253,37 @@ def _read_blocks(stream) -> Iterator[list[str]]:
     are decoded with the stream's own encoding and errors and split only at
     line feeds; a line that spans reads is joined once its line feed comes,
     so a long line costs time in step with its length, and a last line with
-    no line feed still counts.  Any other line source gives one list per
-    line.
+    no line feed still counts.  An over-long line is held only up to
+    ``_MAX_LINE``, then dropped as it comes and counted once it ends.  Any
+    other line source gives one list per line.
     """
     raw = getattr(stream, "buffer", None)
     if not hasattr(raw, "read1"):
         for line in stream:
-            yield [line]
+            yield ([], 1) if len(line.rstrip("\r\n")) > _MAX_LINE else ([line], 0)
         return
     decoder = codecs.getincrementaldecoder(stream.encoding)(stream.errors)
-    pieces: list[str] = []  # the line still open, as read
+    pieces: list[str] = []  # the line still open, as read, until over-long
+    length = 0  # of the line still open
     while data := raw.read1(io.DEFAULT_BUFFER_SIZE):
         *lines, last = decoder.decode(data).split("\n")
+        dropped = 0
         if lines:
+            dropped = int(length + len(lines[0]) > _MAX_LINE)
             lines[0] = "".join(pieces) + lines[0]
+            del lines[:dropped]
             pieces.clear()
+            length = 0
         pieces.append(last)
-        yield lines
+        length += len(last)
+        if length > _MAX_LINE:
+            pieces.clear()
+        yield lines, dropped
     tail = "".join(pieces) + decoder.decode(b"", final=True)
-    if tail:
-        yield [tail]
+    if max(length, len(tail)) > _MAX_LINE:
+        yield [], 1
+    elif tail:
+        yield [tail], 0
 
 
 def _input_waiting(stream) -> Callable[[], bool]:
@@ -308,17 +324,18 @@ def cmd_detect(args: argparse.Namespace) -> int:
     unpolled = 0  # lines read since the last poll
     while True:
         try:
-            lines = next(reads, None)
+            lines, dropped = next(reads, (None, 0))
             if lines is None:
                 break
-            block = parse_block(lines, diags, last_ts, config.counters, config.tick_interval)
+            diags.lines_read += dropped  # each over-long line, before these
+            block = parse_block(lines, diags, last_ts, config.counters)
+            detector.extend(block.events, block.codes, block.stamps, block.deltas)
         except (ValueError, OSError):
             # a read that cannot be decoded or ticked ends the stream after
             # the rows of every read before it
             emit(detector.poll())
             raise
-        malformed += len(block.errors)
-        detector.extend(block.events, block.codes, block.ticks, block.deltas)
+        malformed += dropped + len(block.errors)
         unpolled += len(lines)
         if unpolled >= BLOCK or not waiting():
             emit(detector.poll())

@@ -7,11 +7,12 @@ computed.  The scores for one evaluated tick are averaged into a single
 attack factor f, and f above the configured threshold raises an alert.
 
 One ``Detector`` runs that tick loop for both drivers, on blocks of lines:
-``detect`` hands it each read's parsed lines as columns, ``run_offline``
-runs every aligned value in tick order and keeps f as arrays.  One rule
-says which scores count: a score counts iff it is computed before the
-clock passes the tick that reads it (its eval tick + lag); of two scores
-for one counter and tick, the later counts.
+``detect`` hands it each read's parsed lines as columns, timestamps that it
+snaps to the tick grid itself; ``run_offline`` runs every aligned value in
+tick order and keeps f as arrays.  One rule says which scores count: a
+score counts iff it is computed before the clock passes the tick that
+reads it (its eval tick + lag); of two scores for one counter and tick,
+the later counts.
 ``run_offline`` also ranks each counter's whole aligned column once, for
 ``outliers.csv`` and the charts.
 ``push_value`` (through ``lof_scores``), ``evaluate_tick`` and
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping, MutableSequence, Sequence
 
@@ -36,7 +37,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .events import CANDIDATE_EVENTS, check_counters
 from .lof import LofResult, lof_all, lof_at, lof_scores, top_n_outliers
-from .trace import AlignedTrace, Sample, tick_of
+from .trace import AlignedTrace, Sample, tick_of, ticks_of
 
 # Most windows per lof_at call.  Stacking 64 50-point windows cuts the cost
 # per window about tenfold against one at a time.  Larger stacks cost less
@@ -239,8 +240,9 @@ class Detector:
     own window, so the stacking changes no bit.
 
     ``extend`` takes a block of parsed lines as columns, as
-    ``trace.parse_block`` gives them.  A line of an unconfigured event or
-    with an uncounted delta is ignored, as ``align`` gives it no tick: it
+    ``trace.parse_block`` gives them, and snaps every line's timestamp to
+    its tick as ``align`` does.  A line of an unconfigured event or with an
+    uncounted delta is then ignored, as ``align`` gives it no tick: it
     neither scores nor moves the clock.  Lines gather in one buffer, run
     once BLOCK lines are pending.
     ``poll`` runs them and hands over the alerts raised since the last call;
@@ -267,18 +269,19 @@ class Detector:
         self._alerts: list[Alert] = []
 
     def extend(
-        self, events: Sequence[str], codes: np.ndarray, ticks: np.ndarray, deltas: np.ndarray
+        self, events: Sequence[str], codes: np.ndarray, stamps: np.ndarray, deltas: np.ndarray
     ) -> None:
         """A block of parsed lines as columns: each line's event as its
-        index into ``events``, its tick and its delta, NaN for a
-        ``<not counted>`` readout.  Ticks must be integers: a float column,
-        such as timestamps, is a ``TypeError``."""
+        index into ``events``, its timestamp and its delta, NaN for a
+        ``<not counted>`` readout.  Every line is snapped to its tick
+        before any is dropped, so a timestamp past the int64 ticks is a
+        ``ValueError`` naming the first, and none of the block is kept."""
+        ticks = ticks_of(stamps, self.config.tick_interval)
         lookup = np.array([self._index.get(name, -1) for name in events], dtype=np.int64)
         counters = lookup[codes]
         kept = (counters >= 0) & ~np.isnan(deltas)
         for column, values in zip(self._gathered, (counters, ticks, deltas)):
-            # in the column's own type; a cast that could lose a value raises
-            column.frombytes(values[kept].astype(column.typecode, casting="safe", copy=False).tobytes())
+            column.frombytes(values[kept].astype(column.typecode, copy=False).tobytes())
         if len(self._gathered[0]) >= BLOCK:
             self._run_gathered()
 
@@ -310,12 +313,11 @@ class Detector:
         if self._clock is not None:
             np.maximum(clock, self._clock, out=clock)
         window, lagged = self.config.window, self._lag
-        # per counter, in counter order: its samples to score from, the
-        # first of them past warm-up and the first that ends a full window,
-        # and the eval ticks of the scores that count by the rule: eval
-        # tick + lag, the tick that reads a score, is not behind the clock
-        # at the line that computed it
-        samples, counted = [], []
+        # per counter, in counter order: its samples to score from and the
+        # first of them past warm-up; per score, its counter and eval tick,
+        # and whether it counts by the rule: eval tick + lag, the tick that
+        # reads a score, is not behind the clock at the line that computed it
+        samples, scored = [], []
         for counter in np.flatnonzero(np.bincount(counters)).tolist():
             lines = np.flatnonzero(counters == counter)
             tail_ticks, tail_values, count = self._tails[counter]
@@ -328,52 +330,39 @@ class Detector:
             start = max(held, self.config.warmup - 1 - count + held)
             ends = np.arange(start, values.shape[0])
             eval_ticks = c_ticks[ends - lagged]
-            on_time = eval_ticks >= clock[lines[ends - held]] - lagged
-            samples.append((values, start, max(start, window - 1 - count + held)))
-            counted.append((counter, eval_ticks[on_time], on_time))
-        landed = [self._pending]
-        for (counter, eval_ticks, on_time), scores in zip(counted, self._score(samples)):
-            landed.append((np.full(eval_ticks.shape[0], counter), eval_ticks, scores[on_time]))
+            samples.append((values, start))
+            scored.append((np.full(ends.shape[0], counter), eval_ticks,
+                           eval_ticks >= clock[lines[ends - held]] - lagged))
+        counter_of, eval_ticks, on_time = (np.concatenate(column) for column in zip(*scored))
+        landed = (counter_of[on_time], eval_ticks[on_time], self._score(samples)[on_time])
         self._clock = int(clock[-1])
-        self._evaluate(landed)
+        self._evaluate([self._pending, landed])
 
-    def _score(self, samples: list[tuple[np.ndarray, int, int]]) -> list[np.ndarray]:
-        """Per counter, the scores of the windows that its samples from the
-        first to score on end, in sample order.
+    def _score(self, samples: list[tuple[np.ndarray, int]]) -> np.ndarray:
+        """The scores of the windows that each counter's samples end, from
+        the first to score on, in counter order and then sample order.
 
-        ``samples`` holds per counter its samples, the first of them to
-        score and the first that ends a full window; before that one, a
-        window holds every sample so far, as the tail holds them all then.
-        Windows of one length, the full ones and the warm-up ones of each
-        length, are stacked across counters, at most CHUNK per ``lof_at``
-        call.
+        ``samples`` holds per counter its samples and the first of them to
+        score.  A window is the newest ``window`` samples up to its end, or
+        every sample so far while there are fewer, as the tail holds them
+        all then.  The samples are joined once; the windows of one length,
+        across counters, are rows of one view of them, gathered CHUNK at a
+        time into a ``lof_at`` call.
         """
         k, window, lagged = self.config.k, self.config.window, self._lag
-        scores = [np.empty(max(0, values.shape[0] - start)) for values, start, _ in samples]
-        # per window length, each counter's windows and where their scores go
-        by_size: defaultdict[int, list[tuple[np.ndarray, np.ndarray]]] = defaultdict(list)
-        for (values, start, full), out in zip(samples, scores):
-            for end in range(start, min(full, values.shape[0])):
-                by_size[end + 1].append((values[None, :end + 1], out[end - start:][:1]))
-            if full < values.shape[0]:
-                by_size[window].append(
-                    (sliding_window_view(values, window)[full + 1 - window:], out[full - start:])
-                )
-        for size, parts in by_size.items():
-            stacks, room = [[]], CHUNK
-            for windows, out in parts:
-                while windows.shape[0]:
-                    take = min(room, windows.shape[0])
-                    stacks[-1].append((windows[:take], out[:take]))
-                    windows, out, room = windows[take:], out[take:], room - take
-                    if not room:
-                        stacks.append([])
-                        room = CHUNK
-            for stack in filter(None, stacks):
-                got = lof_at(np.concatenate([windows for windows, _ in stack]), k,
-                             size - 1 - lagged)
-                for _, out in stack:
-                    out[:], got = got[:out.shape[0]], got[out.shape[0]:]
+        values = np.concatenate([mine for mine, _ in samples])
+        # each window's last sample, among its counter's samples and in values
+        local = [np.arange(start, mine.shape[0]) for mine, start in samples]
+        offsets = np.cumsum([0] + [mine.shape[0] for mine, _ in samples[:-1]])
+        ends = np.concatenate([offset + last for offset, last in zip(offsets, local)])
+        sizes = np.minimum(np.concatenate(local) + 1, window)
+        scores = np.empty(ends.shape[0])
+        for size in np.flatnonzero(np.bincount(sizes)).tolist():
+            rows = sliding_window_view(values, size)
+            of_size = np.flatnonzero(sizes == size)
+            for chunk in range(0, of_size.shape[0], CHUNK):
+                at = of_size[chunk:chunk + CHUNK]
+                scores[at] = lof_at(rows[ends[at] + 1 - size], k, size - 1 - lagged)
         return scores
 
     def _evaluate(self, landed: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> None:

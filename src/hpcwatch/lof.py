@@ -30,9 +30,10 @@ Three kernels compute the same numbers:
   cases in form, and builds one distance row for the point and one for
   each of its m neighbors (O(n*m) per window, however wide the stack's
   other neighborhoods are).  It serves the ``Detector``'s window scoring
-  for both drivers: the full windows a run of lines completes, across
-  counters, in stacks of up to 64, and the warm-up windows of one length
-  across counters in one stack.
+  for both drivers: the windows a run of lines completes, those of one
+  length (the full ones, and the warm-up ones of each length) across
+  counters, gathered from one view of the run's samples in stacks of up
+  to 64.
 * ``_sorted_kernel`` sorts once, bisects each point's neighborhood as a
   run of the sorted values, and walks those runs: O(n log n + n*k) time,
   and O(n) memory plus one block of at most BLOCK neighborhood members,

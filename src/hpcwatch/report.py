@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -95,8 +95,12 @@ def write_outliers_csv(path: str, rows: Iterable[OutlierRow]) -> None:
 # Readers
 # ---------------------------------------------------------------------------
 
-def _read_rows(path: str, expected_header: list[str]) -> list[list[str]]:
-    """The rows after the header, each with the header's field count."""
+def _read_rows(
+    path: str, expected_header: list[str], convert: Callable[[list[str]], object]
+) -> list:
+    """The rows after the header, each with the header's field count, as
+    ``convert`` reads them; a row it cannot read is a ``ValueError`` that
+    names the file and line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or rows[0] != expected_header:
@@ -104,49 +108,34 @@ def _read_rows(path: str, expected_header: list[str]) -> list[list[str]]:
             f"{path}: expected header {','.join(expected_header)!r}, "
             f"got {rows[0] if rows else 'empty file'!r}"
         )
+    converted = []
     # a row per line: no field the writers write holds a line feed
     for line_no, row in enumerate(rows[1:], start=2):
         if len(row) != len(expected_header):
             raise ValueError(f"{path}:{line_no}: expected {len(expected_header)} fields, "
                              f"got {len(row)}")
-    return rows[1:]
+        try:
+            converted.append(convert(row))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: {exc}") from None
+    return converted
 
 
 def read_attack_factor_csv(path: str) -> list[tuple[float, float, int]]:
-    return [
-        (float(r[0]), float(r[1]), int(r[2]))
-        for r in _read_rows(path, ATTACK_FACTOR_HEADER)
-    ]
+    return _read_rows(path, ATTACK_FACTOR_HEADER, lambda r: (float(r[0]), float(r[1]), int(r[2])))
 
 
 def read_alerts_csv(path: str, tick_interval: float) -> list[Alert]:
     """Rebuild alerts; per-counter scores are not serialized, so the
     snapshot carries the names with a placeholder score."""
-    alerts = []
-    for r in _read_rows(path, ALERTS_HEADER):
-        eval_time = float(r[0])
-        names = [n for n in r[3].split(";") if n]
-        alerts.append(
-            Alert(
-                eval_time=eval_time,
-                eval_tick=tick_of(eval_time, tick_interval),
-                f=float(r[1]),
-                threshold=float(r[2]),
-                per_counter_lof={n: float("nan") for n in names},
-            )
-        )
-    return alerts
+    return _read_rows(path, ALERTS_HEADER, lambda r: Alert(
+        eval_time=float(r[0]), eval_tick=tick_of(float(r[0]), tick_interval), f=float(r[1]),
+        threshold=float(r[2]), per_counter_lof={n: float("nan") for n in r[3].split(";") if n},
+    ))
 
 
 def read_outliers_csv(path: str) -> list[OutlierRow]:
-    return [
-        OutlierRow(
-            event=r[0],
-            tick=int(r[1]),
-            time=float(r[2]),
-            value=float(r[3]),
-            lof=float(r[4]),
-            rank=int(r[5]),
-        )
-        for r in _read_rows(path, OUTLIERS_HEADER)
-    ]
+    return _read_rows(path, OUTLIERS_HEADER, lambda r: OutlierRow(
+        event=r[0], tick=int(r[1]), time=float(r[2]), value=float(r[3]), lof=float(r[4]),
+        rank=int(r[5]),
+    ))

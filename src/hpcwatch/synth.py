@@ -226,21 +226,25 @@ def write_ground_truth(path: str, truth: GroundTruth, tick_interval: float) -> N
 
 
 def read_ground_truth(path: str) -> tuple[GroundTruth, float | None]:
-    pairs: dict[str, str] = {}
+    convert = {"tick_interval": float, "attack_tick": int}
+    pairs: dict[str, object] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise ValueError(f"bad ground-truth line: {line!r}")
-            key, _, value = line.partition("=")
-            pairs[key.strip()] = value.strip()
+                raise ValueError(f"{path}:{line_no}: bad ground-truth line: {line!r}")
+            key, _, value = (part.strip() for part in line.partition("="))
+            try:
+                pairs[key] = convert.get(key, str)(value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {key}: {exc}") from None
 
-    tick_interval = float(pairs["tick_interval"]) if "tick_interval" in pairs else None
+    tick_interval = pairs.get("tick_interval")
     if tick_interval is not None and not 0 < tick_interval < math.inf:
         raise ValueError(f"{path}: tick_interval must be finite and > 0, got {tick_interval}")
-    attack_tick = int(pairs["attack_tick"]) if "attack_tick" in pairs else None
+    attack_tick = pairs.get("attack_tick")
     affected: tuple[str, ...] = ()
     if attack_tick is not None:
         raw_affected = pairs.get("affected", "")

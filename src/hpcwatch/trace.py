@@ -26,11 +26,13 @@ is recorded with its line number and reason, and the diagnostics identity
 holds for ``parse_stream`` on arbitrary input.  ``read_samples`` is the line
 reader, and the reference: it yields each usable sample and each malformed
 line's error as the line arrives.  ``parse_block`` reads any block of
-lines into columns and the block's errors, a block of plain data lines at
-once and any other through ``read_samples``.  ``parse_stream`` reads its
-source BLOCK lines at a time that way and keeps the errors; the live
-``detect`` loop hands each read's columns to the detector and only counts
-the errors, so its memory stays flat however many lines are malformed.
+lines into columns of event codes, timestamps and deltas, and the block's
+errors, a block of plain data lines at once and any other through
+``read_samples``.  ``parse_stream`` reads its source BLOCK lines at a time
+that way and keeps the errors; the live ``detect`` loop hands each read's
+columns to the detector, which snaps the timestamps to ticks, and only
+counts the errors, so its memory stays flat however many lines are
+malformed.
 
 ``align`` snaps every event onto one tick grid, keeping per counter only
 the ticks with a counted sample and their summed deltas: an ``AlignedTrace``
@@ -304,15 +306,13 @@ class ParsedBlock(NamedTuple):
     ``events`` are the block's event names in order of first appearance
     and ``codes`` each sample's index into them; ``stamps`` are the
     samples' timestamps and ``deltas`` their float deltas, NaN for one not
-    counted.  ``ticks`` are the samples' int64 ticks when the block was
-    parsed for a tick interval, else None.
+    counted.
     """
 
     events: list[str]
     codes: np.ndarray
     stamps: np.ndarray
     deltas: np.ndarray
-    ticks: np.ndarray | None
     errors: list[LineError]
 
 
@@ -337,20 +337,16 @@ def parse_block(
     diags: ParseDiagnostics,
     last_ts: dict[str, float],
     events: Iterable[str] | None = None,
-    tick_interval: float | None = None,
 ) -> ParsedBlock:
     """The block of lines (without their line feeds) as columns, as
     ``read_samples`` reads them with these ``diags``, ``last_ts`` and
     ``events``, and the block's errors, for the caller to keep or count.
-    Given ``tick_interval``, every sample has a tick, and one past the int64
-    ticks is a ``ValueError`` naming the first such timestamp, as
-    ``tick_of`` does.  A block of plain data lines is read at once, any
-    other line by line."""
-    block = _take_block(lines, diags, last_ts, events, tick_interval)
+    A block of plain data lines is read at once, any other line by line."""
+    block = _take_block(lines, diags, last_ts, events)
     if block is not None:
         return block
     names: dict[str, int] = {}
-    codes, stamps, deltas, ticks, errors = [], [], [], [], []
+    codes, stamps, deltas, errors = [], [], [], []
     for item in read_samples(lines, diags, events, last_ts):
         if type(item) is LineError:
             errors.append(item)
@@ -358,15 +354,13 @@ def parse_block(
         codes.append(names.setdefault(item.event, len(names)))
         stamps.append(item.timestamp)
         deltas.append(math.nan if item.delta is None else float(item.delta))
-        if tick_interval is not None:
-            ticks.append(tick_of(item.timestamp, tick_interval))
     return ParsedBlock(list(names), np.array(codes, np.int64), np.array(stamps), np.array(deltas),
-                       None if tick_interval is None else np.array(ticks, np.int64), errors)
+                       errors)
 
 
 def _take_block(
     lines: Sequence[str], diags: ParseDiagnostics, last_ts: dict[str, float],
-    events: Iterable[str] | None, tick_interval: float | None,
+    events: Iterable[str] | None,
 ) -> ParsedBlock | None:
     """``parse_block`` of a block of plain data lines, read at once, or
     None if the block does not qualify; a declined block changes nothing.
@@ -378,8 +372,7 @@ def _take_block(
     not empty once stripped (a CRLF ending strips off with it); later
     fields are ignored.  Every held event's timestamps, ``events`` and
     ``last_ts`` as ``read_samples`` reads them, must strictly increase from
-    its last one, and given ``tick_interval``, every line's tick must be
-    below 2**63, as ``tick_of`` requires.  Comments, blank lines,
+    its last one.  Comments, blank lines,
     ``<not counted>``, other spaces, underscores, exponents, stale lines
     and longer deltas all decline.
     """
@@ -396,12 +389,6 @@ def _take_block(
         return None
     if not np.isfinite(stamps).all():
         return None
-    ticks = None
-    if tick_interval is not None:
-        try:
-            ticks = ticks_of(stamps, tick_interval)
-        except ValueError:  # for tick_of, which raises at that line
-            return None
 
     # each distinct rest of a line once, in order of first appearance, and
     # its event
@@ -424,7 +411,7 @@ def _take_block(
     _held(last_ts, events).update(newest)
     diags.lines_read += len(lines)
     diags.samples_parsed += len(lines)
-    return ParsedBlock(names, codes, stamps, np.array(delta_texts, dtype=np.float64), ticks, [])
+    return ParsedBlock(names, codes, stamps, np.array(delta_texts, dtype=np.float64), [])
 
 
 def parse_stream(reader: Iterable[str] | IO[str]) -> tuple[Trace, ParseDiagnostics]:
@@ -484,12 +471,14 @@ def tick_of(timestamp: float, tick_interval: float) -> int:
 
 def ticks_of(stamps: np.ndarray, tick_interval: float) -> np.ndarray:
     """``tick_of`` of every timestamp at once, as int64; a timestamp past
-    the int64 ticks is a ``ValueError`` that names the largest."""
+    the int64 ticks is a ``ValueError`` that names the first, as
+    ``tick_of`` of each in turn would."""
     # a stamp that overflows to +inf fails the test too
     with np.errstate(over="ignore"):
         grid = np.floor(stamps / tick_interval + 0.5)
-    if not (grid < 2.0**63).all():
-        raise ValueError(f"timestamp {stamps.max()} is past the int64 ticks")
+    below = grid < 2.0**63
+    if not below.all():
+        raise ValueError(f"timestamp {stamps[np.argmin(below)]} is past the int64 ticks")
     return grid.astype(np.int64)
 
 

@@ -25,11 +25,10 @@ from hpcwatch.trace import LineError, ParseDiagnostics, Sample, parse_block, par
 
 def feed_read(detector: Detector, lines: list[str], last_ts: dict[str, float]) -> None:
     """Parse ``lines``, one read, through ``parse_block`` for the
-    detector's counters and ticks and hand the columns to ``extend``, as
-    ``detect`` does.  ``last_ts`` is the stream's, passed to every read."""
-    config = detector.config
-    block = parse_block(lines, ParseDiagnostics(), last_ts, config.counters, config.tick_interval)
-    detector.extend(block.events, block.codes, block.ticks, block.deltas)
+    detector's counters and hand the columns to ``extend``, as ``detect``
+    does.  ``last_ts`` is the stream's, passed to every read."""
+    block = parse_block(lines, ParseDiagnostics(), last_ts, detector.config.counters)
+    detector.extend(block.events, block.codes, block.stamps, block.deltas)
 
 
 def replay_detect(

@@ -21,7 +21,9 @@ from hpcwatch.cli import (
     EXIT_CAPTURE,
     EXIT_ERROR,
     EXIT_OK,
+    _MAX_LINE,
     _SETTINGS,
+    _read_blocks,
     _resolve_config,
     build_parser,
     load_config_file,
@@ -829,6 +831,45 @@ def test_detect_reads_a_line_spanning_many_reads_in_linear_time(monkeypatch, cap
     assert elapsed < 2.0, elapsed
 
 
+def test_read_blocks_holds_an_over_long_line_only_up_to_the_cap():
+    # a 16 MiB line in 8 KiB reads, then a data line: held whole until its
+    # line feed, it peaked at 32 MiB under tracemalloc
+    import tracemalloc
+
+    class Reads:
+        def __init__(self, *reads: bytes) -> None:
+            self.reads = list(reads)
+
+        def read1(self, size: int) -> bytes:
+            return self.reads.pop(0) if self.reads else b""
+
+    class Stdin:
+        encoding, errors = "utf-8", "strict"
+
+        def __init__(self, *reads: bytes) -> None:
+            self.buffer = Reads(*reads)
+
+    long = Stdin(*[b"x" * 8192] * 2048, b"\n0.1,5,LLC-loads\n")
+    tracemalloc.start()
+    try:
+        reads = [(lines, dropped) for lines, dropped in _read_blocks(long) if lines or dropped]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert reads == [(["0.1,5,LLC-loads"], 1)]
+    assert peak < 2**20, peak
+    # a line of the cap's length is kept whole, a longer one is counted once
+    # its line feed or the end of input comes
+    line = "x" * _MAX_LINE
+    kept = Stdin(*[line[i:i + 1000].encode() for i in range(0, _MAX_LINE, 1000)], b"\n")
+    assert [lines for lines, _ in _read_blocks(kept) if lines] == [[line]]
+    for end in (b"x\n", b"x"):
+        over = Stdin(*[line[i:i + 1000].encode() for i in range(0, _MAX_LINE, 1000)], end)
+        reads = list(_read_blocks(over))
+        assert sum(dropped for _, dropped in reads) == 1
+        assert not any(lines for lines, _ in reads)
+
+
 @pytest.mark.parametrize("bad, error", [
     (b"1e30,5,LLC-loads\n", "error: timestamp 1e+30 is past the int64 ticks"),
     (b"\xff\n", "error: 'utf-8' codec can't decode byte 0xff"),
@@ -1280,6 +1321,37 @@ def test_eval_rejects_an_alerts_row_of_the_wrong_length(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {alerts}:3: expected 4 fields, got 2\n"
+
+
+@pytest.mark.parametrize("name, text, line, error", [
+    ("alerts.csv", "eval_time,f,threshold,counters\n15,2,1.5,LLC-loads\nx,2,1.5,LLC-loads\n",
+     3, "could not convert string to float: 'x'"),
+    ("attack_factor.csv", "eval_time,f,contributing\n0.1,1,6\n0.2,1.5,1.5\n",
+     3, "invalid literal for int() with base 10: '1.5'"),
+    ("outliers.csv", "event,tick,time,value,lof,rank\nLLC-loads,3,0.3,7,x,1\n",
+     2, "could not convert string to float: 'x'"),
+    ("truth.txt", "# sidecar\ntick_interval=0.1\nattack_tick=1.5\n",
+     3, "attack_tick: invalid literal for int() with base 10: '1.5'"),
+    ("truth.txt", "tick_interval=abc\nattack_tick=150\n",
+     1, "tick_interval: could not convert string to float: 'abc'"),
+], ids=["alerts", "attack-factor", "outliers", "sidecar-attack-tick", "sidecar-interval"])
+def test_a_value_that_does_not_convert_is_named_by_file_and_line(
+    name, text, line, error, tmp_path, capsys
+):
+    files = {"alerts.csv": "eval_time,f,threshold,counters\n15,2,1.5,LLC-loads\n",
+             "truth.txt": "tick_interval=0.1\nattack_tick=150\naffected=LLC-loads\n", name: text}
+    for file, content in files.items():
+        (tmp_path / file).write_text(content)
+    want = f"{tmp_path / name}:{line}: {error}"
+    readers = {"attack_factor.csv": read_attack_factor_csv, "outliers.csv": read_outliers_csv}
+    if name in readers:
+        with pytest.raises(ValueError) as raised:
+            readers[name](str(tmp_path / name))
+        assert str(raised.value) == want
+    else:
+        alerts, truth = str(tmp_path / "alerts.csv"), str(tmp_path / "truth.txt")
+        assert main(["eval", alerts, truth]) == EXIT_ERROR
+        assert capsys.readouterr() == ("", f"error: {want}\n")
 
 
 def test_an_infinite_interval_exits_one(tmp_path, monkeypatch, capsys):

@@ -11,6 +11,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
+# the alerts a demo prints, in order, so one that runs but finds nothing fails
+ALERTS = {"03_streaming_detection.py": ["ALERT for tick 60", "ALERT for tick 61"]}
+
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
@@ -23,3 +26,8 @@ def test_demo_runs(demo, tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    if demo.name in ALERTS:
+        alerts = [line for line in proc.stdout.splitlines() if "ALERT" in line]
+        assert len(alerts) == len(ALERTS[demo.name]), proc.stdout
+        for line, alert in zip(alerts, ALERTS[demo.name]):
+            assert alert in line

@@ -27,7 +27,17 @@ from hpcwatch.detector import (
 )
 from hpcwatch.events import CANDIDATE_EVENTS
 from hpcwatch.synth import AttackSpec, BaselineSpec, SynthConfig, generate_trace
-from hpcwatch.trace import AlignedTrace, Sample, Trace, align, iter_serialized, tick_of
+from hpcwatch.trace import (
+    MISSING_DELTA_TOKEN,
+    AlignedTrace,
+    ParseDiagnostics,
+    Sample,
+    Trace,
+    align,
+    iter_serialized,
+    parse_block,
+    tick_of,
+)
 from reference import feed_read, replay_detect
 
 INF = float("inf")
@@ -157,7 +167,7 @@ def test_push_sample_rejects_foreign_event():
         push_sample(state, sample, config)
 
 
-def test_extend_drops_uncounted_lines_and_refuses_float_ticks():
+def test_extend_drops_uncounted_lines():
     # a spiky run of three configured counters and one that is not, as one
     # block of columns, and again with <not counted> lines of the
     # configured counters put in, one at a tick far ahead
@@ -172,7 +182,7 @@ def test_extend_drops_uncounted_lines_and_refuses_float_ticks():
     def run(codes, ticks, deltas):
         points: tuple[list, list, list] = ([], [], [])
         detector = Detector(config, points=points)
-        detector.extend(names, codes, ticks, deltas)
+        detector.extend(names, codes, ticks * config.tick_interval, deltas)
         alerts = list(detector.finish())
         return list(zip(*points)), alerts
 
@@ -184,9 +194,18 @@ def test_extend_drops_uncounted_lines_and_refuses_float_ticks():
     # a <not counted> line neither scores nor moves the clock
     assert run(np.insert(codes, at, at % 3), np.insert(ticks, at, uncounted_ticks),
                np.insert(deltas, at, np.nan)) == (points, alerts)
-    # timestamps are not ticks: a float column is refused, not read as int64
-    with pytest.raises(TypeError):
-        Detector(config).extend(names, codes, ticks * 0.1, deltas)
+
+
+def test_extend_raises_at_the_first_tick_past_int64():
+    # every line is ticked, one not counted or of an event no one holds
+    # too, and the first past the int64 ticks is named, as tick_of names it
+    config = DetectorConfig(counters=("LLC-loads",))
+    for line in (f"1e30,{MISSING_DELTA_TOKEN},LLC-loads", "1e30,12,cpu-cycles"):
+        lines = ["0.1,1123,LLC-loads", "# a comment", line, "1e40,12,LLC-loads"]
+        block = parse_block(lines, ParseDiagnostics(), {}, config.counters)
+        assert block.errors == []
+        with pytest.raises(ValueError, match=r"^timestamp 1e\+30 is past the int64 ticks$"):
+            Detector(config).extend(block.events, block.codes, block.stamps, block.deltas)
 
 
 def test_ring_is_bounded_by_window():

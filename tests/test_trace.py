@@ -378,6 +378,13 @@ def test_align_rejects_a_tick_past_int64():
     assert align(trace, 0.5).n_ticks == 2**63 - 1023
 
 
+def test_align_names_the_first_of_two_timestamps_past_the_int64_ticks():
+    # as tick_of of each in turn would, not the largest
+    trace, _ = parse_stream(io.StringIO("0.1,5,LLC-loads\n1e30,5,LLC-loads\n1e40,5,LLC-loads\n"))
+    with pytest.raises(ValueError, match=r"^LLC-loads: timestamp 1e\+30 is past the int64 ticks$"):
+        align(trace, 0.1)
+
+
 @pytest.mark.parametrize(
     "ticks, values, reason",
     [
@@ -541,44 +548,37 @@ def test_parsed_hour_of_one_event_holds_two_arrays():
 # The block parser against the line reader
 # ---------------------------------------------------------------------------
 
-def read_by_line(lines, diags, last_ts, events=None, tick_interval=None):
+def read_by_line(lines, diags, last_ts, events=None):
     """What ``parse_block`` must give for a block it takes, from
     ``read_samples``: the events in order of first appearance, each line's
-    code, timestamp, delta and tick, or None if a line is not a counted
-    sample."""
+    code, timestamp and delta, or None if a line is not a counted sample."""
     names: dict[str, int] = {}
-    codes, stamps, deltas, ticks = [], [], [], []
+    codes, stamps, deltas = [], [], []
     for item in read_samples(lines, diags, events, last_ts):
         if type(item) is not Sample or item.delta is None:
             return None
         codes.append(names.setdefault(item.event, len(names)))
         stamps.append(item.timestamp)
         deltas.append(float(item.delta))
-        if tick_interval is not None:
-            ticks.append(tick_of(item.timestamp, tick_interval))
-    return list(names), codes, stamps, deltas, ticks
+    return list(names), codes, stamps, deltas
 
 
-def assert_block_equals_lines(lines, last_ts, events=None, tick_interval=None):
+def assert_block_equals_lines(lines, last_ts, events=None):
     """``parse_block``'s fast path declines the block and changes nothing,
     or takes it as ``read_samples`` reads it; returns whether it took it."""
     block_diags, line_diags = ParseDiagnostics(lines_read=3), ParseDiagnostics(lines_read=3)
     block_last, line_last = dict(last_ts), dict(last_ts)
-    block = trace_module._take_block(lines, block_diags, block_last, events, tick_interval)
+    block = trace_module._take_block(lines, block_diags, block_last, events)
     if block is None:
         assert (block_diags, block_last) == (ParseDiagnostics(lines_read=3), last_ts)
         return False
-    want = read_by_line(lines, line_diags, line_last, events, tick_interval)
+    want = read_by_line(lines, line_diags, line_last, events)
     assert want is not None, lines
-    names, codes, stamps, deltas, ticks = want
+    names, codes, stamps, deltas = want
     assert block.events == names
     assert block.codes.tolist() == codes
     assert block.stamps.tobytes() == np.array(stamps, dtype=np.float64).tobytes()
     assert block.deltas.tobytes() == np.array(deltas).tobytes()
-    if tick_interval is None:
-        assert block.ticks is None
-    else:
-        assert block.ticks.tobytes() == np.array(ticks, dtype=np.int64).tobytes()
     assert block.errors == []
     assert (block_diags, block_last) == (line_diags, line_last)
     return True
@@ -603,8 +603,7 @@ CLEAN_BLOCK = [
         "perf-layout-blank-unit-crlf", "extra-fields"])
 def test_parse_block_takes_plain_data_lines(line):
     assert assert_block_equals_lines([*CLEAN_BLOCK, line], {})
-    assert assert_block_equals_lines([line], {"LLC-loads": 0.25}, ("LLC-loads", "bus-cycles"),
-                                     0.1)
+    assert assert_block_equals_lines([line], {"LLC-loads": 0.25}, ("LLC-loads", "bus-cycles"))
 
 
 # One case per rule: the clean block with this line appended, after
@@ -644,32 +643,13 @@ DECLINED = {
 
 @pytest.mark.parametrize("line", DECLINED.values(), ids=DECLINED.keys())
 def test_parse_block_declines(line):
-    # read as parse_stream reads, and as detect does: with four events
-    # held and ticks of 0.1 s
+    # read as parse_stream reads, and as detect does: with four events held
     last_ts = {"dTLB-loads": 0.05}
     held = ("LLC-loads", "bus-cycles", "LLC-store-misses", "dTLB-loads")
-    for events, tick_interval in ((None, None), (held, 0.1)):
-        assert not assert_block_equals_lines([*CLEAN_BLOCK, line], last_ts, events, tick_interval)
+    for events in (None, held):
+        assert not assert_block_equals_lines([*CLEAN_BLOCK, line], last_ts, events)
         # the clean block alone is taken
-        assert assert_block_equals_lines(CLEAN_BLOCK, last_ts, events, tick_interval)
-
-
-def test_parse_block_declines_a_tick_past_int64():
-    # for tick_of, which raises on that line after the lines before it
-    lines = [*CLEAN_BLOCK, "1000000000000000000,12,cpu-cycles"]
-    assert not assert_block_equals_lines(lines, {}, ("LLC-loads",), 0.1)
-    assert assert_block_equals_lines(lines, {}, ("LLC-loads",), 1e5)
-    assert assert_block_equals_lines(lines, {})
-
-
-def test_parse_block_raises_at_the_first_tick_past_int64():
-    # every sample is ticked, one not counted or of an event no one holds
-    # too, and the first past the int64 ticks is named, as tick_of names it
-    for line in (f"1e30,{MISSING_DELTA_TOKEN},LLC-loads", "1e30,12,cpu-cycles"):
-        lines = [*CLEAN_BLOCK, "# a comment", line, "1e40,12,LLC-loads"]
-        with pytest.raises(ValueError, match=r"^timestamp 1e\+30 is past the int64 ticks$"):
-            parse_block(lines, ParseDiagnostics(), {}, ("LLC-loads",), 0.1)
-        assert parse_block(lines, ParseDiagnostics(), {}).errors == []
+        assert assert_block_equals_lines(CLEAN_BLOCK, last_ts, events)
 
 
 def test_parse_block_holds_only_the_held_events_to_order():
@@ -724,14 +704,14 @@ def test_parse_block_equals_read_samples_on_fuzzed_blocks():
     taken = declined = 0
     for _ in range(150):
         lines = fuzz_lines(rng, 400, 0.06)
-        for events, tick_interval in ((None, None), (("LLC-loads", "bus-cycles"), 0.1)):
+        for events in (None, ("LLC-loads", "bus-cycles")):
             last_ts: dict[str, float] = {}
             diags = ParseDiagnostics()
             at = 0
             while at < len(lines):
                 block = lines[at:at + int(rng.integers(1, 40))]
                 at += len(block)
-                if assert_block_equals_lines(block, last_ts, events, tick_interval):
+                if assert_block_equals_lines(block, last_ts, events):
                     taken += 1
                 else:
                     declined += 1
@@ -743,13 +723,13 @@ def test_parse_block_equals_read_samples_on_fuzzed_blocks():
 
 def test_parse_block_reads_every_block_as_read_samples():
     # any block, taken at once or not: the same columns, NaN where not
-    # counted, ticks, errors, diagnostics and last timestamps as the line
-    # reader gives
+    # counted, errors, diagnostics and last timestamps as the line reader
+    # gives
     rng = np.random.default_rng(25)
     clean = with_errors = 0
     for _ in range(40):
         lines = fuzz_lines(rng, 400, float(rng.choice([0, 0.01, 0.06])))
-        for events, tick_interval in ((None, None), (("LLC-loads", "bus-cycles"), 0.1)):
+        for events in (None, ("LLC-loads", "bus-cycles")):
             block_last: dict[str, float] = {}
             line_last: dict[str, float] = {}
             block_diags, line_diags = ParseDiagnostics(), ParseDiagnostics()
@@ -757,7 +737,7 @@ def test_parse_block_reads_every_block_as_read_samples():
             while at < len(lines):
                 cut = lines[at:at + int(rng.integers(1, 40))]
                 at += len(cut)
-                block = parse_block(cut, block_diags, block_last, events, tick_interval)
+                block = parse_block(cut, block_diags, block_last, events)
                 items = list(read_samples(cut, line_diags, events, line_last))
                 samples = [item for item in items if type(item) is Sample]
                 names = list(dict.fromkeys(sample.event for sample in samples))
@@ -768,11 +748,6 @@ def test_parse_block_reads_every_block_as_read_samples():
                 assert block.deltas.tobytes() == np.array(
                     [math.nan if s.delta is None else s.delta for s in samples],
                     dtype=np.float64).tobytes()
-                if tick_interval is None:
-                    assert block.ticks is None
-                else:
-                    assert block.ticks.tolist() == [
-                        tick_of(s.timestamp, tick_interval) for s in samples]
                 assert block.errors == [item for item in items if type(item) is LineError]
                 assert (block_diags, block_last) == (line_diags, line_last)
                 clean += not block.errors and not np.isnan(block.deltas).any()

@@ -13,9 +13,12 @@ most a stack size of windows per `lof_at` call, as the `Detector` gathers
 them from one view of the run's samples.  For stack sizes 32, 64,
 128 and 256 (the shipped CHUNK marked), it prints the calls, and the
 median and the best of --repeat timed passes over every call in
-microseconds per window; the sizes take turns, pass by pass.  Exits 1
-unless every score equals `lof_scores` at the lagged position, bit for
-bit.
+microseconds per window; the sizes take turns, pass by pass.  Then, for
+each counter's whole column of the workload, it prints the median and the
+best ms per `lof_all` call over --repeat calls, and the tracemalloc peak
+of one more.  Exits 1 unless every window score equals `lof_scores` at
+the lagged position, and `lof_all`'s scores of each column's first 1 000
+points equal `lof_scores`', bit for bit.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +40,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "bench"))
 
 from hpcwatch.detector import BLOCK, CHUNK, DetectorConfig, lag  # noqa: E402
-from hpcwatch.lof import lof_at, lof_scores  # noqa: E402
+from hpcwatch.lof import lof_all, lof_at, lof_scores  # noqa: E402
 from workloads import WORKLOADS, generate_deltas, write_inputs  # noqa: E402
 
 
@@ -85,6 +89,31 @@ def timed(stacks: list[np.ndarray], k: int, pos: int) -> tuple[np.ndarray, float
     return scores, (time.perf_counter() - started) / count * 1e6
 
 
+def series_bench(deltas: dict[str, np.ndarray], config: DetectorConfig, repeat: int) -> bool:
+    """Time `lof_all` on each counter's column; whether its scores of each
+    column's first 1 000 points equal `lof_scores`', bit for bit."""
+    ok = True
+    for name in config.counters:
+        column = deltas[name].astype(np.float64)
+        head = column[:1000]
+        ok &= lof_all(head, config.k)[1].tobytes() == lof_scores(head, config.k).tobytes()
+        ms = []
+        for _ in range(repeat):
+            started = time.perf_counter()
+            lof_all(column, config.k)
+            ms.append((time.perf_counter() - started) * 1e3)
+        tracemalloc.start()
+        try:
+            lof_all(column, config.k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        print(f"lof_all on {name} ({column.size} points): median "
+              f"{statistics.median(ms):.2f} ms/call, best {min(ms):.2f} of {repeat}, "
+              f"tracemalloc peak {peak / 2**20:.2f} MiB")
+    return ok
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1)
@@ -116,7 +145,10 @@ def main(argv: list[str] | None = None) -> int:
               f"{statistics.median(passes[size]):.2f} us/window, best {min(passes[size]):.2f} "
               f"of {args.repeat} passes")
     print("every score equals lof_scores" if ok else "SCORES DIFFER FROM lof_scores")
-    return 0 if ok else 1
+    series_ok = series_bench(deltas, config, args.repeat)
+    print("every lof_all score of the first 1000 points equals lof_scores" if series_ok
+          else "LOF_ALL SCORES DIFFER FROM lof_scores")
+    return 0 if ok and series_ok else 1
 
 
 if __name__ == "__main__":

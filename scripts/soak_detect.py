@@ -7,7 +7,9 @@ log-normal jitter, one line per counter per 100 ms tick) into one
 `hpcwatch detect` process, in blocks of 1000 ticks with a gap of 10**4
 ticks before each.  Every other block is hostile: each of its ticks also
 brings three lines, an event named in no other line, a `<not counted>`
-readout of a counter half a tick later, and a line that does not parse.
+readout of a counter half a tick later, and a line that does not parse;
+and halfway through it comes one line longer than `detect` holds, an
+oversized delta written in LONG_WRITES writes, each read before the next.
 `parse_block` reads a clean block's reads at once and a hostile one's
 through the line reader.  At each quarter of the stream it prints the lines written so
 far, the quarter's lines/s and the child's resident set size (VmRSS from
@@ -41,6 +43,10 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from hpcwatch.cli import _MAX_LINE  # noqa: E402
+
 TICK_S = 0.1
 LEVELS = {
     "iTLB-load-misses": 18,
@@ -53,6 +59,7 @@ LEVELS = {
 GROWTH_LIMIT = 1.10
 BLOCK_TICKS = 1000  # ticks generated and written at a time
 GAP_TICKS = 10**4  # ticks with no line before each block
+LONG_WRITES = 4  # writes that carry a hostile block's over-long line
 
 
 def vm_rss_kib(pid: int) -> int:
@@ -97,11 +104,33 @@ def blocks(n_lines: int, seed: int):
                     f"{(t + 0.5) * TICK_S:.2f},<not counted>,{names[t % len(names)]}\n",
                     f"garbage {t}\n",
                 ]
+        if hostile:
+            long_line = f"{(tick + BLOCK_TICKS // 2) * TICK_S:.1f},{'9' * _MAX_LINE},LLC-loads\n"
+            lines.insert(len(lines) // 2, long_line)
         lines = lines[: n_lines - written]
         written += len(lines)
         tick += BLOCK_TICKS
         yield lines, hostile
         hostile = not hostile
+
+
+def write(child: subprocess.Popen, lines: list[str]) -> None:
+    """Write ``lines`` to ``child`` and wait until it has read them; a line
+    longer than ``_MAX_LINE`` goes in LONG_WRITES writes, each read before
+    the next."""
+    start = 0
+    for i, line in enumerate(lines):
+        if len(line) > _MAX_LINE:
+            child.stdin.writelines(lines[start:i])
+            step = -(-len(line) // LONG_WRITES)
+            for part in range(0, len(line), step):
+                child.stdin.write(line[part:part + step])
+                child.stdin.flush()
+                settle(child)
+            start = i + 1
+    child.stdin.writelines(lines[start:])
+    child.stdin.flush()
+    settle(child)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -129,9 +158,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         for block, hostile in blocks(args.lines, args.seed):
             block_started = time.perf_counter()
-            child.stdin.writelines(block)
-            child.stdin.flush()
-            settle(child)
+            write(child, block)
             kinds[hostile][0] += len(block)
             kinds[hostile][1] += time.perf_counter() - block_started
             written += len(block)

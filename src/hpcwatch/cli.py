@@ -408,6 +408,11 @@ def cmd_capture(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     if args.pid is None and not args.command:
         raise ValueError("capture needs --pid or a command after --")
+    if args.duration is not None:
+        if args.pid is None:
+            raise ValueError("--duration needs --pid")
+        if not 0 < args.duration < math.inf:
+            raise ValueError(f"--duration must be finite and > 0, got {args.duration}")
 
     interval_ms = max(1, int(round(config.tick_interval * 1000)))
     cmd = [

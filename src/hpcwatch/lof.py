@@ -35,19 +35,20 @@ Three kernels compute the same numbers:
   counters, gathered from one view of the run's samples in stacks of up
   to 64.
 * ``_sorted_kernel`` sorts once, bisects each point's neighborhood as a
-  run of the sorted values, and walks those runs: O(n log n + n*k) time,
-  and O(n) memory plus one block of at most BLOCK neighborhood members,
+  run of the sorted values, and lays the runs out as tables: O(n log n +
+  n*k) time, and O(n) memory plus one block of at most BLOCK table cells,
   laid out afresh for each pass instead of all n*k at once.  It serves
   ``lof_all``, which scores whole series (36 000 points for an hour at
   100 ms) as two arrays; ``top_n_outliers`` ranks those and builds a
   ``LofResult`` only for each of the n points it returns.
 
 The two fast kernels take their k-distances from one step,
-``_kdist_sorted``, over values sorted once.  The rest of them stays apart:
-``lof_at`` built from ``_sorted_kernel``'s run walk gives the same bits on
-``detect``'s stacks of 50-point windows at about 2.5x the time per window,
-because numpy's per-call overhead in ``_ordered_sums``, ``_runs`` and
-``_members`` dominates at that size.
+``_kdist_sorted``, over values sorted once, and every neighborhood sum
+from another, ``_column_sums`` of a point-major table with 0.0 where a
+column has no member.  They find the members apart: ``lof_at`` from a
+distance row per point, O(n) each, which is cheap for ``detect``'s
+50-point windows; ``_sorted_kernel`` from the runs, whose O(log n)
+bisection keeps a whole series from costing O(n^2).
 
 All three add every neighborhood sum's terms one at a time in ascending
 point index, the order the brute-force definition uses, so they agree bit
@@ -144,40 +145,10 @@ def _column_sums(table: np.ndarray) -> np.ndarray:
     return np.add.reduce(table, axis=0)
 
 
-# Most neighborhood run positions one block of ``_sorted_kernel`` lays out
-# at once: about 64 bytes each over the arrays that hold them.
+# Most table cells (points times longest run) one block of
+# ``_sorted_kernel`` lays out at once: about 64 bytes each over the arrays
+# that hold them.
 BLOCK = 4096
-
-# Segments longer than this are summed one by one; shorter ones together,
-# one term slot at a time.
-_LONG_SEGMENT = 64
-
-
-def _ordered_sums(terms: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Sum of each nonempty segment ``terms[offsets[i]:offsets[i + 1]]``,
-    adding its terms one at a time from left to right.
-
-    A long segment (a point beside a big tie group) would make the slot
-    loop run once per term; it takes the last running sum of its own terms
-    instead, which adds them in the same order."""
-    lengths = np.diff(offsets)
-    out = np.empty(lengths.shape[0], dtype=terms.dtype)
-    long = lengths > _LONG_SEGMENT
-    for i in np.flatnonzero(long).tolist():
-        out[i] = np.add.accumulate(terms[offsets[i]:offsets[i + 1]])[-1]
-    short = np.flatnonzero(~long)
-    if short.size == 0:
-        return out
-    longest_first = short[np.argsort(-lengths[short], kind="stable")]
-    starts = offsets[:-1][longest_first]
-    neg_lengths = -lengths[longest_first]  # ascending
-    acc = terms[starts].copy()
-    for slot in range(1, -int(neg_lengths[0])):
-        # the segments longer than slot lead the longest-first order
-        active = int(np.searchsorted(neg_lengths, -slot, side="left"))
-        acc[:active] += terms[starts[:active] + slot]
-    out[longest_first] = acc
-    return out
 
 
 def _kdist_sorted(xs: np.ndarray, k: int) -> np.ndarray:
@@ -226,25 +197,10 @@ def _runs(xs: np.ndarray, at: np.ndarray, kdist: np.ndarray) -> tuple[np.ndarray
     return lo, last + 1
 
 
-def _members(
-    order: np.ndarray, points: np.ndarray, run_lo: np.ndarray, run_len: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every neighborhood member of ``points``, point-major, each point's in
-    ascending index with the point itself dropped: the member's point (its
-    position in ``points``), the member's index, and the segment offsets."""
-    seg = np.repeat(np.arange(points.size), run_len)
-    run_start = np.cumsum(run_len) - run_len
-    member = order[run_lo[seg] + np.arange(seg.size) - run_start[seg]]
-    keep = member != points[seg]
-    seg, member = seg[keep], member[keep]
-    by_index = np.lexsort((member, seg))
-    return seg[by_index], member[by_index], np.append(0, np.cumsum(run_len - 1))
-
-
 def _sorted_kernel(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(lrd, lof) arrays for the whole set in O(n log n + n*k) time and O(n)
-    memory plus a block of at most BLOCK neighborhood members (more only
-    for a single point whose run is longer).
+    memory plus a block of at most BLOCK table cells (more only for a
+    single point whose run is longer).
 
     In 1-D a neighborhood is a run of the sorted values: computed distances
     never shrink moving away from a value, since subtraction rounds
@@ -252,10 +208,12 @@ def _sorted_kernel(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     with k-distance 0 has more than k copies, so it has lrd +inf and
     scores 1; every other point's run is bisected on the computed distance
     (``_runs``).  Then the lrds, and in a second pass the scores, are
-    computed a block of points at a time, each block's members laid out
-    afresh in each pass.  Sums over a neighborhood take its members in
-    ascending point index, exactly as ``_tables`` does, so both kernels
-    give the same bits however the points are cut into blocks.
+    computed a block of points at a time, in ascending run length.  Each
+    pass lays a block out afresh as a point-major table, one column per
+    point holding its members in ascending index and 0.0 terms below them,
+    and sums it with ``_column_sums`` as ``lof_at`` does.  Every term is
+    >= 0 or +inf, so the padding changes no bit: the sums equal
+    ``_tables``' however the points are cut into blocks.
     """
     n = x.shape[0]
     _check_k(n, k)
@@ -271,30 +229,47 @@ def _sorted_kernel(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     at = np.flatnonzero(sorted_kdist > 0.0)
     if at.size == 0:
         return lrd, lof_arr
-    points = order[at]
     run_lo, run_hi = _runs(xs, at, sorted_kdist[at])
     run_len = run_hi - run_lo
-    del xs, sorted_kdist, at, run_hi
+    by_len = np.argsort(run_len, kind="stable")
+    points, run_lo, run_len = order[at][by_len], run_lo[by_len], run_len[by_len]
+    count = run_len - 1
+    del xs, sorted_kdist, at, run_hi, by_len
 
-    # blocks of points holding at most BLOCK run positions each, or one point
-    run_end = np.cumsum(run_len)
-    cuts = [0]
-    while cuts[-1] < points.size:
-        start = cuts[-1]
-        limit = run_end[start] - run_len[start] + BLOCK
-        cuts.append(max(start + 1, int(np.searchsorted(run_end, limit, side="right"))))
-    del run_end
-    blocks = [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
+    # blocks of points, in ascending run length, whose count times longest
+    # run is at most BLOCK cells, or one point
+    blocks = []
+    start = 0
+    while start < points.size:
+        runs = run_len[start:start + max(1, BLOCK // int(run_len[start]))]
+        fits = int(np.count_nonzero(np.arange(1, runs.size + 1) * runs <= BLOCK))
+        blocks.append(slice(start, start + max(1, fits)))
+        start = blocks[-1].stop
+
+    def members(at: slice) -> tuple[np.ndarray, np.ndarray]:
+        """Block ``at``'s table, one column per point holding its members
+        in ascending index, and the mask of the slots past them."""
+        slot = np.arange(run_len[at.stop - 1])[:, None]
+        table = order.take(run_lo[at] + slot, mode="clip")
+        # n, past every index, sorts the point itself and the slots past
+        # its run below the members
+        table[(slot >= run_len[at]) | (table == points[at])] = n
+        table.sort(axis=0)
+        pad = slot >= count[at]
+        table[pad] = 0  # any index will do: its terms are set to 0.0
+        return table, pad
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for at in blocks:
-            seg, member, offsets = _members(order, points[at], run_lo[at], run_len[at])
-            reach = np.maximum(kdist[member], np.abs(x[points[at]][seg] - x[member]))
-            lrd[points[at]] = (run_len[at] - 1) / _ordered_sums(reach, offsets)
+            member, pad = members(at)
+            reach = np.maximum(kdist[member], np.abs(x[points[at]] - x[member]))
+            reach[pad] = 0.0
+            lrd[points[at]] = count[at] / _column_sums(reach)
         for at in blocks:
-            seg, member, offsets = _members(order, points[at], run_lo[at], run_len[at])
-            member_mean = _ordered_sums(lrd[member], offsets) / (run_len[at] - 1)
-            lof_arr[points[at]] = member_mean / lrd[points[at]]
+            member, pad = members(at)
+            member_lrd = lrd[member]
+            member_lrd[pad] = 0.0
+            lof_arr[points[at]] = _column_sums(member_lrd) / count[at] / lrd[points[at]]
     return lrd, lof_arr
 
 

@@ -75,12 +75,12 @@ class AttackSpec:
     affected: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not self.magnitude >= 1:
-            raise ValueError(f"magnitude must be >= 1, got {self.magnitude}")
+        if not 1 <= self.magnitude < math.inf:
+            raise ValueError(f"magnitude must be finite and >= 1, got {self.magnitude}")
         if self.width < 1:
             raise ValueError(f"width must be >= 1, got {self.width}")
-        if self.at < 0:
-            raise ValueError(f"attack time must be >= 0, got {self.at}")
+        if not 0 <= self.at < math.inf:
+            raise ValueError(f"attack time must be finite and >= 0, got {self.at}")
 
 
 @dataclass(frozen=True)
@@ -164,7 +164,13 @@ def generate_trace(config: SynthConfig) -> tuple[Trace, GroundTruth]:
             lo = max(attack_tick - 1, 0)
             hi = min(attack_tick - 1 + config.attack.width, n_ticks)
             if lo < hi:
-                deltas[lo:hi] = np.rint(deltas[lo:hi] * config.attack.magnitude)
+                with np.errstate(over="ignore"):
+                    deltas[lo:hi] = np.rint(deltas[lo:hi] * config.attack.magnitude)
+                if not np.isfinite(deltas[lo:hi]).all():
+                    raise ValueError(
+                        f"attack magnitude {config.attack.magnitude} takes a delta of "
+                        f"{name} past the float range"
+                    )
 
         columns[name] = deltas
 

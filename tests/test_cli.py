@@ -1384,6 +1384,26 @@ def test_synth_counter_named_twice_exits_one_and_writes_nothing(tmp_path, capsys
     assert "error: counter LLC-loads is named twice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--magnitude", "inf"], "magnitude must be finite and >= 1, got inf"),
+    (["--magnitude", "1e305"],
+     "attack magnitude 1e+305 takes a delta of dTLB-loads past the float range"),
+    (["--magnitude", "nan"], "magnitude must be finite and >= 1, got nan"),
+    (["--attack-at", "nan"], "attack time must be finite and >= 0, got nan"),
+], ids=["magnitude-inf", "magnitude-1e305", "magnitude-nan", "attack-at-nan"])
+def test_synth_of_an_attack_past_the_float_range_exits_one_and_writes_nothing(
+        flags, message, tmp_path, capsys):
+    # 1e305 keeps iTLB-load-misses' boosted deltas finite but takes
+    # dTLB-loads' past the float range
+    out = tmp_path / "trace"
+    rc = main(["synth", "--duration", "5", "--attack-at", "1", *flags, "--out", str(out)])
+    assert rc == EXIT_ERROR
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_an_oversized_delta_is_one_malformed_line(tmp_path, monkeypatch, capsys):
     main(["synth", "--seed", "4", "--duration", "30", "--attack-at", "15",
           "--out", str(tmp_path / "trace")])
@@ -1548,6 +1568,28 @@ def test_capture_rejects_a_zero_interval_before_launching(tmp_path, capsys):
     assert main([*capture, "--interval", "0", "--", "true"]) == EXIT_ERROR
     assert not record.exists()
     assert capsys.readouterr().err == "error: tick_interval must be > 0, got 0.0\n"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--pid", "1", "--duration", "nan"], "--duration must be finite and > 0, got nan"),
+    (["--pid", "1", "--duration", "inf"], "--duration must be finite and > 0, got inf"),
+    (["--pid", "1", "--duration", "0"], "--duration must be finite and > 0, got 0.0"),
+    (["--pid", "1", "--duration", "-5"], "--duration must be finite and > 0, got -5.0"),
+    (["--duration", "5", "--", "true"], "--duration needs --pid"),
+], ids=["nan", "inf", "zero", "negative", "without-pid"])
+def test_capture_rejects_a_bad_duration_before_launching(flags, message, tmp_path, capsys):
+    record = tmp_path / "launched"
+    profiler = tmp_path / "profiler"
+    profiler.write_text(f'#!/bin/sh\necho "$@" > {record}\n')
+    profiler.chmod(0o755)
+    capture = ["capture", "--profiler", str(profiler), "--out", str(tmp_path / "cap.csv")]
+    assert main([*capture, "--pid", "1", "--duration", "2.5"]) == EXIT_OK
+    assert record.read_text().endswith(" -p 1 -- sleep 2.5\n")
+    record.unlink()
+    capsys.readouterr()
+    assert main([*capture, *flags]) == EXIT_ERROR
+    assert not record.exists()
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_capture_missing_profiler_exits_two(tmp_path, capsys):

@@ -338,9 +338,8 @@ def test_lof_all_rounding_ties(pts, k, members, exact_oracle):
 
 def test_lof_all_sums_a_long_tie_run_in_order():
     # points beside a 1 000-copy tie group hold it all in their
-    # neighborhoods, far past the segments summed one term slot at a time;
-    # the points farther out have short segments, some holding those
-    # points' densities
+    # neighborhoods, a table column of over a thousand slots; the points
+    # farther out have short runs, some holding those points' densities
     rng = np.random.default_rng(1000)
     pts = np.concatenate([
         np.full(1000, 100.0),
@@ -405,11 +404,14 @@ def test_lof_all_of_an_hour_of_distinct_values_peaks_below_8_mib():
 
 
 def test_lof_all_blocks_change_no_bit_where_a_run_outgrows_the_block(monkeypatch):
-    # the points beside a big tie group hold all of it in their
-    # neighborhoods, so one point's run is longer than a whole block; it
-    # gets a block of its own.  With a 256-position block the set is small
-    # enough for lof_scores' n x n tables
+    # blocks take the points in ascending run length, as many as fit in
+    # BLOCK table cells (points times longest run).  The points beside a
+    # big tie group hold all of it in their neighborhoods, so one point's
+    # run is longer than a whole block; it gets a block of its own.  Tie
+    # groups of 1 to 40 copies among distinct values mix many run lengths
+    # in one set.  Both sets are small enough for lof_scores' n x n tables
     rng = np.random.default_rng(5000)
+    default_block = lof_module.BLOCK
 
     def beside_copies(copies: int) -> np.ndarray:
         return rng.permutation(np.concatenate([
@@ -418,16 +420,26 @@ def test_lof_all_blocks_change_no_bit_where_a_run_outgrows_the_block(monkeypatch
             np.rint(rng.lognormal(math.log(100), 0.2, 400)),
         ]))
 
-    pts = beside_copies(600)
-    monkeypatch.setattr(lof_module, "BLOCK", 256)
-    for k in (3, 5):
-        assert lof_all(pts, k)[1].tolist() == lof_scores(pts, k).tolist()
+    def mixed_runs() -> np.ndarray:
+        copies = rng.integers(1, 41, 30)
+        return rng.permutation(np.concatenate([
+            np.repeat(np.rint(rng.uniform(0.0, 1000.0, copies.size)), copies),
+            rng.uniform(0.0, 1000.0, 200),
+        ]))
+
+    for pts in (beside_copies(600), mixed_runs()):
+        for k in (3, 5):
+            expected = lof_scores(pts, k).tolist()
+            for block in (1, k + 1, 37, 256, default_block):
+                monkeypatch.setattr(lof_module, "BLOCK", block)
+                assert lof_all(pts, k)[1].tolist() == expected, (k, block)
     # 5 000 copies outgrow the default block, where lof_scores would need
-    # about 0.8 GB; one block over the whole set is the reference
+    # about 0.8 GB; one block over the whole set is the reference: no run
+    # is longer than the set, so n * n cells hold every point at once
     monkeypatch.undo()
     pts = beside_copies(5000)
     blocked = lof_all(pts, 5)
-    monkeypatch.setattr(lof_module, "BLOCK", 10 * pts.shape[0])
+    monkeypatch.setattr(lof_module, "BLOCK", pts.shape[0] ** 2)
     whole = lof_all(pts, 5)
     assert [a.tobytes() for a in blocked] == [a.tobytes() for a in whole]
 

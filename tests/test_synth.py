@@ -45,6 +45,9 @@ def test_attack_spec_bounds():
         AttackSpec(at=5.0, magnitude=2.0, width=0)
     with pytest.raises(ValueError):
         AttackSpec(at=-1.0, magnitude=2.0, width=3)
+    for at, magnitude in ((math.nan, 2.0), (math.inf, 2.0), (5.0, math.inf), (5.0, math.nan)):
+        with pytest.raises(ValueError, match="must be finite"):
+            AttackSpec(at=at, magnitude=magnitude, width=3)
 
 
 def test_attack_window_must_fit_duration():

@@ -45,7 +45,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from hpcwatch.cli import _MAX_LINE  # noqa: E402
+from hpcwatch.trace import _MAX_LINE  # noqa: E402
 
 TICK_S = 0.1
 LEVELS = {

@@ -4,14 +4,15 @@ Subcommands: analyze (offline report over trace files), detect (streaming
 alerts from stdin), synth (seeded trace generation), eval (score alerts
 against ground truth), capture (wrap an external interval profiler).
 
-detect reads stdin one read at a time and hands each read's lines to the
-``Detector`` as columns (``parse_block``).  It polls the detector, and
-writes and flushes the rows it returns as one block, once stdin has
-nothing more waiting or once BLOCK lines have come since the last poll; a
-stream that ``select`` cannot watch is polled after every read.  A live
-``perf stat -I`` pipe is idle after each interval, so its rows print as
-soon as that read is processed; a backlog, such as a file replay, is
-scored BLOCK lines at a time.
+analyze and detect read every input through ``trace.parse_blocks``, which
+splits each read into lines as ``open()`` does and parses them into
+columns.  detect hands each read's columns to the ``Detector``.  It polls
+the detector, and writes and flushes the rows it returns as one block,
+once stdin has nothing more waiting or once BLOCK lines have come since
+the last poll; a stream that ``select`` cannot watch is polled after every
+read.  A live ``perf stat -I`` pipe is idle after each interval, so its
+rows print as soon as that read is processed; a backlog, such as a file
+replay, is scored BLOCK lines at a time.
 
 Exit codes: 0 clean, 3 one or more alerts raised, 1 usage or data error,
 2 capture environment error.  Code 3 keeps "detection" distinguishable from
@@ -32,12 +33,10 @@ input is read or any process is launched.
 from __future__ import annotations
 
 import argparse
-import codecs
-import io
 import math
 import os
 import sys
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 from urllib.parse import quote
 
 from .detector import (
@@ -66,7 +65,7 @@ from .trace import (
     Trace,
     align,
     merge_traces,
-    parse_block,
+    parse_blocks,
     parse_file,
     parse_line,  # unused here; bench/tracing.py hooks it by this name
     write_trace,
@@ -79,10 +78,6 @@ EXIT_ALERTS = 3
 
 # the built-in settings, which a config file and then the flags override
 _DEFAULTS = DetectorConfig()
-
-# Longest line detect holds, in characters: a longer one is dropped piece by
-# piece as it comes and counts as one malformed line.
-_MAX_LINE = 1 << 16
 
 
 def _names(text: str) -> tuple[str, ...]:
@@ -234,6 +229,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     if malformed:
         print(f"warning: {malformed} malformed input lines skipped", file=sys.stderr)
+    if not series[0].shape[0] and any(
+        aligned.values[name].shape[0] >= config.warmup for name in ranked
+    ):
+        print(f"warning: no tick was scored, though a counter has at least "
+              f"{config.warmup} values (is --interval {config.tick_interval} shorter than "
+              f"the sampling interval?)", file=sys.stderr)
     print(f"ticks={aligned.n_ticks} counters={len(ranked)} alerts={len(alerts)}")
     print(f"reports written to {outdir}")
     return EXIT_ALERTS if alerts else EXIT_OK
@@ -242,49 +243,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # detect
 # ---------------------------------------------------------------------------
-
-def _read_blocks(stream) -> Iterator[tuple[list[str], int]]:
-    """The lines of ``stream``, one list per read, and how many lines
-    longer than ``_MAX_LINE`` ended in that read, before those listed.
-
-    A text stream over a binary buffer is read as its text layer reads it,
-    at most ``io.DEFAULT_BUFFER_SIZE`` bytes per ``read1``, but the lines
-    each read completes come out together, without their line feeds.  They
-    are decoded with the stream's own encoding and errors and split only at
-    line feeds; a line that spans reads is joined once its line feed comes,
-    so a long line costs time in step with its length, and a last line with
-    no line feed still counts.  An over-long line is held only up to
-    ``_MAX_LINE``, then dropped as it comes and counted once it ends.  Any
-    other line source gives one list per line.
-    """
-    raw = getattr(stream, "buffer", None)
-    if not hasattr(raw, "read1"):
-        for line in stream:
-            yield ([], 1) if len(line.rstrip("\r\n")) > _MAX_LINE else ([line], 0)
-        return
-    decoder = codecs.getincrementaldecoder(stream.encoding)(stream.errors)
-    pieces: list[str] = []  # the line still open, as read, until over-long
-    length = 0  # of the line still open
-    while data := raw.read1(io.DEFAULT_BUFFER_SIZE):
-        *lines, last = decoder.decode(data).split("\n")
-        dropped = 0
-        if lines:
-            dropped = int(length + len(lines[0]) > _MAX_LINE)
-            lines[0] = "".join(pieces) + lines[0]
-            del lines[:dropped]
-            pieces.clear()
-            length = 0
-        pieces.append(last)
-        length += len(last)
-        if length > _MAX_LINE:
-            pieces.clear()
-        yield lines, dropped
-    tail = "".join(pieces) + decoder.decode(b"", final=True)
-    if max(length, len(tail)) > _MAX_LINE:
-        yield [], 1
-    elif tail:
-        yield [tail], 0
-
 
 def _input_waiting(stream) -> Callable[[], bool]:
     """A check whether more of ``stream`` can be read at once: ``select``
@@ -304,9 +262,6 @@ def cmd_detect(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     detector = Detector(config)
     diags = ParseDiagnostics()
-    # errors are counted, not kept, and only the counters' order is
-    # checked: a live stream may be malformed, or name new events, for days
-    last_ts: dict[str, float] = {}
     alert_count = 0
     malformed = 0
 
@@ -320,26 +275,25 @@ def cmd_detect(args: argparse.Namespace) -> int:
         sys.stdout.flush()
 
     waiting = _input_waiting(args.stream)
-    reads = _read_blocks(args.stream)
-    unpolled = 0  # lines read since the last poll
+    # errors are counted, not kept, and only the counters' order is
+    # checked: a live stream may be malformed, or name new events, for days
+    blocks = parse_blocks(args.stream, diags, {}, config.counters)
+    polled = 0  # lines read at the last poll
     while True:
         try:
-            lines, dropped = next(reads, (None, 0))
-            if lines is None:
+            block = next(blocks, None)
+            if block is None:
                 break
-            diags.lines_read += dropped  # each over-long line, before these
-            block = parse_block(lines, diags, last_ts, config.counters)
             detector.extend(block.events, block.codes, block.stamps, block.deltas)
         except (ValueError, OSError):
             # a read that cannot be decoded or ticked ends the stream after
             # the rows of every read before it
             emit(detector.poll())
             raise
-        malformed += dropped + len(block.errors)
-        unpolled += len(lines)
-        if unpolled >= BLOCK or not waiting():
+        malformed += len(block.errors)
+        if diags.lines_read - polled >= BLOCK or not waiting():
             emit(detector.poll())
-            unpolled = 0
+            polled = diags.lines_read
     emit(detector.finish())
 
     if malformed:

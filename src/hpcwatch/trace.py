@@ -1,4 +1,4 @@
-"""Interval-counter trace ingestion.
+r"""Interval-counter trace ingestion.
 
 The wire format is the interval CSV a profiler emits: one line per readout
 with the timestamp in seconds since trace start, the event-count delta over
@@ -23,16 +23,17 @@ is recorded with its line number and reason, and the diagnostics identity
 
     lines_read == samples_parsed + comments_skipped + malformed + blank_lines
 
-holds for ``parse_stream`` on arbitrary input.  ``read_samples`` is the line
-reader, and the reference: it yields each usable sample and each malformed
-line's error as the line arrives.  ``parse_block`` reads any block of
-lines into columns of event codes, timestamps and deltas, and the block's
-errors, a block of plain data lines at once and any other through
-``read_samples``.  ``parse_stream`` reads its source BLOCK lines at a time
-that way and keeps the errors; the live ``detect`` loop hands each read's
-columns to the detector, which snaps the timestamps to ticks, and only
-counts the errors, so its memory stays flat however many lines are
-malformed.
+holds for ``parse_stream`` on arbitrary input.  ``parse_blocks`` is the one
+reader of a text stream, behind both ``analyze`` and ``detect``: it splits
+each read into lines as ``open()`` does, at ``\n``, ``\r\n`` or a lone
+``\r``, holds a line only up to ``_MAX_LINE`` characters, and yields each
+read's lines as ``parse_block`` reads them: columns of event codes,
+timestamps and deltas, and the read's errors.  ``parse_block`` reads a
+block of plain data lines at once and any other line by line.
+``parse_stream`` collects the blocks into a ``Trace`` and keeps the
+errors; the live ``detect`` loop hands each block's columns to the
+detector, which snaps the timestamps to ticks, and only counts the errors,
+so its memory stays flat however many lines are malformed.
 
 ``align`` snaps every event onto one tick grid, keeping per counter only
 the ticks with a counted sample and their summed deltas: an ``AlignedTrace``
@@ -41,14 +42,15 @@ grows with the samples, so a gap in a capture costs nothing.
 
 from __future__ import annotations
 
+import codecs
 import enum
+import io
 import math
 import re
 import sys
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -57,10 +59,9 @@ MISSING_DELTA_TOKEN = "<not counted>"
 # perf's delta for an event the host cannot count; read as missing too
 UNSUPPORTED_DELTA_TOKEN = "<not supported>"
 
-# Lines ``parse_stream`` reads and parses at a time.  Larger blocks parse
-# no faster but hold more text at once: the hour trace's parse ended 1.4 MB
-# higher in RSS at 4096 lines than at 512.
-BLOCK = 512
+# Longest line read, in characters: a longer one is dropped piece by piece
+# as it comes and counts as one malformed line.
+_MAX_LINE = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -239,69 +240,17 @@ def parse_line(line: str, line_no: int) -> Sample | SkippedLine | LineError:
     return Sample(timestamp, delta, name)
 
 
-def read_samples(
-    reader: Iterable[str] | IO[str],
-    diags: ParseDiagnostics,
-    events: Iterable[str] | None = None,
-    last_ts: dict[str, float] | None = None,
-) -> Iterator[Sample | LineError]:
-    """Yield each usable sample, or the error of a malformed line, as read.
-
-    Comments, blank lines and usable samples are counted in ``diags``, and
-    lines are numbered on from ``diags.lines_read``; malformed lines are
-    left to the caller, which may keep or count the errors.  A line whose
-    timestamp does not increase on its event's last usable one is malformed
-    too, so each event's samples strictly increase in time.  Given
-    ``events``, only those events are held to that order: a caller that
-    drops every other event, as ``detect`` does, then keeps no state for
-    each new name a stream brings.  ``last_ts`` holds each held event's
-    last timestamp; a caller that reads one stream in parts, through this
-    function and ``parse_block``, passes the same one to every call.
-    """
-    last_ts = _held(last_ts, events)
-    every_event = events is None
-    for raw in reader:
-        diags.lines_read += 1
-        line_no = diags.lines_read
-        # through the module global, not a local alias, so a wrapper put on
-        # parse_line sees every line
-        parsed = parse_line(raw.rstrip("\r\n"), line_no)
-        kind = type(parsed)
-        if kind is Sample:
-            name = parsed.event
-            last = last_ts.get(name)
-            if last is not None and parsed.timestamp <= last:
-                # series timestamps must strictly increase; a stale line is
-                # unusable but must not abort the stream
-                yield LineError(line_no, f"non-increasing timestamp for {name}")
-                continue
-            diags.samples_parsed += 1
-            if every_event or last is not None:
-                last_ts[name] = parsed.timestamp
-            if parsed.delta is None:
-                diags.not_counted += 1
-            yield parsed
-        elif kind is LineError:
-            yield parsed
-        elif parsed is SkippedLine.COMMENT:
-            diags.comments_skipped += 1
-        else:
-            diags.blank_lines += 1
-
-
-def _held(last_ts: dict[str, float] | None, events: Iterable[str] | None) -> dict[str, float]:
-    """``last_ts``, or a new dict, holding every one of ``events``: a held
-    event with no sample yet is at -inf, which lets any first one through
-    (timestamps are never negative)."""
-    last_ts = {} if last_ts is None else last_ts
+def _hold(last_ts: dict[str, float], events: Iterable[str] | None) -> None:
+    """Hold each of ``events`` in ``last_ts``: a held event with no sample
+    yet is at -inf, which lets any first one through (timestamps are never
+    negative)."""
     for name in events or ():
         last_ts.setdefault(name, -math.inf)
-    return last_ts
 
 
 class ParsedBlock(NamedTuple):
     """A block of lines as columns, one entry per usable sample, and the
-    errors of its malformed lines.
+    errors of its malformed lines; ``parse_blocks`` gives one per read.
 
     ``events`` are the block's event names in order of first appearance
     and ``codes`` each sample's index into them; ``stamps`` are the
@@ -338,22 +287,61 @@ def parse_block(
     last_ts: dict[str, float],
     events: Iterable[str] | None = None,
 ) -> ParsedBlock:
-    """The block of lines (without their line feeds) as columns, as
-    ``read_samples`` reads them with these ``diags``, ``last_ts`` and
-    ``events``, and the block's errors, for the caller to keep or count.
-    A block of plain data lines is read at once, any other line by line."""
+    """The block of lines (without their line feeds) as columns, and the
+    block's errors, for the caller to keep or count.  A block of plain data
+    lines is read at once, any other line by line (``_parse_lines``).
+
+    Comments, blank lines and usable samples are counted in ``diags``, and
+    lines are numbered on from ``diags.lines_read``.  A line whose
+    timestamp does not increase on its event's last usable one is malformed
+    too, so each event's samples strictly increase in time.  Given
+    ``events``, only those events are held to that order: a caller that
+    drops every other event, as ``detect`` does, then keeps no state for
+    each new name a stream brings.  ``last_ts`` holds each held event's
+    last timestamp; a caller that reads one stream in blocks passes the
+    same one to every call.
+    """
     block = _take_block(lines, diags, last_ts, events)
-    if block is not None:
-        return block
+    return _parse_lines(lines, diags, last_ts, events) if block is None else block
+
+
+def _parse_lines(
+    lines: Sequence[str], diags: ParseDiagnostics, last_ts: dict[str, float],
+    events: Iterable[str] | None,
+) -> ParsedBlock:
+    """``parse_block`` of any block, one ``parse_line`` at a time."""
+    _hold(last_ts, events)
+    every_event = events is None
     names: dict[str, int] = {}
     codes, stamps, deltas, errors = [], [], [], []
-    for item in read_samples(lines, diags, events, last_ts):
-        if type(item) is LineError:
-            errors.append(item)
-            continue
-        codes.append(names.setdefault(item.event, len(names)))
-        stamps.append(item.timestamp)
-        deltas.append(math.nan if item.delta is None else float(item.delta))
+    for raw in lines:
+        diags.lines_read += 1
+        line_no = diags.lines_read
+        # through the module global, not a local alias, so a wrapper put on
+        # parse_line sees every line
+        parsed = parse_line(raw.rstrip("\r\n"), line_no)
+        kind = type(parsed)
+        if kind is Sample:
+            name = parsed.event
+            last = last_ts.get(name)
+            if last is not None and parsed.timestamp <= last:
+                # series timestamps must strictly increase; a stale line is
+                # unusable but must not abort the stream
+                errors.append(LineError(line_no, f"non-increasing timestamp for {name}"))
+                continue
+            diags.samples_parsed += 1
+            if every_event or last is not None:
+                last_ts[name] = parsed.timestamp
+            codes.append(names.setdefault(name, len(names)))
+            stamps.append(parsed.timestamp)
+            deltas.append(math.nan if parsed.delta is None else float(parsed.delta))
+            diags.not_counted += parsed.delta is None
+        elif kind is LineError:
+            errors.append(parsed)
+        elif parsed is SkippedLine.COMMENT:
+            diags.comments_skipped += 1
+        else:
+            diags.blank_lines += 1
     return ParsedBlock(list(names), np.array(codes, np.int64), np.array(stamps), np.array(deltas),
                        errors)
 
@@ -366,15 +354,14 @@ def _take_block(
     None if the block does not qualify; a declined block changes nothing.
 
     A block qualifies only if every line is a data line that
-    ``read_samples`` reads as a counted sample: a timestamp of digits and
+    ``_parse_lines`` reads as a counted sample: a timestamp of digits and
     ``.`` after any leading spaces, a delta of 1-15 ASCII digits, and an
     event name, the third field or, in perf's layout, the fourth, that is
     not empty once stripped (a CRLF ending strips off with it); later
     fields are ignored.  Every held event's timestamps, ``events`` and
-    ``last_ts`` as ``read_samples`` reads them, must strictly increase from
-    its last one.  Comments, blank lines,
-    ``<not counted>``, other spaces, underscores, exponents, stale lines
-    and longer deltas all decline.
+    ``last_ts`` as ``parse_block`` reads them, must strictly increase from
+    its last one.  Comments, blank lines, ``<not counted>``, other spaces,
+    underscores, exponents, stale lines and longer deltas all decline.
     """
     text = "\n".join(lines)
     if text.count("\n") != len(lines) - 1:
@@ -408,25 +395,86 @@ def _take_block(
         if not (mine[0] > last_ts.get(name, -math.inf) and (mine[1:] > mine[:-1]).all()):
             return None
         newest[name] = float(mine[-1])
-    _held(last_ts, events).update(newest)
+    _hold(last_ts, events)
+    last_ts.update(newest)
     diags.lines_read += len(lines)
     diags.samples_parsed += len(lines)
     return ParsedBlock(names, codes, stamps, np.array(delta_texts, dtype=np.float64), [])
 
 
-def parse_stream(reader: Iterable[str] | IO[str]) -> tuple[Trace, ParseDiagnostics]:
-    """Parse a line source into a trace, one pair of columns per event seen.
+def _read_blocks(stream: IO[str]) -> Iterator[tuple[list[str], int]]:
+    r"""The lines of a text stream, one list per read, and how many lines
+    longer than ``_MAX_LINE`` ended in that read, before those listed.
 
-    The source is read BLOCK lines at a time through ``parse_block``.
-    Per-line errors are collected in the diagnostics and parsing continues;
-    only an unreadable source raises.
+    A stream over a binary buffer is read as its text layer reads it, at
+    most ``io.DEFAULT_BUFFER_SIZE`` bytes per ``read1``, and decoded with
+    its own encoding and errors; any other is read that many characters at
+    a time.  Lines end at ``\n``, ``\r\n`` or a lone ``\r``, as ``open()``
+    reads text, and come out without their ending.  A line that spans
+    reads is joined once its ending comes, so a long line costs time in
+    step with its length, and a last line with no ending still counts.  An
+    over-long line is held only up to ``_MAX_LINE``, then dropped as it
+    comes and counted once it ends.
+    """
+    raw = getattr(stream, "buffer", None)
+    if hasattr(raw, "read1"):
+        read, decoder = raw.read1, codecs.getincrementaldecoder(stream.encoding)(stream.errors)
+    else:
+        read, decoder = stream.read, None  # text already
+    decoder = io.IncrementalNewlineDecoder(decoder, translate=True)
+    pieces: list[str] = []  # the line still open, as read, until over-long
+    length = 0  # of the line still open
+    while True:
+        data = read(io.DEFAULT_BUFFER_SIZE)
+        text = decoder.decode(data, final=not data)
+        if not data and (length or text) and not text.endswith("\n"):
+            text += "\n"  # ends the last line
+        *lines, last = text.split("\n")
+        dropped = 0
+        if lines:
+            dropped = int(length + len(lines[0]) > _MAX_LINE)
+            lines[0] = "".join(pieces) + lines[0]
+            del lines[:dropped]
+            pieces.clear()
+            length = 0
+        pieces.append(last)
+        length += len(last)
+        if length > _MAX_LINE:
+            pieces.clear()
+        if data or lines or dropped:
+            yield lines, dropped
+        if not data:
+            return
+
+
+def parse_blocks(
+    stream: IO[str],
+    diags: ParseDiagnostics,
+    last_ts: dict[str, float],
+    events: Iterable[str] | None = None,
+) -> Iterator[ParsedBlock]:
+    """Each read of a text stream as ``parse_block`` reads its lines, with
+    these ``diags``, ``last_ts`` and ``events``.  A line longer than
+    ``_MAX_LINE`` characters is a ``LineError``, first among its read's."""
+    for lines, dropped in _read_blocks(stream):
+        diags.lines_read += dropped
+        line_no = diags.lines_read
+        block = parse_block(lines, diags, last_ts, events)
+        if dropped:
+            block.errors.insert(0, LineError(line_no, f"line longer than {_MAX_LINE} characters"))
+        yield block
+
+
+def parse_stream(stream: IO[str]) -> tuple[Trace, ParseDiagnostics]:
+    """Parse a text stream into a trace, one pair of columns per event seen.
+
+    The stream is read through ``parse_blocks``.  Per-line errors are
+    collected in the diagnostics and parsing continues; only an unreadable
+    or undecodable stream raises.
     """
     diags = ParseDiagnostics()
-    last_ts: dict[str, float] = {}
     columns: defaultdict[str, tuple[array, array]] = defaultdict(lambda: (array("d"), array("d")))
-    source = iter(reader)
-    while lines := [raw.rstrip("\r\n") for raw in islice(source, BLOCK)]:
-        block = parse_block(lines, diags, last_ts)
+    for block in parse_blocks(stream, diags, {}):
         diags.malformed.extend((error.line_no, error.reason) for error in block.errors)
         for i, name in enumerate(block.events):
             mine = block.codes == i
@@ -461,18 +509,14 @@ def merge_traces(traces: Iterable[Trace]) -> Trace:
 
 
 def tick_of(timestamp: float, tick_interval: float) -> int:
-    """Grid index of a timestamp: half-up rounding to the nearest tick.
-    Ticks are int64, as in ``align``: a later one is a ``ValueError``."""
-    grid = timestamp / tick_interval + 0.5
-    if not grid < 2.0**63:
-        raise ValueError(f"timestamp {timestamp} is past the int64 ticks")
-    return int(math.floor(grid))
+    """``ticks_of`` of one timestamp, as an int."""
+    return int(ticks_of(np.array([timestamp], dtype=np.float64), tick_interval)[0])
 
 
 def ticks_of(stamps: np.ndarray, tick_interval: float) -> np.ndarray:
-    """``tick_of`` of every timestamp at once, as int64; a timestamp past
-    the int64 ticks is a ``ValueError`` that names the first, as
-    ``tick_of`` of each in turn would."""
+    """Grid index of each timestamp, as int64: half-up rounding to the
+    nearest tick.  Ticks are int64, as in ``align``: a timestamp past them
+    is a ``ValueError`` that names the first."""
     # a stamp that overflows to +inf fails the test too
     with np.errstate(over="ignore"):
         grid = np.floor(stamps / tick_interval + 0.5)

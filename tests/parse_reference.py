@@ -1,10 +1,10 @@
 """The line parser as it was before it split each line only once.
 
-Frozen here so tests can hold ``hpcwatch.trace.parse_line`` and
-``read_samples`` to it on hostile input: the same samples, the same skipped
-lines, the same error line numbers and reasons, the same diagnostics.  It
-strips every field before converting it, the plain way; it shares only the
-result types with the package under test.
+Frozen here so tests can hold ``hpcwatch.trace.parse_line`` and the line
+reader behind ``parse_block`` to it on hostile input: the same samples, the
+same skipped lines, the same error line numbers and reasons, the same
+diagnostics.  It strips every field before converting it, the plain way;
+it shares only the result types with the package under test.
 """
 
 from __future__ import annotations

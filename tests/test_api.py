@@ -1,5 +1,6 @@
 """The package root exports only what the program, a demo or the README uses,
-and every name the traced benchmark hooks still exists."""
+every name the traced benchmark hooks still exists, and every script
+imports."""
 
 import ast
 import importlib
@@ -7,6 +8,8 @@ import importlib.util
 import re
 import sys
 from pathlib import Path
+
+import pytest
 
 import hpcwatch
 
@@ -61,6 +64,15 @@ def test_every_benchmark_hook_target_is_callable(monkeypatch):
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert not missing, f"bench/tracing.py hooks names that are gone: {missing}"
+
+
+@pytest.mark.parametrize("script", sorted((ROOT / "scripts").glob("*.py")), ids=lambda p: p.name)
+def test_every_script_imports(script, monkeypatch):
+    # a script imports names from the package, private ones too; a refactor
+    # that moves one fails here, not only when the script next runs
+    monkeypatch.setattr(sys, "path", list(sys.path))  # a script may add to it
+    spec = importlib.util.spec_from_file_location(f"script_{script.stem}", script)
+    spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
 
 # Regular-expression syntax that ``re`` reads only from Python 3.11 on.

@@ -21,9 +21,7 @@ from hpcwatch.cli import (
     EXIT_CAPTURE,
     EXIT_ERROR,
     EXIT_OK,
-    _MAX_LINE,
     _SETTINGS,
-    _read_blocks,
     _resolve_config,
     build_parser,
     load_config_file,
@@ -419,6 +417,17 @@ def detect_on(text: str, monkeypatch, *flags: str) -> int:
     return main(["detect", *flags])
 
 
+class LinePerRead:
+    """A text stream with no binary buffer that gives one of ``lines`` a
+    read."""
+
+    def __init__(self, lines) -> None:
+        self.lines = iter(lines)
+
+    def read(self, size: int) -> str:
+        return next(self.lines, "")
+
+
 def interleaved(tmp_path) -> str:
     from hpcwatch.trace import iter_serialized, merge_traces, parse_file
 
@@ -472,7 +481,7 @@ def test_detect_counts_malformed_lines_without_keeping_them(monkeypatch, capsys)
         for i in range(n):
             yield f"{i * 0.1 + 0.05:.3f},100.52,msec,task-clock,100123456,100.00,1.005,CPUs\n"
 
-    monkeypatch.setattr("sys.stdin", stream())
+    monkeypatch.setattr("sys.stdin", LinePerRead(stream()))
     tracemalloc.start()
     try:
         rc = main(["detect"])
@@ -497,7 +506,7 @@ def test_detect_keeps_no_state_for_unconfigured_event_names(monkeypatch, capsys)
         for i in range(n):
             yield f"{i * 0.1 + 0.05:.3f},{100 + i % 7},uncore_cbox_{i}/clockticks/\n"
 
-    monkeypatch.setattr("sys.stdin", stream())
+    monkeypatch.setattr("sys.stdin", LinePerRead(stream()))
     tracemalloc.start()
     try:
         rc = main(["detect"])
@@ -669,7 +678,7 @@ def test_detect_scores_each_tick_in_one_batch_as_pushes_would(
             return len(text)
 
     out = Recorder()
-    monkeypatch.setattr("sys.stdin", stream())
+    monkeypatch.setattr("sys.stdin", LinePerRead(stream()))
     monkeypatch.setattr("sys.stdout", out)
     assert main(["detect"]) == EXIT_ALERTS
     # the same rows, each printed at the line that fired it, before the
@@ -829,45 +838,6 @@ def test_detect_reads_a_line_spanning_many_reads_in_linear_time(monkeypatch, cap
     elapsed = time.perf_counter() - started
     assert capsys.readouterr() == ("", "warning: 1 malformed lines skipped\n")
     assert elapsed < 2.0, elapsed
-
-
-def test_read_blocks_holds_an_over_long_line_only_up_to_the_cap():
-    # a 16 MiB line in 8 KiB reads, then a data line: held whole until its
-    # line feed, it peaked at 32 MiB under tracemalloc
-    import tracemalloc
-
-    class Reads:
-        def __init__(self, *reads: bytes) -> None:
-            self.reads = list(reads)
-
-        def read1(self, size: int) -> bytes:
-            return self.reads.pop(0) if self.reads else b""
-
-    class Stdin:
-        encoding, errors = "utf-8", "strict"
-
-        def __init__(self, *reads: bytes) -> None:
-            self.buffer = Reads(*reads)
-
-    long = Stdin(*[b"x" * 8192] * 2048, b"\n0.1,5,LLC-loads\n")
-    tracemalloc.start()
-    try:
-        reads = [(lines, dropped) for lines, dropped in _read_blocks(long) if lines or dropped]
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert reads == [(["0.1,5,LLC-loads"], 1)]
-    assert peak < 2**20, peak
-    # a line of the cap's length is kept whole, a longer one is counted once
-    # its line feed or the end of input comes
-    line = "x" * _MAX_LINE
-    kept = Stdin(*[line[i:i + 1000].encode() for i in range(0, _MAX_LINE, 1000)], b"\n")
-    assert [lines for lines, _ in _read_blocks(kept) if lines] == [[line]]
-    for end in (b"x\n", b"x"):
-        over = Stdin(*[line[i:i + 1000].encode() for i in range(0, _MAX_LINE, 1000)], end)
-        reads = list(_read_blocks(over))
-        assert sum(dropped for _, dropped in reads) == 1
-        assert not any(lines for lines, _ in reads)
 
 
 @pytest.mark.parametrize("bad, error", [
@@ -1115,7 +1085,7 @@ def test_detect_equals_analyze_on_time_ordered_streams():
     alerting = 0
     for seed in range(100):
         lines, config = time_ordered_stream(seed)
-        trace, _ = parse_stream(lines)
+        trace, _ = parse_stream(io.StringIO("".join(line + "\n" for line in lines)))
         series, alerts, _ = run_offline(align(trace, config.tick_interval), config)
         points = list(zip(*(column.tolist() for column in series)))
         expected = [",".join(alert_row(alert)) for alert in alerts]
@@ -1429,6 +1399,93 @@ def test_an_oversized_delta_is_one_malformed_line(tmp_path, monkeypatch, capsys)
     captured = capsys.readouterr()
     assert captured.out == rows
     assert "1 malformed lines skipped" in captured.err
+
+
+def test_analyze_counts_an_over_long_line_as_one_malformed_line(tmp_path, capsys):
+    # a 16 MiB line between good lines: read whole, it peaked at 64 MiB
+    # under tracemalloc and its reason quoted all of it
+    import tracemalloc
+
+    from hpcwatch.trace import parse_file
+
+    main(synth_args(tmp_path))
+    files = trace_files(tmp_path)
+    plain = tmp_path / "plain"
+    assert main(["analyze", *files, "--out", str(plain)]) == EXIT_ALERTS
+    capsys.readouterr()
+    loads = next(f for f in files if f.endswith("/LLC-loads.csv"))
+    lines = Path(loads).read_text().splitlines(keepends=True)
+    lines.insert(100, f"5.05,{'9' * 2**24},LLC-loads\n")
+    Path(loads).write_text("".join(lines))
+    tracemalloc.start()
+    try:
+        _, diags = parse_file(loads)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert diags.malformed == [(101, "line longer than 65536 characters")]
+    assert peak < 2**20, peak
+    out = tmp_path / "report"
+    assert main(["analyze", *files, "--out", str(out)]) == EXIT_ALERTS
+    assert capsys.readouterr().err == "warning: 1 malformed input lines skipped\n"
+    for name in ("alerts.csv", "attack_factor.csv", "outliers.csv"):
+        assert (out / name).read_bytes() == (plain / name).read_bytes(), name
+
+
+def test_detect_equals_analyze_across_line_endings(tmp_path, monkeypatch, capsys):
+    # lines ending in \n, \r\n and a lone \r in turn, read by detect in
+    # pieces cut after every \r, so a read ends on a lone \r and a \r\n
+    # spans two reads: both split every line as open() does
+    lines, malformed = clock_only_stream()
+    data = "".join(line + ("\n", "\r\n", "\r")[i % 3] for i, line in enumerate(lines)).encode()
+    path = tmp_path / "stream.csv"
+    path.write_bytes(data)
+    out = tmp_path / "report"
+    assert main(["analyze", str(path), "--out", str(out)]) == EXIT_ALERTS
+    assert capsys.readouterr().err == f"warning: {malformed} malformed input lines skipped\n"
+    rows = (out / "alerts.csv").read_text().splitlines()[1:]
+
+    cuts = [0, *(i + 1 for i, byte in enumerate(data) if byte == ord("\r")), len(data)]
+    pieces = [data[start:end] for start, end in zip(cuts, cuts[1:])]
+    after = [(piece[-1:], next_piece[:1]) for piece, next_piece in zip(pieces, pieces[1:])]
+    assert (b"\r", b"\n") in after and (b"\r", lines[2][:1].encode()) in after
+
+    class Pieces:
+        reads = iter(pieces)
+
+        def read1(self, size: int) -> bytes:
+            return next(self.reads, b"")
+
+    class Stdin:
+        buffer, encoding, errors = Pieces(), "utf-8", "strict"
+
+    monkeypatch.setattr("sys.stdin", Stdin())
+    assert main(["detect"]) == EXIT_ALERTS
+    captured = capsys.readouterr()
+    assert rows and captured.out.splitlines() == rows
+    assert captured.err == f"warning: {malformed} malformed lines skipped\n"
+
+
+@pytest.mark.parametrize("duration, interval, warned", [
+    ("60", "0.05", True), ("60", "0.1", False), ("1", "0.1", False),
+], ids=["ticks-apart", "tick-by-tick", "too-short-to-score"])
+def test_analyze_warns_when_it_scores_no_tick(duration, interval, warned, tmp_path, capsys):
+    # samples 0.1 s apart on 0.05 s ticks land two ticks apart, and no tick
+    # is scored: the reports and the exit code stay as they are, and
+    # analyze says so; a trace too short to score is not warned about
+    main(["synth", "--seed", "3", "--duration", duration, "--attack-at", "0.5",
+          "--out", str(tmp_path / "trace")])
+    out = tmp_path / "report"
+    rc = main(["analyze", *trace_files(tmp_path), "--interval", interval, "--out", str(out)])
+    scored = read_attack_factor_csv(str(out / "attack_factor.csv"))
+    err = capsys.readouterr().err
+    if warned:
+        assert (rc, scored) == (EXIT_OK, [])
+        assert err == ("warning: no tick was scored, though a counter has at least 12 values "
+                       "(is --interval 0.05 shorter than the sampling interval?)\n")
+    else:
+        assert err == ""
+        assert bool(scored) == (duration == "60")
 
 
 def hpcwatch_process(code: str) -> subprocess.CompletedProcess:

@@ -17,6 +17,7 @@ import hpcwatch.trace as trace_module
 import parse_reference
 from hpcwatch.events import CANDIDATE_EVENTS
 from hpcwatch.trace import (
+    _MAX_LINE,
     MISSING_DELTA_TOKEN,
     UNSUPPORTED_DELTA_TOKEN,
     AlignedTrace,
@@ -25,13 +26,13 @@ from hpcwatch.trace import (
     Sample,
     SkippedLine,
     Trace,
+    _read_blocks,
     align,
     iter_serialized,
     merge_traces,
     parse_block,
     parse_line,
     parse_stream,
-    read_samples,
     tick_of,
 )
 
@@ -286,10 +287,34 @@ def test_parser_equals_the_reference_on_hostile_lines(lines):
         if type(want) is Sample:
             assert repr(got) == repr(want), line
     got_diags, want_diags = ParseDiagnostics(), ParseDiagnostics()
-    got_items = list(read_samples(lines, got_diags))
-    want_items = list(parse_reference.read_samples(map(as_the_reference_reads, lines), want_diags))
-    assert got_items == want_items
+    got = trace_module._parse_lines(lines, got_diags, {}, None)
+    want_items = parse_reference.read_samples(map(as_the_reference_reads, lines), want_diags)
+    assert block_fields(got) == as_block_fields(want_items)
     assert got_diags == want_diags
+
+
+def block_fields(block) -> tuple:
+    """A ``ParsedBlock``'s fields, the arrays as lists and bytes."""
+    return (block.events, block.codes.tolist(), block.stamps.tobytes(), block.deltas.tobytes(),
+            block.errors)
+
+
+def as_block_fields(items) -> tuple:
+    """The samples and errors a line reader yields as ``block_fields`` of
+    the ``ParsedBlock`` that holds them: events in order of first
+    appearance, each sample's code, timestamp and float delta, NaN where
+    not counted, and the errors in line order."""
+    items = list(items)
+    samples = [item for item in items if type(item) is Sample]
+    names = list(dict.fromkeys(sample.event for sample in samples))
+    return (
+        names,
+        [names.index(sample.event) for sample in samples],
+        np.array([sample.timestamp for sample in samples], dtype=np.float64).tobytes(),
+        np.array([math.nan if sample.delta is None else float(sample.delta) for sample in samples],
+                 dtype=np.float64).tobytes(),
+        [item for item in items if type(item) is LineError],
+    )
 
 
 @pytest.mark.parametrize(
@@ -544,28 +569,61 @@ def test_parsed_hour_of_one_event_holds_two_arrays():
     assert retained < 2**20, retained
 
 
+def test_read_blocks_holds_an_over_long_line_only_up_to_the_cap():
+    # a 16 MiB line in 8 KiB reads, then a data line: held whole until its
+    # line feed, it peaked at 32 MiB under tracemalloc
+    class Reads:
+        def __init__(self, *reads: bytes) -> None:
+            self.reads = list(reads)
+
+        def read1(self, size: int) -> bytes:
+            return self.reads.pop(0) if self.reads else b""
+
+    class Stdin:
+        encoding, errors = "utf-8", "strict"
+
+        def __init__(self, *reads: bytes) -> None:
+            self.buffer = Reads(*reads)
+
+    long = Stdin(*[b"x" * 8192] * 2048, b"\n0.1,5,LLC-loads\n")
+    tracemalloc.start()
+    try:
+        reads = [(lines, dropped) for lines, dropped in _read_blocks(long) if lines or dropped]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert reads == [(["0.1,5,LLC-loads"], 1)]
+    assert peak < 2**20, peak
+    # a line of the cap's length is kept whole, a longer one is counted once
+    # its line feed or the end of input comes
+    line = "x" * _MAX_LINE
+    kept = Stdin(*[line[i:i + 1000].encode() for i in range(0, _MAX_LINE, 1000)], b"\n")
+    assert [lines for lines, _ in _read_blocks(kept) if lines] == [[line]]
+    for end in (b"x\n", b"x"):
+        over = Stdin(*[line[i:i + 1000].encode() for i in range(0, _MAX_LINE, 1000)], end)
+        reads = list(_read_blocks(over))
+        assert sum(dropped for _, dropped in reads) == 1
+        assert not any(lines for lines, _ in reads)
+
+
 # ---------------------------------------------------------------------------
 # The block parser against the line reader
 # ---------------------------------------------------------------------------
 
 def read_by_line(lines, diags, last_ts, events=None):
-    """What ``parse_block`` must give for a block it takes, from
-    ``read_samples``: the events in order of first appearance, each line's
-    code, timestamp and delta, or None if a line is not a counted sample."""
-    names: dict[str, int] = {}
-    codes, stamps, deltas = [], [], []
-    for item in read_samples(lines, diags, events, last_ts):
-        if type(item) is not Sample or item.delta is None:
-            return None
-        codes.append(names.setdefault(item.event, len(names)))
-        stamps.append(item.timestamp)
-        deltas.append(float(item.delta))
-    return list(names), codes, stamps, deltas
+    """What ``parse_block`` must give for a block it takes, from its
+    line-by-line branch: that branch's block, or None if a line is not a
+    counted sample."""
+    block = trace_module._parse_lines(lines, diags, last_ts, events)
+    if block.errors or block.codes.shape[0] != len(lines) or np.isnan(block.deltas).any():
+        return None
+    return block
 
 
 def assert_block_equals_lines(lines, last_ts, events=None):
     """``parse_block``'s fast path declines the block and changes nothing,
-    or takes it as ``read_samples`` reads it; returns whether it took it."""
+    or takes it as its line-by-line branch reads it; returns whether it
+    took it."""
     block_diags, line_diags = ParseDiagnostics(lines_read=3), ParseDiagnostics(lines_read=3)
     block_last, line_last = dict(last_ts), dict(last_ts)
     block = trace_module._take_block(lines, block_diags, block_last, events)
@@ -574,11 +632,7 @@ def assert_block_equals_lines(lines, last_ts, events=None):
         return False
     want = read_by_line(lines, line_diags, line_last, events)
     assert want is not None, lines
-    names, codes, stamps, deltas = want
-    assert block.events == names
-    assert block.codes.tolist() == codes
-    assert block.stamps.tobytes() == np.array(stamps, dtype=np.float64).tobytes()
-    assert block.deltas.tobytes() == np.array(deltas).tobytes()
+    assert block_fields(block) == block_fields(want)
     assert block.errors == []
     assert (block_diags, block_last) == (line_diags, line_last)
     return True
@@ -682,24 +736,20 @@ def fuzz_lines(rng, n: int, bad: float) -> list[str]:
     return lines
 
 
-def by_line_stream(lines) -> tuple[Trace, ParseDiagnostics]:
-    """``parse_stream`` through ``read_samples`` alone, one line at a time."""
+def by_line_stream(text: str) -> tuple[Trace, ParseDiagnostics]:
+    """``parse_stream`` of ``text`` split at its line feeds, through
+    ``parse_block``'s line-by-line branch alone."""
     diags = ParseDiagnostics()
-    columns: dict[str, tuple[list, list]] = {}
-    for item in read_samples(lines, diags):
-        if type(item) is LineError:
-            diags.malformed.append((item.line_no, item.reason))
-        else:
-            stamps, deltas = columns.setdefault(item.event, ([], []))
-            stamps.append(item.timestamp)
-            deltas.append(math.nan if item.delta is None else float(item.delta))
-    return Trace({name: np.array(s, dtype=np.float64) for name, (s, _) in columns.items()},
-                 {name: np.array(d, dtype=np.float64) for name, (_, d) in columns.items()}), diags
+    block = trace_module._parse_lines(list(io.StringIO(text)), diags, {}, None)
+    diags.malformed = [(error.line_no, error.reason) for error in block.errors]
+    mine = {name: block.codes == i for i, name in enumerate(block.events)}
+    return Trace({name: block.stamps[at] for name, at in mine.items()},
+                 {name: block.deltas[at] for name, at in mine.items()}), diags
 
 
-def test_parse_block_equals_read_samples_on_fuzzed_blocks():
-    # a stream cut into blocks of random length, each read by parse_block
-    # or, declined, by read_samples, keeps the per-line reading's state
+def test_take_block_equals_the_line_reader_on_fuzzed_blocks():
+    # a stream cut into blocks of random length, each read at once or,
+    # declined, line by line, keeps the per-line reading's state
     rng = np.random.default_rng(2024)
     taken = declined = 0
     for _ in range(150):
@@ -716,15 +766,14 @@ def test_parse_block_equals_read_samples_on_fuzzed_blocks():
                 else:
                     declined += 1
                 # on with the per-line state
-                for _ in read_samples(block, diags, events, last_ts):
-                    pass
+                trace_module._parse_lines(block, diags, last_ts, events)
     assert taken > 2000 and declined > 2000, (taken, declined)
 
 
-def test_parse_block_reads_every_block_as_read_samples():
+def test_parse_block_reads_every_block_as_the_line_reader():
     # any block, taken at once or not: the same columns, NaN where not
-    # counted, errors, diagnostics and last timestamps as the line reader
-    # gives
+    # counted, errors, diagnostics and last timestamps as the line-by-line
+    # branch gives
     rng = np.random.default_rng(25)
     clean = with_errors = 0
     for _ in range(40):
@@ -738,31 +787,34 @@ def test_parse_block_reads_every_block_as_read_samples():
                 cut = lines[at:at + int(rng.integers(1, 40))]
                 at += len(cut)
                 block = parse_block(cut, block_diags, block_last, events)
-                items = list(read_samples(cut, line_diags, events, line_last))
-                samples = [item for item in items if type(item) is Sample]
-                names = list(dict.fromkeys(sample.event for sample in samples))
-                assert block.events == names
-                assert block.codes.tolist() == [names.index(s.event) for s in samples]
-                assert block.stamps.tobytes() == np.array(
-                    [s.timestamp for s in samples], dtype=np.float64).tobytes()
-                assert block.deltas.tobytes() == np.array(
-                    [math.nan if s.delta is None else s.delta for s in samples],
-                    dtype=np.float64).tobytes()
-                assert block.errors == [item for item in items if type(item) is LineError]
+                want = trace_module._parse_lines(cut, line_diags, line_last, events)
+                assert block_fields(block) == block_fields(want)
                 assert (block_diags, block_last) == (line_diags, line_last)
                 clean += not block.errors and not np.isnan(block.deltas).any()
                 with_errors += bool(block.errors)
     assert clean > 100 and with_errors > 100, (clean, with_errors)
 
 
+class SizedReads(io.StringIO):
+    """A text stream of ``text`` that gives at most ``size`` characters a
+    read, whatever size is asked for."""
+
+    def __init__(self, text: str, size: int) -> None:
+        super().__init__(text)
+        self.size = size
+
+    def read(self, size: int | None = -1) -> str:
+        return super().read(self.size)
+
+
 @pytest.mark.parametrize("block", [1, 7, 64, 4096])
-def test_parse_stream_equals_the_line_reader_on_fuzzed_streams(block, monkeypatch):
-    monkeypatch.setattr(trace_module, "BLOCK", block)
+def test_parse_stream_equals_the_line_reader_on_fuzzed_streams(block):
+    # read ``block`` characters at a time, so lines span reads
     rng = np.random.default_rng(block)
     for _ in range(40):
         lines = fuzz_lines(rng, int(rng.integers(1, 600)), float(rng.choice([0, 0.002, 0.05])))
         text = "\n".join(lines) + "\n"
-        trace, diags = parse_stream(io.StringIO(text))
-        want_trace, want_diags = by_line_stream(io.StringIO(text))
+        trace, diags = parse_stream(SizedReads(text, block))
+        want_trace, want_diags = by_line_stream(text)
         assert_same_columns(trace, want_trace)
         assert diags == want_diags

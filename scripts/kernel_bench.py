@@ -7,18 +7,24 @@ bench/workloads.py: six counters at their default levels, 3% jitter, one
 burst, each tick's lines in name order) and cuts it as `detect` cuts a
 file on stdin: into the lines each `io.DEFAULT_BUFFER_SIZE` read
 completes, and those reads into runs of the `Detector`, each ending with
-the read that brings the lines since the last run to BLOCK.  A run stacks
-the full windows its lines complete across counters, in config order, at
-most a stack size of windows per `lof_at` call, as the `Detector` gathers
-them from one view of the run's samples.  For stack sizes 32, 64,
-128 and 256 (the shipped CHUNK marked), it prints the calls, and the
-median and the best of --repeat timed passes over every call in
-microseconds per window; the sizes take turns, pass by pass.  Then, for
-each counter's whole column of the workload, it prints the median and the
-best ms per `lof_all` call over --repeat calls, and the tracemalloc peak
-of one more.  Exits 1 unless every window score equals `lof_scores` at
-the lagged position, and `lof_all`'s scores of each column's first 1 000
-points equal `lof_scores`', bit for bit.
+the read that brings the lines since the last run to BLOCK (1024).  A run
+stacks the full windows its lines complete across counters, in config
+order, at most a stack size of windows per `lof_at` call, as the
+`Detector` gathers them from one view of the run's samples.  For stack
+sizes 32, 64, 128 and 256 (the shipped CHUNK marked), it prints the
+calls, and the median and the best of --repeat timed passes over every
+call in microseconds per window; the sizes take turns, pass by pass.
+Then it times whole `Detector` passes over the same stream at each stack
+size, with `detector.CHUNK` set to it: the stream read as `detect` reads
+it, `parse_blocks` to `extend`, and a `poll` once BLOCK lines have come
+since the last, the sizes again taking turns; it prints the median and
+the best seconds of --repeat passes.  Then, for each counter's whole
+column of the workload, it prints the median and the best ms per
+`lof_all` call over --repeat calls, and the tracemalloc peak of one more.
+Exits 1 unless every window score equals `lof_scores` at the lagged
+position, every `Detector` pass gives the same points and alerts, and
+`lof_all`'s scores of each column's first 1 000 points equal
+`lof_scores`', bit for bit.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -39,20 +46,29 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "bench"))
 
-from hpcwatch.detector import BLOCK, CHUNK, DetectorConfig, lag  # noqa: E402
+import hpcwatch.detector as detector_module  # noqa: E402
+from hpcwatch.detector import BLOCK, CHUNK, Detector, DetectorConfig, lag  # noqa: E402
 from hpcwatch.lof import lof_all, lof_at, lof_scores  # noqa: E402
+from hpcwatch.report import alert_row  # noqa: E402
+from hpcwatch.trace import ParseDiagnostics, parse_blocks  # noqa: E402
 from workloads import WORKLOADS, generate_deltas, write_inputs  # noqa: E402
 
 
 SIZES = (32, 64, 128, 256)
 
 
-def runs_of(deltas: dict[str, np.ndarray], config: DetectorConfig) -> list[np.ndarray]:
+def stream_of(deltas: dict[str, np.ndarray]) -> bytes:
+    """The workload's stream, as `detect` reads it on stdin."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return Path(write_inputs(deltas, 0, tmp).stream_file).read_bytes()
+
+
+def runs_of(
+    deltas: dict[str, np.ndarray], stream: bytes, config: DetectorConfig
+) -> list[np.ndarray]:
     """The full windows each `Detector` run scores, across counters in
     config order, in run order."""
     names = sorted(deltas)  # each tick's lines, in stream order
-    with tempfile.TemporaryDirectory() as tmp:
-        stream = Path(write_inputs(deltas, 0, tmp).stream_file).read_bytes()
     # the read that completes each line, and the run that read belongs to
     ends = np.flatnonzero(np.frombuffer(stream, np.uint8) == ord("\n"))
     read_of = ends // io.DEFAULT_BUFFER_SIZE
@@ -87,6 +103,29 @@ def timed(stacks: list[np.ndarray], k: int, pos: int) -> tuple[np.ndarray, float
     started = time.perf_counter()
     scores = np.concatenate([lof_at(stack, k, pos) for stack in stacks])
     return scores, (time.perf_counter() - started) / count * 1e6
+
+
+def detect_pass(stream: bytes, config: DetectorConfig, size: int) -> tuple[bytes, float]:
+    """One `Detector` pass over the stream, fed as `detect` feeds it a
+    backlog, with stacks of at most ``size`` windows: its points and alert
+    rows as bytes, and its seconds."""
+    points = (array("q"), array("d"), array("q"))
+    rows: list[str] = []
+    text = io.TextIOWrapper(io.BytesIO(stream), encoding="utf-8")
+    detector_module.CHUNK = size
+    try:
+        started = time.perf_counter()
+        detector, diags, polled = Detector(config, points), ParseDiagnostics(), 0
+        for block in parse_blocks(text, diags, {}, config.counters):
+            detector.extend(block.events, block.codes, block.stamps, block.deltas)
+            if diags.lines_read - polled >= BLOCK:
+                rows += (",".join(alert_row(alert)) for alert in detector.poll())
+                polled = diags.lines_read
+        rows += (",".join(alert_row(alert)) for alert in detector.finish())
+        elapsed = time.perf_counter() - started
+    finally:
+        detector_module.CHUNK = CHUNK
+    return b"".join(column.tobytes() for column in points) + "\n".join(rows).encode(), elapsed
 
 
 def series_bench(deltas: dict[str, np.ndarray], config: DetectorConfig, repeat: int) -> bool:
@@ -125,7 +164,8 @@ def main(argv: list[str] | None = None) -> int:
     config = DetectorConfig()
     k, pos = config.k, config.window - 1 - lag(config)
     deltas, _ = generate_deltas(WORKLOADS["detect-jitter"], args.seed)
-    runs = runs_of(deltas, config)
+    stream = stream_of(deltas)
+    runs = runs_of(deltas, stream, config)
     windows = sum(run.shape[0] for run in runs)
     expected = np.array([lof_scores(w, k)[pos] for run in runs for w in run])
     print(f"seed {args.seed}: {len(deltas)} counters, {windows} full windows in {len(runs)} "
@@ -145,6 +185,22 @@ def main(argv: list[str] | None = None) -> int:
               f"{statistics.median(passes[size]):.2f} us/window, best {min(passes[size]):.2f} "
               f"of {args.repeat} passes")
     print("every score equals lof_scores" if ok else "SCORES DIFFER FROM lof_scores")
+
+    seconds: dict[int, list[float]] = {size: [] for size in SIZES}
+    outputs = set()
+    for _ in range(args.repeat):
+        for size in SIZES:
+            output, elapsed = detect_pass(stream, config, size)
+            outputs.add(output)
+            seconds[size].append(elapsed)
+    for size in SIZES:
+        mark = " (CHUNK)" if size == CHUNK else ""
+        print(f"detect pass at stacks of {size}{mark}: median "
+              f"{statistics.median(seconds[size]):.3f} s, best {min(seconds[size]):.3f} "
+              f"of {args.repeat} passes")
+    ok &= len(outputs) == 1
+    print("every detect pass gives the same points and alerts" if len(outputs) == 1
+          else "DETECT PASSES DIFFER ACROSS STACK SIZES")
     series_ok = series_bench(deltas, config, args.repeat)
     print("every lof_all score of the first 1000 points equals lof_scores" if series_ok
           else "LOF_ALL SCORES DIFFER FROM lof_scores")

@@ -21,7 +21,7 @@ the last quarter exceeds the first quarter's by more than 10%, or if
 `detect` fails.  `detect` reads the pipe one block of at most 8 KiB at a
 time, holds a partial line only up to 65 536 characters, snaps each
 read's timestamps to ticks in the `Detector`, runs its windows at least
-every 4096 lines and scores them in stacks of at most 64 gathered from one
+every 1024 lines and scores them in stacks of at most 64 gathered from one
 view of the run's samples, so a bounded detector holds its windows, score
 maps, pending lines, window stack and partial line at a fixed size however
 long the stream runs, and keeps nothing of an event it does not score.

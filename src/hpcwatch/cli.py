@@ -8,11 +8,13 @@ analyze and detect read every input through ``trace.parse_blocks``, which
 splits each read into lines as ``open()`` does and parses them into
 columns.  detect hands each read's columns to the ``Detector``.  It polls
 the detector, and writes and flushes the rows it returns as one block,
-once stdin has nothing more waiting or once BLOCK lines have come since
-the last poll; a stream that ``select`` cannot watch is polled after every
-read.  A live ``perf stat -I`` pipe is idle after each interval, so its
-rows print as soon as that read is processed; a backlog, such as a file
-replay, is scored BLOCK lines at a time.
+once stdin has nothing more waiting or once ``detector.BLOCK`` (1024)
+lines have come since the last poll; a stream that ``select`` cannot
+watch is polled after every read.  A live ``perf stat -I`` pipe is idle
+after each interval, so its rows print as soon as that read is processed;
+a backlog, such as a file replay, is scored 1024 lines at a time.
+analyze runs the aligned trace through ``run_offline``, in blocks of at
+most ``detector.OFFLINE_BLOCK`` (4096) lines.
 
 Exit codes: 0 clean, 3 one or more alerts raised, 1 usage or data error,
 2 capture environment error.  Code 3 keeps "detection" distinguishable from
@@ -368,7 +370,12 @@ def cmd_capture(args: argparse.Namespace) -> int:
         if not 0 < args.duration < math.inf:
             raise ValueError(f"--duration must be finite and > 0, got {args.duration}")
 
-    interval_ms = max(1, int(round(config.tick_interval * 1000)))
+    # perf stat -I counts whole milliseconds, at least 1; any other tick
+    # would capture on a grid other than the one the config analyses
+    interval_ms = round(config.tick_interval * 1000)
+    if interval_ms < 1 or not math.isclose(config.tick_interval * 1000, interval_ms):
+        raise ValueError(f"perf stat -I needs a tick interval of whole milliseconds, "
+                         f"at least 0.001 s, got {config.tick_interval}")
     cmd = [
         args.profiler,
         "stat",

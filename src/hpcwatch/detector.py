@@ -40,16 +40,28 @@ from .lof import LofResult, lof_all, lof_at, lof_scores, top_n_outliers
 from .trace import AlignedTrace, Sample, tick_of, ticks_of
 
 # Most windows per lof_at call.  Stacking 64 50-point windows cuts the cost
-# per window about tenfold against one at a time.  Larger stacks cost less
-# per window still, but lof_at's tables grow with the stack: on a 2-core
-# x86 host, detect's runs of the benchmark stream (scripts/kernel_bench.py)
-# cost 5.3, 4.2, 3.6 and 3.4 us a window at 32, 64, 128 and 256 windows per
-# call, and detect's peak RSS rises 0.6 MB at 128 and 1.5 MB at 256.
+# per window about tenfold against one at a time.  lof_at alone costs less
+# per window at larger stacks (scripts/kernel_bench.py on a 2-core x86
+# host: 5.3, 4.2, 3.6 and 3.4 us at 32, 64, 128 and 256), but whole detect
+# passes over the benchmark stream do not reliably: in-process sweeps took
+# 0.373 s at 64 against 0.420 s at 256, and 0.406, 0.439 and 0.479 s at 64,
+# 128 and 32, while kernel_bench.py's detect passes took 0.49 s at 64 and
+# 0.39 s at 256.  Memory does grow with the stack: detect's peak RSS rises
+# 0.9 MB at 128 and 1.5 MB at 256.
 CHUNK = 64
 
 # Lines the ``Detector`` gathers from ``extend`` before it runs them, and
-# most lines per ``Detector.run`` call in ``run_offline``.
-BLOCK = 4096
+# lines ``detect`` reads from a backlog before it polls.  A run's arrays
+# grow with its lines, and so does detect's peak RSS: on the benchmark
+# stream it peaked 0.6 MB lower at 1024 lines than at 4096, and no lower
+# at 512.
+BLOCK = 1024
+
+# Most lines per ``Detector.run`` call in ``run_offline``.  A run pays a
+# fixed cost per counter, so a whole trace suits fewer, larger runs: on
+# the same host, run_offline on an hour's jittered trace took 1.26 s in
+# blocks of 4096 lines and 1.38 s in blocks of 1024 (medians of 10).
+OFFLINE_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -244,7 +256,8 @@ class Detector:
     its tick as ``align`` does.  A line of an unconfigured event or with an
     uncounted delta is then ignored, as ``align`` gives it no tick: it
     neither scores nor moves the clock.  Lines gather in one buffer, run
-    once BLOCK lines are pending.
+    once BLOCK (1024) lines are pending; ``run_offline`` calls ``run``
+    directly, on blocks of at most OFFLINE_BLOCK (4096) lines.
     ``poll`` runs them and hands over the alerts raised since the last call;
     ``finish`` also evaluates the newest tick at end of input.  ``points``,
     if given, is three columns that receive the eval tick, f and
@@ -415,19 +428,19 @@ class Detector:
 
 def _run_in_tick_order(detector: Detector, trace: AlignedTrace, selected: list[str]) -> None:
     """Run every value of the ``selected`` counters, tick by tick and in
-    config order within a tick, in blocks of at most BLOCK lines and
-    without an array that spans the trace.
+    config order within a tick, in blocks of at most OFFLINE_BLOCK lines
+    and without an array that spans the trace.
 
     With n counters, a block ends before the earliest of the counters'
-    (BLOCK // n)-th next ticks: no counter has more values than that before
-    it, and the counter whose tick it is has exactly that many.  A counter
-    with fewer values left gives no bound; when none has more, the block
-    takes every value left.  The block's slices, joined in config order and
-    stably sorted by tick, are its lines in tick order."""
+    (OFFLINE_BLOCK // n)-th next ticks: no counter has more values than
+    that before it, and the counter whose tick it is has exactly that many.
+    A counter with fewer values left gives no bound; when none has more,
+    the block takes every value left.  The block's slices, joined in
+    config order and stably sorted by tick, are its lines in tick order."""
     ticks = [trace.ticks[name] for name in selected]
     values = [trace.values[name] for name in selected]
     indices = [detector.config.counters.index(name) for name in selected]
-    per_counter = max(1, BLOCK // len(selected))
+    per_counter = max(1, OFFLINE_BLOCK // len(selected))
     at, lengths = [0] * len(selected), [t.shape[0] for t in ticks]
     while at != lengths:
         ahead = [t[i + per_counter] for t, i in zip(ticks, at) if i + per_counter < t.shape[0]]

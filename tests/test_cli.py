@@ -873,7 +873,7 @@ def test_detect_ending_on_a_bad_read_prints_the_rows_of_every_read_before_it(
     assert err.startswith(error)
 
 
-def jittered_stream() -> tuple[list[str], int]:
+def jittered_stream(ticks: int = 700) -> tuple[list[str], int]:
     """Lines, and how many of them are malformed."""
     # the six default counters at their synth levels with 3% jitter, so a
     # 64-window stack fills in the middle of a tick; one burst at tick 500
@@ -881,12 +881,42 @@ def jittered_stream() -> tuple[list[str], int]:
     levels = {"iTLB-load-misses": 18, "dTLB-loads": 61452, "bus-cycles": 23917,
               "LLC-store-misses": 47, "LLC-loads": 1123, "LLC-load-misses": 261}
     lines = []
-    for tick in range(1, 701):
+    for tick in range(1, ticks + 1):
         burst = 20 if tick in (500, 501) else 1
         for name, level in levels.items():
             value = round(rng.lognormal(math.log(level), 0.03) * burst)
             lines.append(f"{tick * 0.1:.1f},{value},{name}")
     return lines, 0
+
+
+def test_detect_scores_a_backlog_in_a_bounded_working_set(monkeypatch):
+    # a 9 000-line backlog, read 8 KiB at a time with more input always
+    # waiting, is scored BLOCK lines at a time: detect's tracemalloc peak
+    # here was 0.99 MB in runs of 1024 lines and 1.45 MB in runs of 4096
+    import tracemalloc
+
+    lines, _ = jittered_stream(1500)
+    expected, _ = polled_rows(lines, DetectorConfig(), None)
+    data = "".join(line + "\n" for line in lines).encode()
+
+    class Stdin:
+        buffer, encoding, errors = io.BytesIO(data), "utf-8", "strict"
+
+        def fileno(self) -> int:
+            return 0
+
+    out = io.StringIO()
+    monkeypatch.setattr(select, "select", lambda r, w, x, timeout: (r, w, x))
+    monkeypatch.setattr("sys.stdin", Stdin())
+    monkeypatch.setattr("sys.stdout", out)
+    tracemalloc.start()
+    try:
+        assert main(["detect"]) == EXIT_ALERTS
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.getvalue().splitlines() == [row for row, _ in expected]
+    assert peak < 1_200_000, peak
 
 
 def test_detect_reads_perfs_own_capture_as_columns_after_its_header(monkeypatch, capsys):
@@ -1625,6 +1655,14 @@ def test_capture_rejects_a_zero_interval_before_launching(tmp_path, capsys):
     assert main([*capture, "--interval", "0", "--", "true"]) == EXIT_ERROR
     assert not record.exists()
     assert capsys.readouterr().err == "error: tick_interval must be > 0, got 0.0\n"
+    # perf stat -I takes whole milliseconds: 0.0155 s would run at 16 ms,
+    # and 0.0001 s at 1 ms, off the grid the config analyses
+    for interval in ("0.0155", "0.0001"):
+        assert main([*capture, "--interval", interval, "--", "true"]) == EXIT_ERROR
+        assert not record.exists()
+        assert capsys.readouterr().err == (
+            f"error: perf stat -I needs a tick interval of whole milliseconds, "
+            f"at least 0.001 s, got {interval}\n")
 
 
 @pytest.mark.parametrize("flags, message", [

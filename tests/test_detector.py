@@ -601,8 +601,8 @@ def fuzzed_trace(rng: np.random.Generator) -> tuple[AlignedTrace, DetectorConfig
 def test_run_offline_blocks_equal_one_block_on_fuzzed_traces(monkeypatch):
     # however run_offline cuts a trace into blocks, its points and alerts
     # are those of one block over all of it; every block holds at most
-    # BLOCK lines, and a counter with BLOCK // n values ahead bounds each
-    # block but the last, so the blocks are few
+    # OFFLINE_BLOCK lines, and a counter with OFFLINE_BLOCK // n values
+    # ahead bounds each block but the last, so the blocks are few
     rng = np.random.default_rng(19)
     sizes: list[int] = []
     run = Detector.run
@@ -620,7 +620,7 @@ def test_run_offline_blocks_equal_one_block_on_fuzzed_traces(monkeypatch):
         cases += 1
         expected = one_block_run(trace, config)
         block = int(rng.choice([24, 256, 4096]))
-        monkeypatch.setattr(detector_module, "BLOCK", block)
+        monkeypatch.setattr(detector_module, "OFFLINE_BLOCK", block)
         monkeypatch.setattr(Detector, "run", spy)
         sizes.clear()
         series, alerts, _ = run_offline(trace, config)
